@@ -33,9 +33,9 @@ for t in range(8):
 print("\ncontinuous cells, original -> masked (masked cells become the mean, 0 in z-space):")
 for t in range(8):
     print(" ", sample.cont_values[t], "->", masked.cont_values[t])
-print("\nreconstruction targets recorded by the plan:")
-print("  categorical:", plan.cat_targets)
-print("  continuous: ", plan.cont_targets)
+print("\nreconstruction targets (the original values at masked cells):")
+print("  categorical:", sample.cat_tokens[plan.cat_mask])
+print("  continuous: ", sample.cont_values[plan.cont_mask])
 
 print("\n== empirical rates over 20k windows ==")
 rows = rows_masked = cells = cells_masked = 0

@@ -33,19 +33,15 @@ class MaskConfig:
 
 @dataclass
 class MaskPlan:
-    """Boolean cell/row masks plus reconstruction targets for one sample.
+    """Boolean cell/row masks for one sample.
 
     `field_mask` covers the categorical columns first, then the continuous
     columns, matching WindowSample's cat/cont matrices side by side.
-    Targets are filled in by `apply_mask` (the plan alone does not know the
-    sample's values) and exist exactly at masked cells, ordered row-major.
     """
 
     field_mask: np.ndarray  # [T, C] bool
     row_mask: np.ndarray    # [T] bool
     n_cat: int
-    cat_targets: np.ndarray | None = None   # [n_masked_cat] int32
-    cont_targets: np.ndarray | None = None  # [n_masked_cont] float
 
     @property
     def cat_mask(self) -> np.ndarray:
@@ -74,10 +70,10 @@ def rng_for_sample(seed: int, epoch: int, sample_index: int) -> np.random.Genera
 
 
 def apply_mask(sample: WindowSample, plan: MaskPlan, schema: FeatureSchema) -> WindowSample:
-    """Overwrite masked cells, recording originals in the plan's targets.
+    """Overwrite masked cells with MASK_ID / 0.0.
 
-    Returns a new WindowSample; the input sample and its timestamp arrays
-    are left untouched.
+    Returns a new WindowSample; the input sample, its timestamp arrays and
+    the plan are left untouched.
     """
     t_len, n_cat = sample.cat_tokens.shape
     n_cont = sample.cont_values.shape[1]
@@ -88,8 +84,6 @@ def apply_mask(sample: WindowSample, plan: MaskPlan, schema: FeatureSchema) -> W
         )
     cat = sample.cat_tokens.copy()
     cont = sample.cont_values.copy()
-    plan.cat_targets = cat[plan.cat_mask].copy()
-    plan.cont_targets = cont[plan.cont_mask].copy()
     cat[plan.cat_mask] = MASK_ID
     cont[plan.cont_mask] = 0.0
     return WindowSample(

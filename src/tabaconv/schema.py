@@ -15,13 +15,12 @@ import csv
 import hashlib
 import json
 import re
-import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, IntegrityError, SchemaError, UnsupportedVersionError
+from .errors import ContractError, SchemaError, UnsupportedVersionError
 
 PAD_ID = 0
 MASK_ID = 1
@@ -533,72 +532,3 @@ def users_in_order(header: list[str], rows: list[list[str]], user_column: str) -
     for row in rows:
         seen.setdefault(row[u])
     return list(seen)
-
-
-# ---------------------------------------------------------------------------
-# binary window cache ("TSBW1")
-# ---------------------------------------------------------------------------
-
-_CACHE_MAGIC = b"TSBW1"
-_CACHE_VERSION = 1
-_HEADER_FMT = "<5sBBHIIII"  # magic, version, has_label, uid_len, n, T, C_cat, C_cont
-
-
-def save_windows(samples: list[WindowSample], path) -> None:
-    """Write samples as fixed-size little-endian records."""
-    if not samples:
-        raise ContractError("save_windows: nothing to save")
-    has_label = samples[0].label is not None
-    if any((s.label is not None) != has_label for s in samples):
-        raise ContractError("save_windows: mixed labeled/unlabeled samples")
-    t_len = samples[0].window
-    c_cat = samples[0].cat_tokens.shape[1]
-    c_cont = samples[0].cont_values.shape[1]
-    uid_len = max(len(s.user_id.encode("utf-8")) for s in samples)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(_HEADER_FMT, _CACHE_MAGIC, _CACHE_VERSION, int(has_label),
-                             uid_len, len(samples), t_len, c_cat, c_cont))
-        for s in samples:
-            uid = s.user_id.encode("utf-8")
-            fh.write(uid.ljust(uid_len, b"\x00"))
-            fh.write(np.ascontiguousarray(s.cat_tokens, dtype="<i4").tobytes())
-            fh.write(np.ascontiguousarray(s.cont_values, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(s.ts_components, dtype="<i4").tobytes())
-            fh.write(np.ascontiguousarray(s.ts_floats, dtype="<f4").tobytes())
-            if has_label:
-                fh.write(struct.pack("<B", int(s.label)))
-
-
-def load_windows(path) -> list[WindowSample]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head_size = struct.calcsize(_HEADER_FMT)
-    if len(blob) < head_size:
-        raise IntegrityError(f"{path}: truncated header")
-    magic, version, has_label, uid_len, n, t_len, c_cat, c_cont = struct.unpack_from(_HEADER_FMT, blob)
-    if magic != _CACHE_MAGIC:
-        raise IntegrityError(f"{path}: bad magic {magic!r}")
-    if version > _CACHE_VERSION:
-        raise UnsupportedVersionError(f"{path}: cache version {version} unsupported")
-    rec = uid_len + 4 * t_len * c_cat + 4 * t_len * c_cont + 4 * t_len * 8 + 4 * t_len * 4 + (1 if has_label else 0)
-    if len(blob) != head_size + n * rec:
-        raise IntegrityError(f"{path}: expected {head_size + n * rec} bytes, found {len(blob)}")
-    samples = []
-    off = head_size
-    for _ in range(n):
-        uid = blob[off : off + uid_len].rstrip(b"\x00").decode("utf-8")
-        off += uid_len
-        cat = np.frombuffer(blob, dtype="<i4", count=t_len * c_cat, offset=off).reshape(t_len, c_cat).copy()
-        off += 4 * t_len * c_cat
-        cont = np.frombuffer(blob, dtype="<f4", count=t_len * c_cont, offset=off).reshape(t_len, c_cont).copy()
-        off += 4 * t_len * c_cont
-        comp = np.frombuffer(blob, dtype="<i4", count=t_len * 8, offset=off).reshape(t_len, 8).copy()
-        off += 4 * t_len * 8
-        tfl = np.frombuffer(blob, dtype="<f4", count=t_len * 4, offset=off).reshape(t_len, 4).copy()
-        off += 4 * t_len * 4
-        label = None
-        if has_label:
-            label = int(blob[off])
-            off += 1
-        samples.append(WindowSample(cat, cont, comp, tfl, uid, label))
-    return samples

@@ -34,6 +34,7 @@ from .model import (
     forward_classify,
     forward_mdm,
     init_params,
+    trainable_names,
 )
 from .schema import FeatureSchema, WindowSample
 from .tensor import Tensor
@@ -174,33 +175,27 @@ def bce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     return tt.scale(tt.bce_with_logits_sum(logits, labels), 1.0 / n)
 
 
-def f1_binary(preds, labels) -> float:
-    """F1 of the positive class; 0 by convention when TP+FP+FN == 0."""
+def precision_recall_f1(preds, labels) -> tuple[float, float, float]:
+    """Precision, recall and F1 of the positive class; each is 0 when its denominator is.
+
+    F1 is 0 by convention whenever TP == 0.
+    """
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
-        raise ContractError(f"f1_binary: {preds.shape} predictions vs {labels.shape} labels")
-    tp = int(((preds == 1) & (labels == 1)).sum())
-    fp = int(((preds == 1) & (labels == 0)).sum())
-    fn = int(((preds == 0) & (labels == 1)).sum())
-    if tp + fp + fn == 0:
-        return 0.0
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
-
-
-def precision_recall_f1(preds, labels) -> tuple[float, float, float]:
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
+        raise ContractError(f"{preds.shape} predictions vs {labels.shape} labels")
     tp = int(((preds == 1) & (labels == 1)).sum())
     fp = int(((preds == 1) & (labels == 0)).sum())
     fn = int(((preds == 0) & (labels == 1)).sum())
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
-    return precision, recall, f1_binary(preds, labels)
+    f1 = 2 * precision * recall / (precision + recall) if tp else 0.0
+    return precision, recall, f1
+
+
+def f1_binary(preds, labels) -> float:
+    """F1 of the positive class, as precision_recall_f1 computes it."""
+    return precision_recall_f1(preds, labels)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +263,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, cfg: TrainConfig,
 
 CKPT_MAGIC = b"TACB1"
 CKPT_VERSION = 1
+CKPT_DTYPES = ("float32", "float64")
 
 
 @dataclass
@@ -276,9 +272,7 @@ class Checkpoint:
     schema_digest: str
     params: dict[str, np.ndarray]
     step: int = 0
-    optimizer: dict | None = None  # {"t": int, "m": {...}, "v": {...}}
     rng_info: dict = field(default_factory=dict)
-    version: int = CKPT_VERSION
 
     def tensors(self, trainable: set[str] | None = None) -> dict[str, Tensor]:
         """Materialize parameters; non-trainable names become frozen leaves."""
@@ -293,29 +287,18 @@ class Checkpoint:
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Little-endian container: magic, version, JSON meta, raw arrays, sha256 trailer."""
     param_index = [[n, str(a.dtype), list(a.shape)] for n, a in ckpt.params.items()]
-    opt_meta = None
-    if ckpt.optimizer is not None:
-        opt_meta = {
-            "t": ckpt.optimizer["t"],
-            "names": list(ckpt.optimizer["m"].keys()),
-            "dtype": str(next(iter(ckpt.optimizer["m"].values())).dtype)
-            if ckpt.optimizer["m"] else "float32",
-        }
     meta = json.dumps({
         "model_config": ckpt.model_config.to_dict(),
         "schema_digest": ckpt.schema_digest,
         "step": ckpt.step,
         "rng_info": ckpt.rng_info,
         "params": param_index,
-        "optimizer": opt_meta,
+        # always null; older version-1 loaders read this key, so dropping it needs a CKPT_VERSION bump
+        "optimizer": None,
     }).encode("utf-8")
-    chunks = [CKPT_MAGIC, struct.pack("<I", ckpt.version), struct.pack("<I", len(meta)), meta]
+    chunks = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION), struct.pack("<I", len(meta)), meta]
     for name, arr in ckpt.params.items():
         chunks.append(np.ascontiguousarray(arr).tobytes())
-    if opt_meta is not None:
-        for name in opt_meta["names"]:
-            chunks.append(np.ascontiguousarray(ckpt.optimizer["m"][name]).tobytes())
-            chunks.append(np.ascontiguousarray(ckpt.optimizer["v"][name]).tobytes())
     body = b"".join(chunks)
     with open(path, "wb") as fh:
         fh.write(body)
@@ -323,6 +306,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint whose every byte is accounted for.
+
+    Raises IntegrityError for a bad magic or checksum, unreadable metadata,
+    a dtype outside CKPT_DTYPES, an array past the body or unread trailing
+    bytes, and UnsupportedVersionError for any version but CKPT_VERSION.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CKPT_MAGIC) + 8 + 32:
@@ -330,41 +319,40 @@ def load_checkpoint(path) -> Checkpoint:
     if blob[:5] != CKPT_MAGIC:
         raise IntegrityError(f"{path}: bad magic {blob[:5]!r}")
     (version,) = struct.unpack_from("<I", blob, 5)
-    if version > CKPT_VERSION:
-        raise UnsupportedVersionError(f"{path}: checkpoint version {version} is not supported")
+    if version != CKPT_VERSION:
+        raise UnsupportedVersionError(
+            f"{path}: checkpoint version {version} is not supported (expected {CKPT_VERSION})")
     body, trailer = blob[:-32], blob[-32:]
     if hashlib.sha256(body).digest() != trailer:
         raise IntegrityError(f"{path}: checksum mismatch (corrupt or truncated)")
-    (meta_len,) = struct.unpack_from("<I", blob, 9)
-    meta_start = 13
-    meta = json.loads(blob[meta_start : meta_start + meta_len].decode("utf-8"))
-    off = meta_start + meta_len
+    (meta_len,) = struct.unpack_from("<I", body, 9)
+    off = 13 + meta_len
+    if off > len(body):
+        raise IntegrityError(f"{path}: metadata runs past the end of the body")
+    try:
+        meta = json.loads(body[13:off].decode("utf-8"))
+    except ValueError as exc:
+        raise IntegrityError(f"{path}: unreadable metadata: {exc}") from exc
     params: dict[str, np.ndarray] = {}
     for name, dtype, shape in meta["params"]:
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(body, dtype=np.dtype(dtype), count=count, offset=off).reshape(shape).copy()
-        off += arr.nbytes
-        params[name] = arr
-    optimizer = None
-    if meta["optimizer"] is not None:
-        opt_dtype = np.dtype(meta["optimizer"]["dtype"])
-        m, v = {}, {}
-        for name in meta["optimizer"]["names"]:
-            shape = params[name].shape
-            count = params[name].size
-            m[name] = np.frombuffer(body, dtype=opt_dtype, count=count, offset=off).reshape(shape).copy()
-            off += m[name].nbytes
-            v[name] = np.frombuffer(body, dtype=opt_dtype, count=count, offset=off).reshape(shape).copy()
-            off += v[name].nbytes
-        optimizer = {"t": meta["optimizer"]["t"], "m": m, "v": v}
+        if dtype not in CKPT_DTYPES:
+            raise IntegrityError(f"{path}: parameter {name!r} has unsupported dtype {dtype!r}")
+        if not (isinstance(shape, list) and all(isinstance(d, int) and d >= 0 for d in shape)):
+            raise IntegrityError(f"{path}: parameter {name!r} has invalid shape {shape!r}")
+        count = math.prod(shape)
+        end = off + count * np.dtype(dtype).itemsize
+        if end > len(body):
+            raise IntegrityError(f"{path}: parameter {name!r} runs past the end of the body")
+        params[name] = np.frombuffer(body, dtype=dtype, count=count, offset=off).reshape(shape).copy()
+        off = end
+    if off != len(body):
+        raise IntegrityError(f"{path}: {len(body) - off} unread trailing bytes")
     return Checkpoint(
         model_config=ModelConfig.from_dict(meta["model_config"]),
         schema_digest=meta["schema_digest"],
         params=params,
         step=meta["step"],
-        optimizer=optimizer,
         rng_info=meta["rng_info"],
-        version=version,
     )
 
 
@@ -381,8 +369,7 @@ def _check_finite_loss(loss: Tensor) -> float:
 
 
 def pretrain(samples: list[WindowSample], schema: FeatureSchema, mcfg: ModelConfig,
-             tcfg: TrainConfig, mask_cfg: MaskConfig,
-             keep_optimizer: bool = False) -> tuple[Checkpoint, list[dict]]:
+             tcfg: TrainConfig, mask_cfg: MaskConfig) -> tuple[Checkpoint, list[dict]]:
     """Reconstruction pretraining; returns the final checkpoint and per-epoch records."""
     if schema.n_mask_columns == 0:
         raise ConfigError("schema has no categorical or continuous fields to reconstruct")
@@ -428,7 +415,6 @@ def pretrain(samples: list[WindowSample], schema: FeatureSchema, mcfg: ModelConf
         schema_digest=schema.digest(),
         params={n_: p.data.copy() for n_, p in params.items()},
         step=step,
-        optimizer={"t": state.t, "m": state.m, "v": state.v} if keep_optimizer else None,
         rng_info={"seed": tcfg.seed, "mask_seed": mask_cfg.seed, "epochs": tcfg.epochs},
     )
     return ckpt, records
@@ -451,18 +437,16 @@ def finetune(ckpt: Checkpoint, samples: list[WindowSample], schema: FeatureSchem
     head_rng_seed = tcfg.seed
     if tcfg.mode == "scratch":
         params = init_params(schema, mcfg, seed=head_rng_seed, head="classify")
-        names = list(params)
     elif tcfg.mode == "finetune":
-        body = {n_: a for n_, a in ckpt.params.items() if not n_.startswith("head.")}
-        names = [n_ for n_ in body if not n_.startswith(("embed.", "time."))]
-        base = Checkpoint(mcfg, ckpt.schema_digest, body)
-        params = base.tensors(trainable=set(names))
+        params = {n_: Tensor(a.copy()) for n_, a in ckpt.params.items() if not n_.startswith("head.")}
         fresh = init_params(schema, mcfg, seed=head_rng_seed, head="classify")
         params["clf.w"] = fresh["clf.w"]
         params["clf.b"] = fresh["clf.b"]
-        names += ["clf.w", "clf.b"]
     else:
         raise ConfigError(f"finetune() cannot run with mode {tcfg.mode!r}")
+    names = trainable_names(params, tcfg.mode)
+    for n_ in names:  # checkpoint tensors start frozen
+        params[n_].requires_grad = True
     state = AdamState.for_params(params, names)
     records: list[dict] = []
     step = 0

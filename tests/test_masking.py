@@ -5,7 +5,8 @@ import pytest
 
 from tabaconv.errors import ConfigError, ContractError
 from tabaconv.masking import MaskConfig, apply_mask, rng_for_sample, sample_mask_plan
-from tabaconv.schema import FeatureSchema, FieldSpec, WindowSample
+from tabaconv.schema import MASK_ID, FeatureSchema, FieldSpec, WindowSample
+from tabaconv.training import masked_batch
 
 
 def toy_schema(n_cat=4, n_cont=6):
@@ -37,7 +38,6 @@ class TestSampling:
         masked = apply_mask(sample, plan, schema)
         np.testing.assert_array_equal(masked.cat_tokens, sample.cat_tokens)
         np.testing.assert_array_equal(masked.cont_values, sample.cont_values)
-        assert plan.cat_targets.size == 0 and plan.cont_targets.size == 0
 
     def test_row_probability_one_masks_everything(self):
         schema = toy_schema()
@@ -109,7 +109,6 @@ class TestApply:
         plan.field_mask[0, 0] = True
         masked = apply_mask(sample, plan, schema)
         assert masked.cat_tokens[0, 0] == 1
-        np.testing.assert_array_equal(plan.cat_targets, [7])
         assert sample.cat_tokens[0, 0] == 7  # input untouched
 
     def test_masked_continuous_cell_becomes_zero(self):
@@ -122,7 +121,7 @@ class TestApply:
         plan.field_mask[0, 0] = True
         masked = apply_mask(sample, plan, schema)
         assert masked.cont_values[0, 0] == 0.0
-        np.testing.assert_array_equal(plan.cont_targets, np.asarray([3.5], dtype=np.float32))
+        assert sample.cont_values[0, 0] == np.float32(3.5)  # input untouched
 
     def test_timestamp_tensors_never_touched(self):
         schema = toy_schema()
@@ -135,13 +134,19 @@ class TestApply:
         np.testing.assert_array_equal(masked.ts_floats, before_floats)
 
     def test_targets_exist_exactly_at_masked_cells(self):
+        # masked_batch keeps every original cell as a target; the inputs
+        # differ from them exactly where the masks are set
         schema = toy_schema()
-        sample = toy_sample()
-        plan = sample_mask_plan(10, schema, MaskConfig(), np.random.default_rng(3))
-        apply_mask(sample, plan, schema)
-        assert plan.cat_targets.shape == (int(plan.cat_mask.sum()),)
-        assert plan.cont_targets.shape == (int(plan.cont_mask.sum()),)
-        np.testing.assert_array_equal(plan.cat_targets, sample.cat_tokens[plan.cat_mask])
+        samples = [toy_sample(seed=s) for s in range(3)]
+        batch = masked_batch(samples, schema, MaskConfig(seed=3), epoch=0, sample_indices=[0, 1, 2])
+        cat = np.stack([s.cat_tokens for s in samples])
+        cont = np.stack([s.cont_values for s in samples])
+        assert batch.cat_mask.any() and not batch.cat_mask.all()
+        assert batch.cont_mask.any() and not batch.cont_mask.all()
+        np.testing.assert_array_equal(batch.cat_targets, cat)
+        np.testing.assert_array_equal(batch.cont_targets, cont)
+        np.testing.assert_array_equal(batch.cat, np.where(batch.cat_mask, MASK_ID, cat))
+        np.testing.assert_array_equal(batch.cont, np.where(batch.cont_mask, np.float32(0.0), cont))
 
     def test_shape_mismatch_rejected(self):
         schema = toy_schema()

@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 from tabaconv import schema as sc
-from tabaconv.errors import ContractError, IntegrityError, SchemaError, UnsupportedVersionError
+from tabaconv.errors import ContractError, SchemaError, UnsupportedVersionError
 from tabaconv.schema import (
     FeatureSchema,
     decompose_timestamp,
     infer_schema,
-    load_windows,
     make_windows,
     parse_iso8601,
-    save_windows,
     split_users,
     time_floats,
     window_count,
@@ -331,35 +329,6 @@ class TestPersistence:
         payload["version"] = 999
         with pytest.raises(UnsupportedVersionError):
             FeatureSchema.from_json(json.dumps(payload))
-
-    def test_window_cache_round_trip(self, tmp_path, basic_csv):
-        schema = infer_schema(basic_csv, BASIC_ROLES)
-        header, rows = sc.read_csv(basic_csv)
-        grouped = sc.group_rows_by_user(header, rows, schema)
-        wins = make_windows(schema, header, grouped, 2, 1, "downstream")
-        path = tmp_path / "wins.bin"
-        save_windows(wins, path)
-        loaded = load_windows(path)
-        assert len(loaded) == len(wins)
-        for a, b in zip(wins, loaded):
-            np.testing.assert_array_equal(a.cat_tokens, b.cat_tokens)
-            np.testing.assert_array_equal(a.cont_values, b.cont_values)
-            np.testing.assert_array_equal(a.ts_components, b.ts_components)
-            np.testing.assert_array_equal(a.ts_floats, b.ts_floats)
-            assert a.user_id == b.user_id and a.label == b.label
-
-    def test_window_cache_magic_and_truncation(self, tmp_path, basic_csv):
-        schema = infer_schema(basic_csv, BASIC_ROLES)
-        header, rows = sc.read_csv(basic_csv)
-        grouped = sc.group_rows_by_user(header, rows, schema)
-        wins = make_windows(schema, header, grouped, 2, 1, "pretrain")
-        path = tmp_path / "wins.bin"
-        save_windows(wins, path)
-        blob = path.read_bytes()
-        assert blob[:5] == b"TSBW1"
-        (tmp_path / "trunc.bin").write_bytes(blob[:-7])
-        with pytest.raises(IntegrityError):
-            load_windows(tmp_path / "trunc.bin")
 
 
 def test_split_users_fractions():

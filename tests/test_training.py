@@ -1,5 +1,7 @@
 """Tests for losses, the optimizer, training loops and checkpoints."""
 
+import hashlib
+import json
 import math
 import struct
 
@@ -316,6 +318,33 @@ class TestFinetuneLoop:
         assert 0.0 <= records[0]["f1"] <= 1.0
 
 
+def crafted_checkpoint(blob: bytes, case: str) -> bytes:
+    """`blob` edited as `case` names, re-signed so its sha256 trailer is valid."""
+    (version,) = struct.unpack_from("<I", blob, 5)
+    (meta_len,) = struct.unpack_from("<I", blob, 9)
+    meta = json.loads(blob[13 : 13 + meta_len])
+    arrays = blob[13 + meta_len : -32]
+    first_name, first_dtype, first_shape = meta["params"][0]
+    if case == "array_past_body":
+        meta["params"][0][2] = [d * 2 for d in first_shape]
+    elif case == "unknown_dtype":
+        meta["params"][0][1] = "float99"
+    elif case == "negative_dim":
+        meta["params"][-1][2] = [-1]
+    elif case == "trailing_bytes":
+        arrays += b"\x00" * 8
+    elif case == "optimizer_moments":  # the optional Adam section older writers could add
+        meta["optimizer"] = {"t": 1, "names": [first_name], "dtype": first_dtype}
+        arrays += b"\x00" * (2 * math.prod(first_shape) * np.dtype(first_dtype).itemsize)
+    elif case == "version_zero":
+        version = 0
+    raw = json.dumps(meta).encode("utf-8")
+    declared = {"metadata_past_body": len(raw) + len(arrays) + 1,
+                "metadata_cut_short": len(raw) - 1}.get(case, len(raw))
+    body = blob[:5] + struct.pack("<II", version, declared) + raw + arrays
+    return body + hashlib.sha256(body).digest()
+
+
 class TestCheckpoint:
     def test_round_trip_is_bitwise_and_forward_identical(self, tiny_env, trained, tmp_path):
         schema = tiny_env["schema"]
@@ -333,18 +362,6 @@ class TestCheckpoint:
         out1 = forward_classify(batch, tuned.tensors(set()), tuned.model_config, schema).data
         out2 = forward_classify(batch, loaded.tensors(set()), loaded.model_config, schema).data
         assert out1.tobytes() == out2.tobytes()
-
-    def test_optimizer_moments_round_trip(self, tiny_env, tmp_path):
-        ckpt, _ = pretrain(tiny_env["pretrain_samples"][:8], tiny_env["schema"], TINY,
-                           TrainConfig(epochs=1, batch_size=4, seed=0), MaskConfig(seed=0),
-                           keep_optimizer=True)
-        path = tmp_path / "opt.bin"
-        save_checkpoint(ckpt, path)
-        loaded = load_checkpoint(path)
-        assert loaded.optimizer["t"] == ckpt.optimizer["t"]
-        for name in ckpt.optimizer["m"]:
-            assert ckpt.optimizer["m"][name].tobytes() == loaded.optimizer["m"][name].tobytes()
-            assert ckpt.optimizer["v"][name].tobytes() == loaded.optimizer["v"][name].tobytes()
 
     def test_truncated_file_rejected_without_partial_state(self, trained, tmp_path):
         path = tmp_path / "ckpt.bin"
@@ -371,6 +388,23 @@ class TestCheckpoint:
         (tmp_path / "future.bin").write_bytes(bytes(blob))
         with pytest.raises(UnsupportedVersionError):
             load_checkpoint(tmp_path / "future.bin")
+
+    @pytest.mark.parametrize("case, error", [
+        ("array_past_body", IntegrityError),
+        ("unknown_dtype", IntegrityError),
+        ("negative_dim", IntegrityError),
+        ("trailing_bytes", IntegrityError),
+        ("optimizer_moments", IntegrityError),
+        ("metadata_past_body", IntegrityError),
+        ("metadata_cut_short", IntegrityError),
+        ("version_zero", UnsupportedVersionError),
+    ])
+    def test_crafted_file_with_valid_trailer_rejected(self, trained, tmp_path, case, error):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(trained["ckpt"], path)
+        (tmp_path / "crafted.bin").write_bytes(crafted_checkpoint(path.read_bytes(), case))
+        with pytest.raises(error):
+            load_checkpoint(tmp_path / "crafted.bin")
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "junk.bin").write_bytes(b"NOTCK" + b"\x00" * 64)
