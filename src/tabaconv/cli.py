@@ -101,9 +101,8 @@ def _split_user_set(header, rows, user_column, split: str) -> set[str] | None:
     return set({"train": train, "val": val, "test": test}[split])
 
 
-def _windows_for_split(csv_path, schema: FeatureSchema, split: str, window: int,
-                       stride: int, mode: str):
-    header, rows = read_csv(csv_path)
+def _windows_for_split(header: list[str], rows: list[list[str]], schema: FeatureSchema,
+                       split: str, window: int, stride: int, mode: str):
     keep = _split_user_set(header, rows, schema.user_column, split)
     rows = [r for r in rows if r[header.index(schema.user_column)] in keep]
     grouped = group_rows_by_user(header, rows, schema)
@@ -164,7 +163,8 @@ def cmd_pretrain(args) -> int:
     header, rows = read_csv(data)
     train_users = _split_user_set(header, rows, roles["user"], cfg["split"])
     schema = infer_schema(data, roles, include_users=train_users)
-    samples = _windows_for_split(data, schema, cfg["split"], cfg["window"], cfg["stride"], "pretrain")
+    samples = _windows_for_split(header, rows, schema, cfg["split"], cfg["window"], cfg["stride"],
+                                 "pretrain")
     mcfg = _model_config(cfg)
     tcfg = TrainConfig(batch_size=cfg["batch_size"], epochs=cfg["epochs"],
                        learning_rate=cfg["lr"], seed=cfg["seed"], mode="pretrain")
@@ -207,7 +207,8 @@ def cmd_finetune(args) -> int:
     if cfg["data"] is None:
         raise ConfigError("--data is required")
     ckpt, schema = _load_ckpt_and_schema(cfg)
-    samples = _windows_for_split(Path(cfg["data"]), schema, cfg["split"],
+    # the parsed rows are not bound here, so they are freed once windowed
+    samples = _windows_for_split(*read_csv(Path(cfg["data"])), schema, cfg["split"],
                                  cfg["window"], cfg["stride"], "downstream")
     tcfg = TrainConfig(batch_size=cfg["batch_size"], epochs=cfg["epochs"],
                        learning_rate=cfg["lr"], seed=cfg["seed"], mode=cfg["mode"])
@@ -232,7 +233,8 @@ def cmd_evaluate(args) -> int:
     if cfg["data"] is None:
         raise ConfigError("--data is required")
     ckpt, schema = _load_ckpt_and_schema(cfg)
-    samples = _windows_for_split(Path(cfg["data"]), schema, cfg["split"],
+    # the parsed rows are not bound here, so they are freed once windowed
+    samples = _windows_for_split(*read_csv(Path(cfg["data"])), schema, cfg["split"],
                                  cfg["window"], cfg["stride"], "downstream")
     result = evaluate(ckpt, samples, schema)
     print(f"F1 {result['f1']:.4f} precision {result['precision']:.4f} "

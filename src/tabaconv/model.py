@@ -236,6 +236,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return tt.add(out, b) if b is not None else out
 
 
+def _time_net(floats: np.ndarray, params: dict[str, Tensor], cfg: ModelConfig) -> tuple[Tensor, Tensor]:
+    """Shallow net over the time floats and its activity penalty lambda * mean(out**2)."""
+    hidden = tt.relu(linear(Tensor(floats), params["time.net.w1"], params["time.net.b1"]))
+    out = linear(hidden, params["time.net.w2"], params["time.net.b2"])
+    return out, tt.scale(tt.mean_all(tt.mul(out, out)), cfg.activity_reg_lambda)
+
+
+def _time_tables(params: dict[str, Tensor]) -> list[Tensor]:
+    return [params[f"time.comp.{name}"] for name in TS_COMPONENT_NAMES]
+
+
 def timestamp_embedding(components: np.ndarray, floats: np.ndarray,
                         params: dict[str, Tensor], cfg: ModelConfig) -> tuple[Tensor, Tensor]:
     """Sum of calendar-component lookups plus a shallow net over time floats.
@@ -245,24 +256,20 @@ def timestamp_embedding(components: np.ndarray, floats: np.ndarray,
     penalty is lambda * mean(shallow_output**2) and belongs in the training
     loss.
     """
-    emb: Tensor | None = None
-    for i, name in enumerate(TS_COMPONENT_NAMES):
-        looked = tt.embedding(params[f"time.comp.{name}"], components[..., i])
-        emb = looked if emb is None else tt.add(emb, looked)
-    x = Tensor(floats)
-    hidden = tt.relu(linear(x, params["time.net.w1"], params["time.net.b1"]))
-    out = linear(hidden, params["time.net.w2"], params["time.net.b2"])
-    reg = tt.scale(tt.mean_all(tt.mul(out, out)), cfg.activity_reg_lambda)
-    return tt.add(emb, out), reg
+    out, reg = _time_net(floats, params, cfg)
+    return tt.add(tt.embedding_sum(_time_tables(params), components), out), reg
 
 
 def embed_inputs(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig,
                  schema: FeatureSchema) -> tuple[Tensor, Tensor]:
-    """Sum all input streams into [B, T, d_model]; also returns the activity penalty."""
-    t_emb, reg = timestamp_embedding(batch.ts_components, batch.ts_floats, params, cfg)
-    h = t_emb
-    for c, f in enumerate(schema.categorical_fields):
-        h = tt.add(h, tt.embedding(params[f"embed.cat.{f.name}"], batch.cat[..., c]))
+    """Sum all input streams into [B, T, d_model]; also returns the activity penalty.
+
+    The calendar and categorical lookups are one `embedding_sum` node.
+    """
+    tables = _time_tables(params) + [params[f"embed.cat.{f.name}"] for f in schema.categorical_fields]
+    ids = np.concatenate([batch.ts_components, batch.cat], axis=-1)
+    t_out, reg = _time_net(batch.ts_floats, params, cfg)
+    h = tt.add(tt.embedding_sum(tables, ids), t_out)
     for c, f in enumerate(schema.continuous_fields):
         value = Tensor(batch.cont[..., c : c + 1])  # [B, T, 1]
         proj = tt.add(tt.mul(value, params[f"embed.cont.{f.name}.w"]),
@@ -291,14 +298,18 @@ def mha(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str = "b
 
 def aaconv_layer(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
                  prefix: str = "block0") -> Tensor:
-    """Concat of conv and attention channels, mixed by a pointwise convolution."""
+    """Concat of conv and attention channels, mixed pointwise.
+
+    The pointwise (k=1) mix is a matmul with `mix.w` [1, d, d] seen as [d, d].
+    """
     if x.shape[-1] != cfg.d_model:
         raise ShapeError(f"aaconv_layer: input width {x.shape[-1]} != d_model {cfg.d_model}")
     conv_out = tt.conv1d(x, params[f"{prefix}.conv.w"], params[f"{prefix}.conv.b"],
                          padding=cfg.conv_padding)
     attn_out = mha(x, params, cfg, prefix)
     stacked = tt.concat_lastdim([conv_out, attn_out])
-    return tt.conv1d(stacked, params[f"{prefix}.mix.w"], params[f"{prefix}.mix.b"], padding="zero")
+    d = cfg.d_model
+    return linear(stacked, tt.reshape(params[f"{prefix}.mix.w"], (d, d)), params[f"{prefix}.mix.b"])
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:

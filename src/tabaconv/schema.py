@@ -388,6 +388,11 @@ def infer_schema(csv_path, roles: dict, include_users: set[str] | None = None) -
                 shown = ", ".join(str(i) for i in bad[:20])
                 raise SchemaError(f"non-numeric value(s) in continuous column {name!r}, rows: {shown}")
             arr = np.asarray(values, dtype=np.float64)
+            if not np.isfinite(arr).all():
+                bad = [i for i, row in enumerate(rows)
+                       if row[col] != "" and not np.isfinite(float(row[col]))]
+                shown = ", ".join(str(i) for i in bad[:20])
+                raise SchemaError(f"non-finite value(s) in continuous column {name!r}, rows: {shown}")
             mean = float(arr.mean()) if arr.size else 0.0
             std = float(arr.std()) if arr.size else 0.0  # population std
             if std <= 0.0:
@@ -496,6 +501,13 @@ def make_windows(schema: FeatureSchema, header: list[str], rows_by_user: dict[st
     samples: list[WindowSample] = []
     for user, rows in rows_by_user.items():
         cat, cont, comp, tfl, labels = encode_user_rows(schema, header, rows, float_dtype)
+        finite = np.isfinite(cont)
+        if not finite.all():
+            row, col = (int(i[0]) for i in np.nonzero(~finite))
+            raise SchemaError(
+                f"user {user!r}: non-finite value in continuous column "
+                f"{schema.continuous_fields[col].name!r} at row {row} of the user's time-ordered rows"
+            )
         for start in range(0, len(rows) - window + 1, stride):
             end = start + window
             label = None

@@ -116,7 +116,14 @@ class Tensor:
         return reshape(self, shape)
 
     def backward(self) -> None:
-        """Reverse-mode sweep seeded with gradient 1; loss must be scalar."""
+        """Reverse-mode sweep seeded with gradient 1; loss must be scalar.
+
+        The sweep consumes the graph: each node drops its backward closure
+        and parent links once run. A closure refers to its own output node,
+        so without this every step's graph is a reference cycle that only
+        the cyclic garbage collector frees, and memory grows between its
+        full collections.
+        """
         if self.data.size != 1:
             raise ContractError(
                 f"backward() needs a single-element tensor, got shape {self.data.shape}"
@@ -140,6 +147,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
+                node._backward = None
+                node._parents = ()
 
 
 def tensor(data) -> Tensor:
@@ -154,6 +163,10 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
+        if grad.shape == t.data.shape:
+            # the first write owns a copy: ops such as `add` hand one array to both parents
+            t.grad = np.array(grad, dtype=t.data.dtype)
+            return
         t.grad = np.zeros_like(t.data)
     t.grad += grad
 
@@ -466,15 +479,26 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # -- lookups and gathers ---------------------------------------------------
 
 
+def _check_ids(op: str, ids: np.ndarray, sizes) -> None:
+    """Integer ids whose last axis indexes tables of `sizes` rows; IndexError names the first bad id."""
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ContractError(f"{op}: ids must be integers, got dtype {ids.dtype}")
+    if not ids.size:
+        return
+    cols = ids.reshape(-1, ids.shape[-1])
+    lo, hi = cols.min(axis=0), cols.max(axis=0)
+    sizes = np.asarray(sizes)
+    bad = np.nonzero((lo < 0) | (hi >= sizes))[0]
+    if bad.size:
+        k = bad[0]
+        value = hi[k] if hi[k] >= sizes[k] else lo[k]
+        raise IndexError(f"{op}: id {int(value)} out of range for table of {int(sizes[k])} rows")
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup into `table` [V, d]; `ids` is an integer ndarray."""
     ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ContractError(f"embedding: ids must be integers, got dtype {ids.dtype}")
-    vocab = table.data.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
-        bad = int(ids.max() if ids.max() >= vocab else ids.min())
-        raise IndexError(f"embedding: id {bad} out of range for table of {vocab} rows")
+    _check_ids("embedding", ids[..., None], [table.data.shape[0]])
     out = Tensor(table.data[ids], requires_grad=table.requires_grad, parents=(table,))
 
     def backward():
@@ -482,6 +506,42 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         acc = np.zeros_like(table.data)
         np.add.at(acc, ids.ravel(), g)
         _accumulate(table, acc)
+
+    out._backward = backward if out.requires_grad else None
+    return out
+
+
+def embedding_sum(tables: list[Tensor], ids: np.ndarray) -> Tensor:
+    """sum_k tables[k][ids[..., k]] as one node; tables [V_k, d], ids [..., K] integers.
+
+    The K looked-up rows are summed in float64 and rounded once to the table
+    dtype. Backward is a segment sum done as one one-hot GEMM over the
+    row-stacked tables, split back into per-table gradients.
+    """
+    ids = np.asarray(ids)
+    if ids.ndim < 1 or ids.shape[-1] != len(tables):
+        raise ShapeError(f"embedding_sum: ids {ids.shape} do not end in {len(tables)} table columns")
+    width = tables[0].data.shape[1]
+    if any(t.data.ndim != 2 or t.data.shape[1] != width for t in tables):
+        raise ShapeError(f"embedding_sum: tables {[t.data.shape for t in tables]} differ in width")
+    sizes = [t.data.shape[0] for t in tables]
+    _check_ids("embedding_sum", ids, sizes)
+    flat = ids.reshape(-1, len(tables))
+    summed = np.zeros((len(flat), width))
+    for k, t in enumerate(tables):
+        summed += t.data[flat[:, k]]
+    out = Tensor(summed.astype(tables[0].data.dtype).reshape(ids.shape[:-1] + (width,)),
+                 requires_grad=any(t.requires_grad for t in tables), parents=tuple(tables))
+
+    def backward():
+        g = out.grad.reshape(-1, width)
+        ends = np.cumsum(sizes)
+        rows = flat + (ends - sizes)  # row of each id in the row-stacked tables
+        onehot = np.zeros((int(ends[-1]), len(rows)), dtype=g.dtype)
+        onehot[rows, np.arange(len(rows))[:, None]] = 1.0  # a row's K ids hit K distinct tables
+        grad = onehot @ g
+        for t, end, size in zip(tables, ends, sizes):
+            _accumulate(t, grad[end - size : end])
 
     out._backward = backward if out.requires_grad else None
     return out
@@ -503,26 +563,87 @@ def gather_bt(x: Tensor, b_idx: np.ndarray, t_idx: np.ndarray) -> Tensor:
 # -- fused losses ----------------------------------------------------------
 
 
+def _cross_entropy_rows(z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Summed cross entropy of logit rows z [M, V] against targets [M], and its gradient."""
+    rows = np.arange(z.shape[0])
+    zmax = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - zmax)
+    sums = e.sum(axis=-1, keepdims=True)
+    lse = zmax[:, 0] + np.log(sums[:, 0])
+    loss = (lse - z[rows, targets]).sum()
+    dz = e / sums
+    dz[rows, targets] -= 1.0
+    return loss, dz
+
+
 def cross_entropy_sum(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Summed cross entropy of [M, V] logits against integer targets [M]."""
     targets = np.asarray(targets)
     m, v = logits.data.shape
     if targets.shape != (m,):
         raise ShapeError(f"cross_entropy_sum: targets {targets.shape} do not match logits {logits.data.shape}")
-    zmax = logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(logits.data - zmax)
-    sums = e.sum(axis=-1, keepdims=True)
-    lse = zmax[:, 0] + np.log(sums[:, 0])
-    picked = logits.data[np.arange(m), targets]
-    out = Tensor((lse - picked).sum(), requires_grad=logits.requires_grad, parents=(logits,))
+    loss, dz = _cross_entropy_rows(logits.data, targets)
+    out = Tensor(loss, requires_grad=logits.requires_grad, parents=(logits,))
 
     def backward():
-        probs = e / sums
-        probs[np.arange(m), targets] -= 1.0
-        _accumulate(logits, probs * float(out.grad))
+        _accumulate(logits, dz * float(out.grad))
 
     out._backward = backward if out.requires_grad else None
     return out
+
+
+def _squared_error_rows(z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Summed squared error of predictions z [M, 1] against targets [M], and its gradient."""
+    diff = z[:, 0] - targets.astype(z.dtype)
+    return (diff * diff).sum(), 2.0 * diff[:, None]
+
+
+def _masked_sum(op: str, preds: list[Tensor], targets: np.ndarray, mask: np.ndarray, rows_loss) -> Tensor:
+    """One node summing rows_loss over the masked cells of each field's [B, T, ...] grid.
+
+    Only masked cells are read; fields are summed in order, each field's cells
+    first, and a field without a masked cell is not a parent.
+    """
+    if mask.shape != targets.shape or mask.shape[-1] != len(preds):
+        raise ShapeError(f"{op}: mask {mask.shape} and targets {targets.shape} "
+                         f"do not match {len(preds)} fields")
+    total = np.zeros((), dtype=_DEFAULT_DTYPE)
+    cells = []
+    for k, p in enumerate(preds):
+        b_idx, t_idx = np.nonzero(mask[:, :, k])
+        if len(b_idx):
+            loss, d = rows_loss(p.data[b_idx, t_idx], targets[b_idx, t_idx, k])
+            total = total + loss
+            cells.append((p, b_idx, t_idx, d))
+    parents = tuple(c[0] for c in cells)
+    out = Tensor(total, requires_grad=any(p.requires_grad for p in parents), parents=parents)
+
+    def backward():
+        g = float(out.grad)
+        for p, b_idx, t_idx, d in cells:
+            acc = np.zeros_like(p.data)
+            acc[b_idx, t_idx] = d * g
+            _accumulate(p, acc)
+
+    out._backward = backward if out.requires_grad else None
+    return out
+
+
+def masked_cross_entropy_sum(logits: list[Tensor], targets: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Cross entropy summed over the masked cells of every field, as one node.
+
+    logits[k] is field k's [B, T, V_k] grid; targets and mask are [B, T, K].
+    The value equals a per-field `cross_entropy_sum` chain over masked cells.
+    """
+    return _masked_sum("masked_cross_entropy_sum", logits, targets, mask, _cross_entropy_rows)
+
+
+def masked_squared_error_sum(preds: list[Tensor], targets: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Squared error summed over the masked cells of every field, as one node.
+
+    preds[k] is field k's [B, T, 1] grid; targets and mask are [B, T, K].
+    """
+    return _masked_sum("masked_squared_error_sum", preds, targets, mask, _squared_error_rows)
 
 
 def bce_with_logits_sum(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -115,29 +115,13 @@ def mdm_loss(preds: dict[str, Tensor], batch: Batch, reg: Tensor, schema: Featur
     total = reg
     n_cat = int(batch.cat_mask.sum()) if batch.cat_mask is not None else 0
     if n_cat:
-        ce_sum = None
-        for c, f in enumerate(schema.categorical_fields):
-            mask = batch.cat_mask[:, :, c]
-            if not mask.any():
-                continue
-            b_idx, t_idx = np.nonzero(mask)
-            logits = tt.gather_bt(preds[f.name], b_idx, t_idx)
-            targets = batch.cat_targets[b_idx, t_idx, c]
-            term = tt.cross_entropy_sum(logits, targets)
-            ce_sum = term if ce_sum is None else tt.add(ce_sum, term)
+        ce_sum = tt.masked_cross_entropy_sum([preds[f.name] for f in schema.categorical_fields],
+                                             batch.cat_targets, batch.cat_mask)
         total = tt.add(total, tt.scale(ce_sum, ce_weight / n_cat))
     n_cont = int(batch.cont_mask.sum()) if batch.cont_mask is not None else 0
     if n_cont:
-        se_sum = None
-        for c, f in enumerate(schema.continuous_fields):
-            mask = batch.cont_mask[:, :, c]
-            if not mask.any():
-                continue
-            b_idx, t_idx = np.nonzero(mask)
-            pred = tt.reshape(tt.gather_bt(preds[f.name], b_idx, t_idx), (len(b_idx),))
-            diff = tt.add(pred, tt.scale(Tensor(batch.cont_targets[b_idx, t_idx, c]), -1.0))
-            term = tt.sum_all(tt.mul(diff, diff))
-            se_sum = term if se_sum is None else tt.add(se_sum, term)
+        se_sum = tt.masked_squared_error_sum([preds[f.name] for f in schema.continuous_fields],
+                                             batch.cont_targets, batch.cont_mask)
         total = tt.add(total, tt.scale(se_sum, mse_weight / n_cont))
     return total
 
@@ -305,12 +289,31 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.write(hashlib.sha256(body).digest())
 
 
+_META_TYPES = (("model_config", dict), ("rng_info", dict), ("schema_digest", str),
+               ("step", int), ("params", list))
+
+
+def _check_meta_structure(path, meta) -> None:
+    """IntegrityError unless `meta` has the JSON structure save_checkpoint writes."""
+    if not isinstance(meta, dict):
+        raise IntegrityError(f"{path}: metadata is not a JSON object")
+    for key, kind in _META_TYPES:
+        value = meta.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise IntegrityError(f"{path}: metadata {key!r} is {value!r}, not a JSON {kind.__name__}")
+    for entry in meta["params"]:
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+                and isinstance(entry[1], str) and isinstance(entry[2], list)):
+            raise IntegrityError(f"{path}: parameter entry {entry!r} is not [name, dtype, shape]")
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint whose every byte is accounted for.
 
-    Raises IntegrityError for a bad magic or checksum, unreadable metadata,
-    a dtype outside CKPT_DTYPES, an array past the body or unread trailing
-    bytes, and UnsupportedVersionError for any version but CKPT_VERSION.
+    Raises IntegrityError for a bad magic or checksum, unreadable or
+    mis-structured metadata, a dtype outside CKPT_DTYPES, an array past the
+    body or unread trailing bytes, and UnsupportedVersionError for any
+    version but CKPT_VERSION.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -333,6 +336,11 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(body[13:off].decode("utf-8"))
     except ValueError as exc:
         raise IntegrityError(f"{path}: unreadable metadata: {exc}") from exc
+    _check_meta_structure(path, meta)
+    try:
+        model_config = ModelConfig.from_dict(meta["model_config"])
+    except TypeError as exc:
+        raise IntegrityError(f"{path}: unusable model_config: {exc}") from exc
     params: dict[str, np.ndarray] = {}
     for name, dtype, shape in meta["params"]:
         if dtype not in CKPT_DTYPES:
@@ -348,7 +356,7 @@ def load_checkpoint(path) -> Checkpoint:
     if off != len(body):
         raise IntegrityError(f"{path}: {len(body) - off} unread trailing bytes")
     return Checkpoint(
-        model_config=ModelConfig.from_dict(meta["model_config"]),
+        model_config=model_config,
         schema_digest=meta["schema_digest"],
         params=params,
         step=meta["step"],

@@ -104,6 +104,14 @@ class TestInferSchema:
         with pytest.raises(SchemaError, match=r"rows: 1, 3"):
             infer_schema(path, BASIC_ROLES)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_continuous_cells_reported_with_row_indices(self, tmp_path, cell):
+        rows = [["u1", str(100 * (i + 1)), "a", v, "0"] for i, v in enumerate(["1", cell, "3", cell])]
+        path = tmp_path / "nonfinite.csv"
+        write_csv(path, BASIC_HEADER, rows)
+        with pytest.raises(SchemaError, match=r"non-finite.*'amount'.*rows: 1, 3"):
+            infer_schema(path, BASIC_ROLES)
+
     def test_training_split_restriction(self, basic_csv):
         schema = infer_schema(basic_csv, BASIC_ROLES, include_users={"u1"})
         shop = schema.categorical_fields[0]
@@ -253,6 +261,14 @@ class TestWindows:
         header, raw = sc.read_csv(path)
         with pytest.raises(ContractError, match="sorted"):
             make_windows(schema, header, {"u1": raw}, 5, 5, "pretrain")
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_encoded_value_rejected(self, tmp_path, cell):
+        path, schema = self.schema_for(tmp_path, self.make_rows(12))
+        header, rows = sc.read_csv(path)
+        rows[7][3] = cell  # e.g. an evaluate CSV the schema never saw
+        with pytest.raises(SchemaError, match=r"user 'u1'.*'amount' at row 7"):
+            make_windows(schema, header, {"u1": rows}, 5, 5, "downstream")
 
     def test_window_shapes(self, tmp_path):
         path, schema = self.schema_for(tmp_path, self.make_rows(10))

@@ -1,6 +1,8 @@
 """Tests for the autodiff tensor engine."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -253,6 +255,14 @@ def _random_tensor(rng, shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
+# fixed integer inputs of the lookup and masked-loss cases: ids repeat rows,
+# one field has no masked cell, the mask leaves cells of every other field out
+_IDS = np.random.default_rng(41).integers(0, [3, 5, 4], size=(2, 3, 3))
+_MASK = np.array([[[1, 0, 0], [0, 0, 1], [1, 0, 1]], [[0, 0, 0], [1, 0, 0], [1, 0, 1]]], dtype=bool)
+_CAT_TARGETS = np.random.default_rng(42).integers(0, 4, size=(2, 3, 3))
+_CONT_TARGETS = np.random.default_rng(43).normal(size=(2, 3, 3))
+
+
 PRIMITIVE_CASES = [
     ("add", lambda p: tt.add(p["a"], p["b"]), lambda r: {"a": _random_tensor(r, (4, 8)), "b": _random_tensor(r, (4, 8))}),
     ("add_bcast", lambda p: tt.add(p["a"], p["b"]), lambda r: {"a": _random_tensor(r, (4, 8, 16)), "b": _random_tensor(r, (16,))}),
@@ -270,6 +280,9 @@ PRIMITIVE_CASES = [
     ("mean_axis", lambda p: tt.mean_axis(p["a"], 1), lambda r: {"a": _random_tensor(r, (4, 8, 6))}),
     ("transpose", lambda p: tt.transpose(p["a"], (0, 2, 1)), lambda r: {"a": _random_tensor(r, (2, 4, 8))}),
     ("reshape", lambda p: tt.reshape(p["a"], (8, 4)), lambda r: {"a": _random_tensor(r, (4, 8))}),
+    ("embedding_sum", lambda p: tt.embedding_sum([p["t0"], p["t1"], p["t2"]], _IDS), lambda r: {"t0": _random_tensor(r, (3, 6)), "t1": _random_tensor(r, (5, 6)), "t2": _random_tensor(r, (4, 6))}),
+    ("masked_cross_entropy_sum", lambda p: tt.masked_cross_entropy_sum([p["a"], p["b"], p["c"]], _CAT_TARGETS, _MASK), lambda r: {"a": _random_tensor(r, (2, 3, 4)), "b": _random_tensor(r, (2, 3, 5)), "c": _random_tensor(r, (2, 3, 6))}),
+    ("masked_squared_error_sum", lambda p: tt.masked_squared_error_sum([p["a"], p["b"], p["c"]], _CONT_TARGETS, _MASK), lambda r: {"a": _random_tensor(r, (2, 3, 1)), "b": _random_tensor(r, (2, 3, 1)), "c": _random_tensor(r, (2, 3, 1))}),
     ("layernormed_softmax", lambda p: tt.softmax_lastdim(tt.layer_norm(p["x"], p["g"], p["b"])), lambda r: {"x": _random_tensor(r, (3, 6)), "g": _random_tensor(r, (6,)), "b": _random_tensor(r, (6,))}),
 ]
 
@@ -302,6 +315,121 @@ def test_embedding_gradients_and_bounds():
         np.testing.assert_array_equal(table.grad[1], np.zeros(4))
         with pytest.raises(IndexError):
             tt.embedding(table, np.array([7]))
+
+
+def _grads(params, loss):
+    for p in params:
+        p.grad = None
+    loss.backward()
+    return [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+
+
+class TestEmbeddingSum:
+    def test_equals_per_table_embedding_sum(self):
+        with use_dtype("float64"):
+            rng = np.random.default_rng(44)
+            tables = [_random_tensor(rng, (v, 6)) for v in (3, 5, 4)]
+            proj = Tensor(rng.normal(size=(2, 3, 6)))
+            fused = tt.embedding_sum(tables, _IDS)
+            ref = tt.embedding(tables[0], _IDS[..., 0])
+            for k in (1, 2):
+                ref = tt.add(ref, tt.embedding(tables[k], _IDS[..., k]))
+            np.testing.assert_allclose(fused.data, ref.data, rtol=1e-15, atol=1e-15)
+            got = _grads(tables, tt.sum_all(tt.mul(fused, proj)))
+            want = _grads(tables, tt.sum_all(tt.mul(ref, proj)))
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-14)
+
+    def test_float32_sum_is_rounded_once(self):
+        tables = [Tensor(np.array([[1.0]])), Tensor(np.array([[1e-8]])), Tensor(np.array([[-1.0]]))]
+        out = tt.embedding_sum(tables, np.zeros((1, 3), dtype=np.int64))
+        assert out.dtype == np.float32
+        assert out.data[0, 0] == np.float32(1e-8)  # float32 left to right gives 0
+
+    def test_out_of_range_id_raises_like_embedding(self):
+        tables = [Tensor(np.zeros((3, 2))), Tensor(np.zeros((5, 2)))]
+        for bad in (5, -1):
+            ids = np.array([[0, 0], [1, bad]])
+            with pytest.raises(IndexError, match=f"id {bad} out of range for table of 5 rows"):
+                tt.embedding_sum(tables, ids)
+        with pytest.raises(IndexError, match="id 5 out of range for table of 5 rows"):
+            tt.embedding(tables[1], np.array([5]))
+
+    def test_width_and_column_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            tt.embedding_sum([Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 4)))], np.zeros((1, 2), dtype=int))
+        with pytest.raises(ShapeError):
+            tt.embedding_sum([Tensor(np.zeros((3, 2)))], np.zeros((1, 2), dtype=int))
+
+
+def _per_field_cross_entropy(logits, targets, mask):
+    """Reference: one gather_bt + cross_entropy_sum per field with a masked cell, chained by add."""
+    total = None
+    for k, z in enumerate(logits):
+        b_idx, t_idx = np.nonzero(mask[:, :, k])
+        if len(b_idx):
+            term = tt.cross_entropy_sum(tt.gather_bt(z, b_idx, t_idx), targets[b_idx, t_idx, k])
+            total = term if total is None else tt.add(total, term)
+    return total
+
+
+def _per_field_squared_error(preds, targets, mask):
+    """Reference: one gather_bt + squared-error sum per field with a masked cell, chained by add."""
+    total = None
+    for k, p in enumerate(preds):
+        b_idx, t_idx = np.nonzero(mask[:, :, k])
+        if len(b_idx):
+            pred = tt.reshape(tt.gather_bt(p, b_idx, t_idx), (len(b_idx),))
+            diff = tt.add(pred, tt.scale(Tensor(targets[b_idx, t_idx, k]), -1.0))
+            term = tt.sum_all(tt.mul(diff, diff))
+            total = term if total is None else tt.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("mask", [_MASK, np.ones_like(_MASK)], ids=["one_field_unmasked", "all_masked"])
+@pytest.mark.parametrize("kind", ["cross_entropy", "squared_error"])
+def test_masked_loss_equals_per_field_reference(kind, mask):
+    with use_dtype("float64"):
+        rng = np.random.default_rng(45)
+        if kind == "cross_entropy":
+            preds = [_random_tensor(rng, (2, 3, v)) for v in (4, 5, 6)]
+            fused = tt.masked_cross_entropy_sum(preds, _CAT_TARGETS, mask)
+            ref = _per_field_cross_entropy(preds, _CAT_TARGETS, mask)
+        else:
+            preds = [_random_tensor(rng, (2, 3, 1)) for _ in range(3)]
+            fused = tt.masked_squared_error_sum(preds, _CONT_TARGETS, mask)
+            ref = _per_field_squared_error(preds, _CONT_TARGETS, mask)
+        assert float(fused.data) == pytest.approx(float(ref.data), rel=1e-14)
+        got = _grads(preds, tt.scale(fused, 0.7))
+        want = _grads(preds, tt.scale(ref, 0.7))
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-15)
+    if mask is _MASK:
+        assert preds[1].grad is None  # the field without a masked cell is not in the graph
+
+
+def test_backward_frees_the_graph_without_the_cycle_collector():
+    x = Tensor(np.ones(3), requires_grad=True)
+    mid = tt.relu(tt.scale(x, 2.0))
+    alive = weakref.ref(mid.data)
+    loss = tt.sum_all(mid)
+    gc.disable()
+    try:
+        loss.backward()
+        del loss, mid
+        assert alive() is None
+    finally:
+        gc.enable()
+    np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+
+
+def test_first_gradient_write_does_not_alias():
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    tt.sum_all(tt.add(a, b)).backward()
+    a.grad += 5.0
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+    assert a.grad.dtype == a.data.dtype and b.grad.dtype == b.data.dtype
 
 
 def test_gather_bt_scatter_adds():

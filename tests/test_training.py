@@ -338,6 +338,16 @@ def crafted_checkpoint(blob: bytes, case: str) -> bytes:
         arrays += b"\x00" * (2 * math.prod(first_shape) * np.dtype(first_dtype).itemsize)
     elif case == "version_zero":
         version = 0
+    elif case == "params_null":
+        meta["params"] = None
+    elif case == "missing_model_config":
+        del meta["model_config"]
+    elif case == "missing_step":
+        del meta["step"]
+    elif case == "params_entry_wrong_arity":
+        meta["params"][0] = [first_name, first_dtype]
+    elif case == "model_config_unknown_key":
+        meta["model_config"]["bogus"] = 1
     raw = json.dumps(meta).encode("utf-8")
     declared = {"metadata_past_body": len(raw) + len(arrays) + 1,
                 "metadata_cut_short": len(raw) - 1}.get(case, len(raw))
@@ -398,6 +408,11 @@ class TestCheckpoint:
         ("metadata_past_body", IntegrityError),
         ("metadata_cut_short", IntegrityError),
         ("version_zero", UnsupportedVersionError),
+        ("params_null", IntegrityError),
+        ("missing_model_config", IntegrityError),
+        ("missing_step", IntegrityError),
+        ("params_entry_wrong_arity", IntegrityError),
+        ("model_config_unknown_key", IntegrityError),
     ])
     def test_crafted_file_with_valid_trailer_rejected(self, trained, tmp_path, case, error):
         path = tmp_path / "ckpt.bin"
