@@ -162,9 +162,10 @@ def cmd_pretrain(args) -> int:
     roles = load_roles(roles_path)
     header, rows = read_csv(data)
     train_users = _split_user_set(header, rows, roles["user"], cfg["split"])
-    schema = infer_schema(data, roles, include_users=train_users)
+    schema = infer_schema(data, roles, include_users=train_users, parsed=(header, rows))
     samples = _windows_for_split(header, rows, schema, cfg["split"], cfg["window"], cfg["stride"],
                                  "pretrain")
+    del header, rows  # free the parsed log before training
     mcfg = _model_config(cfg)
     tcfg = TrainConfig(batch_size=cfg["batch_size"], epochs=cfg["epochs"],
                        learning_rate=cfg["lr"], seed=cfg["seed"], mode="pretrain")

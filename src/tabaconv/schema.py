@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import re
 import warnings
@@ -39,42 +40,82 @@ KINDS = ("categorical", "continuous", "timestamp", "label", "ignore")
 
 # ---------------------------------------------------------------------------
 # calendar arithmetic (proleptic Gregorian, UTC)
+#
+# The helpers use only +, -, *, //, % and comparisons (a comparison used as
+# 0/1), so one implementation runs on a Python int and, element-wise, on an
+# int64 array: numpy floors integer division and modulo exactly as Python
+# does. Windowing applies them to whole timestamp columns; decompose_timestamp
+# and time_floats apply them to one value.
 # ---------------------------------------------------------------------------
 
-_CUM_MONTH_DAYS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
 
-
-def _is_leap(year: int) -> bool:
-    return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-
-
-def _civil_from_days(days: int) -> tuple[int, int, int]:
+def _civil_from_days(days):
     z = days + 719468
     era = z // 146097
     doe = z - era * 146097
     yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
-    year = yoe + era * 400
     doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
-    mp = (5 * doy + 2) // 153
+    mp = (5 * doy + 2) // 153  # month counted from March
     day = doy - (153 * mp + 2) // 5 + 1
-    month = mp + 3 if mp < 10 else mp - 9
-    return year + (1 if month <= 2 else 0), month, day
+    jan_feb = mp >= 10
+    return yoe + era * 400 + jan_feb, mp + 3 - 12 * jan_feb, day
 
 
-def _days_from_civil(year: int, month: int, day: int) -> int:
-    year -= month <= 2
+def _days_from_civil(year, month, day):
+    jan_feb = month <= 2
+    year = year - jan_feb
     era = year // 400
     yoe = year - era * 400
-    doy = (153 * (month + (-3 if month > 2 else 9)) + 2) // 5 + day - 1
+    doy = (153 * (month - 3 + 12 * jan_feb) + 2) // 5 + day - 1
     doe = yoe * 365 + yoe // 4 - yoe // 100 + doy
     return era * 146097 + doe - 719468
 
 
-def _iso_weeks_in_year(year: int) -> int:
-    def jan1_anchor(y: int) -> int:
+def _iso_weeks_in_year(year):
+    def jan1_anchor(y):
         return (y + y // 4 - y // 100 + y // 400) % 7
 
-    return 52 + (1 if jan1_anchor(year) == 4 or jan1_anchor(year - 1) == 3 else 0)
+    return 52 + ((jan1_anchor(year) == 4) | (jan1_anchor(year - 1) == 3))
+
+
+# epoch seconds of the supported range, years 1 to 9999; inside it every
+# intermediate of _calendar fits in int64
+_TS_MIN = _days_from_civil(1, 1, 1) * 86400
+_TS_MAX = _days_from_civil(10000, 1, 1) * 86400 - 1
+
+
+def _require_supported(ts: int) -> None:
+    if not _TS_MIN <= ts <= _TS_MAX:
+        year = _civil_from_days(ts // 86400)[0]
+        raise ValueError(f"timestamp {ts} falls in unsupported year {year}")
+
+
+def _calendar(ts):
+    """Calendar components and periodic fractions of epoch seconds (UTC).
+
+    Returns ((year, month, day, weekday, iso_week, hour, minute, second),
+    (frac_of_day, frac_of_week, frac_of_year)). Integer quotients stay below
+    2**53, so numpy's float64 true division rounds like Python's.
+    """
+    days, rem = divmod(ts, 86400)
+    year, month, day = _civil_from_days(days)
+    weekday = (days + 3) % 7
+    jan1 = _days_from_civil(year, 1, 1)
+    week = (days - jan1 - weekday + 10) // 7  # (day_of_year - (weekday + 1) + 10) // 7
+    in_prev, in_next = week < 1, week > _iso_weeks_in_year(year)
+    week = week + in_prev * (_iso_weeks_in_year(year - 1) - week) + in_next * (1 - week)
+    hour, rem_h = divmod(rem, 3600)
+    minute, second = divmod(rem_h, 60)
+    frac_day = rem / 86400.0
+    frac_week = (weekday + frac_day) / 7.0
+    frac_year = (ts - jan1 * 86400) / ((_days_from_civil(year + 1, 1, 1) - jan1) * 86400)
+    return (year, month, day, weekday, week, hour, minute, second), (frac_day, frac_week, frac_year)
+
+
+def _trend(ts, t_min: int, t_max: int):
+    """Min-max position of `ts` in the training range, clamped to [0, 1]."""
+    span = t_max - t_min
+    return np.clip((ts - t_min) / span, 0.0, 1.0) if span > 0 else 0.0
 
 
 def decompose_timestamp(ts: int) -> tuple[int, int, int, int, int, int, int, int]:
@@ -84,20 +125,8 @@ def decompose_timestamp(ts: int) -> tuple[int, int, int, int, int, int, int, int
     with weekday Monday=0 and ISO-8601 week in [1, 53].
     """
     ts = int(ts)
-    days, rem = divmod(ts, 86400)
-    year, month, day = _civil_from_days(days)
-    if not 1 <= year <= 9999:
-        raise ValueError(f"timestamp {ts} falls in unsupported year {year}")
-    weekday = (days + 3) % 7
-    doy = _CUM_MONTH_DAYS[month - 1] + day + (1 if month > 2 and _is_leap(year) else 0)
-    week = (doy - (weekday + 1) + 10) // 7
-    if week < 1:
-        week = _iso_weeks_in_year(year - 1)
-    elif week > _iso_weeks_in_year(year):
-        week = 1
-    hour, rem = divmod(rem, 3600)
-    minute, second = divmod(rem, 60)
-    return year, month, day, weekday, week, hour, minute, second
+    _require_supported(ts)
+    return tuple(int(v) for v in _calendar(ts)[0])
 
 
 _ISO_RE = re.compile(
@@ -149,15 +178,20 @@ class FieldSpec:
             raise ContractError(f"field {self.name} has no vocabulary (kind={self.kind})")
         return len(self.vocab) + 2  # PAD + MASK
 
-    def encode_categorical(self, value: str) -> int:
-        if value == "":
-            return UNK_ID
-        return self.vocab.get(value, UNK_ID)
+    def encode_categorical_column(self, values) -> list[int]:
+        """Token ids of raw cells; empty and unseen values map to UNK_ID."""
+        get = self.vocab.get
+        return [get(v, UNK_ID) if v != "" else UNK_ID for v in values]
 
-    def encode_continuous(self, value: str) -> float:
-        if value == "":
-            return 0.0  # missing imputed with the training mean
-        return (float(value) - self.mean) / self.std
+    def encode_categorical(self, value: str) -> int:
+        return self.encode_categorical_column((value,))[0]
+
+    def encode_continuous_column(self, values) -> np.ndarray:
+        """Float64 z-scores of raw cells; an empty cell is the training mean, 0.0."""
+        z = (np.array([float(v) if v != "" else 0.0 for v in values]) - self.mean) / self.std
+        if "" in values:
+            z[[i for i, v in enumerate(values) if v == ""]] = 0.0
+        return z
 
 
 @dataclass
@@ -188,9 +222,10 @@ class FeatureSchema:
     def year_range(self) -> tuple[int, int]:
         return decompose_timestamp(self.t_min)[0], decompose_timestamp(self.t_max)[0]
 
-    def year_offset(self, year: int) -> int:
+    def year_offset(self, year):
+        """Row of the year table: `year` (an int or int array) clamped to the training years."""
         lo, hi = self.year_range
-        return min(max(year, lo), hi) - lo
+        return np.clip(year, lo, hi) - lo
 
     def component_sizes(self) -> dict[str, int]:
         lo, hi = self.year_range
@@ -330,13 +365,15 @@ def _validate_roles(header: list[str], roles: dict) -> dict[str, str]:
     return columns
 
 
-def infer_schema(csv_path, roles: dict, include_users: set[str] | None = None) -> FeatureSchema:
+def infer_schema(csv_path, roles: dict, include_users: set[str] | None = None, *,
+                 parsed: tuple[list[str], list[list[str]]] | None = None) -> FeatureSchema:
     """Build vocabularies and normalization stats from the (training) rows.
 
     `include_users` restricts the scan to a user subset so statistics never
-    see validation/test rows.
+    see validation/test rows. `parsed` is the `(header, rows)` that
+    `read_csv(csv_path)` returned, for a caller that already holds them.
     """
-    header, rows = read_csv(csv_path)
+    header, rows = parsed if parsed is not None else read_csv(csv_path)
     columns = _validate_roles(header, roles)
     user_col = roles["user"]
     idx = {name: header.index(name) for name in header}
@@ -422,17 +459,8 @@ def infer_schema(csv_path, roles: dict, include_users: set[str] | None = None) -
 def time_floats(ts: int, schema: FeatureSchema) -> tuple[float, float, float, float]:
     """Normalized time features: periodic fractions plus a min-max trend."""
     ts = int(ts)
-    days, rem = divmod(ts, 86400)
-    frac_day = rem / 86400.0
-    weekday = (days + 3) % 7
-    frac_week = (weekday + frac_day) / 7.0
-    year = _civil_from_days(days)[0]
-    year_start = _days_from_civil(year, 1, 1) * 86400
-    next_start = _days_from_civil(year + 1, 1, 1) * 86400
-    frac_year = (ts - year_start) / (next_start - year_start)
-    span = schema.t_max - schema.t_min
-    trend = min(max((ts - schema.t_min) / span, 0.0), 1.0) if span > 0 else 0.0
-    return frac_day, frac_week, frac_year, trend
+    frac_day, frac_week, frac_year = _calendar(ts)[1]
+    return frac_day, frac_week, frac_year, float(_trend(ts, schema.t_min, schema.t_max))
 
 
 def group_rows_by_user(header: list[str], rows: list[list[str]], schema: FeatureSchema) -> dict[str, list[list[str]]]:
@@ -447,36 +475,64 @@ def group_rows_by_user(header: list[str], rows: list[list[str]], schema: Feature
     return grouped
 
 
-def encode_user_rows(schema: FeatureSchema, header: list[str], rows: list[list[str]], float_dtype=np.float32):
-    """Encode one user's sorted rows into dense feature arrays."""
+# Rows encoded per numpy pass: the calendar maths makes a dozen int64
+# temporaries per row, so one pass over a whole split would hold them all.
+_ENCODE_BLOCK_ROWS = 4096
+
+
+def _encode_rows(schema: FeatureSchema, header: list[str], rows: list[list[str]], float_dtype):
+    """Encode rows column-wise, one block of rows at a time, into dense arrays.
+
+    Returns (cat, cont, comp, tfl, labels, ts): the feature arrays plus each
+    row's epoch seconds, for the caller's time-order check.
+    """
     idx = {name: header.index(name) for name in header}
     n = len(rows)
     cat_fields = schema.categorical_fields
     cont_fields = schema.continuous_fields
-    cat = np.zeros((n, len(cat_fields)), dtype=np.int32)
-    cont = np.zeros((n, len(cont_fields)), dtype=float_dtype)
-    comp = np.zeros((n, 8), dtype=np.int32)
-    tfl = np.zeros((n, 4), dtype=float_dtype)
-    labels = np.zeros(n, dtype=np.int32) if schema.label_column else None
-    ts_col = idx[schema.timestamp_column]
-    prev_ts = None
-    for i, row in enumerate(rows):
+    cat = np.empty((n, len(cat_fields)), dtype=np.int32)
+    cont = np.empty((n, len(cont_fields)), dtype=float_dtype)
+    comp = np.empty((n, 8), dtype=np.int32)
+    tfl = np.empty((n, 4), dtype=float_dtype)
+    labels = np.empty(n, dtype=np.int32) if schema.label_column else None
+    ts = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _ENCODE_BLOCK_ROWS):
+        block = rows[start : start + _ENCODE_BLOCK_ROWS]
+        out = slice(start, start + len(block))
+        columns = list(zip(*block))
         for c, f in enumerate(cat_fields):
-            cat[i, c] = f.encode_categorical(row[idx[f.name]])
+            cat[out, c] = f.encode_categorical_column(columns[idx[f.name]])
         for c, f in enumerate(cont_fields):
-            cont[i, c] = f.encode_continuous(row[idx[f.name]])
-        ts = parse_timestamp(row[ts_col], schema.timestamp_format)
-        if prev_ts is not None and ts < prev_ts:
-            raise ContractError(f"rows not sorted by timestamp at offset {i}")
-        prev_ts = ts
-        year, *rest = decompose_timestamp(ts)
-        comp[i, 0] = schema.year_offset(year)
-        comp[i, 1:] = rest
-        tfl[i] = time_floats(ts, schema)
+            cont[out, c] = f.encode_continuous_column(columns[idx[f.name]])
+        stamps = [parse_timestamp(v, schema.timestamp_format)
+                  for v in columns[idx[schema.timestamp_column]]]
+        if min(stamps) < _TS_MIN or max(stamps) > _TS_MAX:
+            for t in stamps:  # raises at the first unsupported one, before int64 could overflow
+                _require_supported(t)
+        ts[out] = stamps
+        (year, *parts), fracs = _calendar(ts[out])
+        comp[out, 0] = schema.year_offset(year)
+        for c, part in enumerate(parts, 1):
+            comp[out, c] = part
+        for c, frac in enumerate(fracs):
+            tfl[out, c] = frac
+        tfl[out, 3] = _trend(ts[out], schema.t_min, schema.t_max)
         if labels is not None:
-            raw = row[idx[schema.label_column]]
-            labels[i] = int(raw) if raw != "" else 0
-    return cat, cont, comp, tfl, labels
+            labels[out] = [int(v) if v != "" else 0 for v in columns[idx[schema.label_column]]]
+    return cat, cont, comp, tfl, labels, ts
+
+
+def _check_time_order(ts: np.ndarray) -> None:
+    back = np.flatnonzero(ts[1:] < ts[:-1])
+    if back.size:
+        raise ContractError(f"rows not sorted by timestamp at offset {int(back[0]) + 1}")
+
+
+def encode_user_rows(schema: FeatureSchema, header: list[str], rows: list[list[str]], float_dtype=np.float32):
+    """Encode one user's sorted rows into dense feature arrays."""
+    *arrays, ts = _encode_rows(schema, header, rows, float_dtype)
+    _check_time_order(ts)
+    return tuple(arrays)
 
 
 def window_count(n_rows: int, window: int, stride: int) -> int:
@@ -490,7 +546,9 @@ def make_windows(schema: FeatureSchema, header: list[str], rows_by_user: dict[st
 
     Windows start at offsets 0, stride, 2*stride, ...; incomplete tails are
     dropped. Pretrain mode strips labels entirely; downstream mode labels a
-    window 1 iff any of its rows is labeled 1.
+    window 1 iff any of its rows is labeled 1. All users' rows are encoded
+    together, block by block; each user's rows are then checked, and each
+    window's arrays are read-only views into the encoded ones.
     """
     if mode not in ("pretrain", "downstream"):
         raise ContractError(f"unknown windowing mode {mode!r}")
@@ -498,27 +556,33 @@ def make_windows(schema: FeatureSchema, header: list[str], rows_by_user: dict[st
         raise ContractError(f"window and stride must be >= 1, got {window}/{stride}")
     if mode == "downstream" and schema.label_column is None:
         raise ContractError("downstream windowing needs a label column")
+    cat, cont, comp, tfl, labels, ts = _encode_rows(
+        schema, header, list(itertools.chain.from_iterable(rows_by_user.values())), float_dtype)
+    for features in (cat, cont, comp, tfl):
+        features.flags.writeable = False  # windows are views, and overlapping ones share rows
     samples: list[WindowSample] = []
+    hi = 0
     for user, rows in rows_by_user.items():
-        cat, cont, comp, tfl, labels = encode_user_rows(schema, header, rows, float_dtype)
-        finite = np.isfinite(cont)
+        lo, hi = hi, hi + len(rows)
+        _check_time_order(ts[lo:hi])
+        finite = np.isfinite(cont[lo:hi])
         if not finite.all():
             row, col = (int(i[0]) for i in np.nonzero(~finite))
             raise SchemaError(
                 f"user {user!r}: non-finite value in continuous column "
                 f"{schema.continuous_fields[col].name!r} at row {row} of the user's time-ordered rows"
             )
-        for start in range(0, len(rows) - window + 1, stride):
+        for start in range(lo, hi - window + 1, stride):
             end = start + window
             label = None
             if mode == "downstream":
                 label = int(labels[start:end].any())
             samples.append(
                 WindowSample(
-                    cat_tokens=cat[start:end].copy(),
-                    cont_values=cont[start:end].copy(),
-                    ts_components=comp[start:end].copy(),
-                    ts_floats=tfl[start:end].copy(),
+                    cat_tokens=cat[start:end],
+                    cont_values=cont[start:end],
+                    ts_components=comp[start:end],
+                    ts_floats=tfl[start:end],
                     user_id=user,
                     label=label,
                 )

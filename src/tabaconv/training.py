@@ -498,11 +498,16 @@ def finetune(ckpt: Checkpoint, samples: list[WindowSample], schema: FeatureSchem
 
 def predict_proba(params: dict[str, Tensor], mcfg: ModelConfig, schema: FeatureSchema,
                   samples: list[WindowSample], batch_size: int = 64) -> np.ndarray:
-    """Deterministic forward pass (dropout off) returning fraud probabilities."""
+    """Deterministic forward pass (dropout off) returning fraud probabilities.
+
+    The forward runs on frozen leaves that share the parameters' arrays, so
+    it records no autodiff graph even while the parameters are trainable.
+    """
+    frozen = {name: Tensor(p.data) for name, p in params.items()}
     probs = []
     for start in range(0, len(samples), batch_size):
         batch = stack_batch(samples[start : start + batch_size])
-        logits = forward_classify(batch, params, mcfg, schema, dropout_rng=None)
+        logits = forward_classify(batch, frozen, mcfg, schema, dropout_rng=None)
         probs.append(tt.sigmoid(logits.data))
     return np.concatenate(probs) if probs else np.zeros(0)
 

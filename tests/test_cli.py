@@ -86,6 +86,22 @@ class TestPretrain:
         rc = main(["pretrain", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "p")])
         assert rc == 2
 
+    def test_reads_the_csv_once(self, pipeline, tmp_path, monkeypatch):
+        from tabaconv import cli, schema
+
+        reads = []
+
+        def counting_read_csv(path):
+            reads.append(path)
+            return original(path)
+
+        original = schema.read_csv
+        monkeypatch.setattr(schema, "read_csv", counting_read_csv)
+        monkeypatch.setattr(cli, "read_csv", counting_read_csv)
+        rc = main(["pretrain", "--data", str(pipeline["data"] / "transactions.csv"),
+                   "--out", str(tmp_path / "p"), "--epochs", "0"])
+        assert rc == 0 and len(reads) == 1
+
     def test_paper_defaults(self):
         from tabaconv.cli import _PRETRAIN_DEFAULTS
 
@@ -149,6 +165,48 @@ class TestGradcheck:
     def test_impossible_tolerance_fails_with_one(self, capsys):
         assert main(["gradcheck", "--max-coords", "4", "--tol", "1e-12"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def classifier(tmp_path_factory):
+    """A tiny classifier whose schema comes from a clean log; no training steps."""
+    root = tmp_path_factory.mktemp("cli_classifier")
+    data = root / "data"
+    assert main(["gen", "--users", "6", "--rows", "30", "--seed", "2", "--out", str(data)]) == 0
+    common = ["--data", str(data / "transactions.csv"), "--epochs", "0", "--window", "5"]
+    assert main(["pretrain", *common, "--out", str(root / "pre"), "--d-model", "8",
+                 "--heads", "2"]) == 0
+    assert main(["finetune", *common, "--ckpt", str(root / "pre" / "ckpt.bin"),
+                 "--out", str(root / "fin")]) == 0
+    return {"data": data, "fin": root / "fin"}
+
+
+class TestEvaluateBadCells:
+    """`evaluate` on a log with one bad cell exits 2 with a one-line error."""
+
+    def evaluate_with(self, classifier, tmp_path, column, value):
+        import csv as _csv
+
+        with open(classifier["data"] / "transactions.csv", newline="") as fh:
+            rows = list(_csv.reader(fh))
+        rows[40][rows[0].index(column)] = value  # a row of the second user
+        path = tmp_path / "bad.csv"
+        with open(path, "w", newline="") as fh:
+            _csv.writer(fh).writerows(rows)
+        return main(["evaluate", "--ckpt", str(classifier["fin"] / "ckpt.bin"), "--data", str(path),
+                     "--split", "all", "--window", "5", "--stride", "5"])
+
+    @pytest.mark.parametrize("column,value,message", [
+        ("ts", "12345678901234567890", "unsupported year"),   # past int64
+        ("ts", "253402300800", "unsupported year 10000"),
+        ("ts", "-62135596801", "unsupported year 0"),
+        ("amount", "twelve", "could not convert"),
+        ("amount", "inf", "user 'u0001': non-finite value in continuous column 'amount' at row"),
+    ])
+    def test_exits_two(self, classifier, tmp_path, capsys, column, value, message):
+        assert self.evaluate_with(classifier, tmp_path, column, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_numeric_failure_exits_three(pipeline, monkeypatch, capsys):

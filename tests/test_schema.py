@@ -1,15 +1,20 @@
 """Tests for CSV ingestion, calendar decomposition and windowing."""
 
+import calendar
 import datetime as dt
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tabaconv import schema as sc
 from tabaconv.errors import ContractError, SchemaError, UnsupportedVersionError
 from tabaconv.schema import (
     FeatureSchema,
+    FieldSpec,
     decompose_timestamp,
     infer_schema,
     make_windows,
@@ -357,3 +362,208 @@ def test_split_users_fractions():
 def test_iso_parse_rejects_offsets():
     with pytest.raises(ValueError):
         parse_iso8601("2020-03-15T14:30:45+02:00")
+
+
+# ---------------------------------------------------------------------------
+# the column-wise encoder against per-value references
+# ---------------------------------------------------------------------------
+
+EPOCH = dt.datetime(1970, 1, 1)
+
+
+def epoch_seconds(when: dt.datetime) -> int:
+    return (when - EPOCH) // dt.timedelta(seconds=1)
+
+
+def reference_calendar(ts: int):
+    """Calendar components and periodic fractions of one timestamp, from datetime."""
+    when = EPOCH + dt.timedelta(seconds=ts)
+    year_start = epoch_seconds(dt.datetime(when.year, 1, 1))
+    year_seconds = (366 if calendar.isleap(when.year) else 365) * 86400
+    comps = (when.year, when.month, when.day, when.weekday(), when.isocalendar()[1],
+             when.hour, when.minute, when.second)
+    frac_day = (ts % 86400) / 86400.0
+    fracs = (frac_day, (when.weekday() + frac_day) / 7.0, (ts - year_start) / year_seconds)
+    return comps, fracs
+
+
+def reference_windows(schema, header, rows_by_user, window, stride, mode, float_dtype):
+    """make_windows one row and one cell at a time, features from reference_calendar."""
+    idx = {name: header.index(name) for name in header}
+    cat_fields, cont_fields = schema.categorical_fields, schema.continuous_fields
+    lo, hi = reference_calendar(schema.t_min)[0][0], reference_calendar(schema.t_max)[0][0]
+    span = schema.t_max - schema.t_min
+    out = []
+    for user, rows in rows_by_user.items():
+        n = len(rows)
+        cat = np.zeros((n, len(cat_fields)), dtype=np.int32)
+        cont = np.zeros((n, len(cont_fields)), dtype=float_dtype)
+        comp = np.zeros((n, 8), dtype=np.int32)
+        tfl = np.zeros((n, 4), dtype=float_dtype)
+        labels = np.zeros(n, dtype=np.int32)
+        for i, row in enumerate(rows):
+            for c, f in enumerate(cat_fields):
+                v = row[idx[f.name]]
+                cat[i, c] = sc.UNK_ID if v == "" else f.vocab.get(v, sc.UNK_ID)
+            for c, f in enumerate(cont_fields):
+                v = row[idx[f.name]]
+                cont[i, c] = 0.0 if v == "" else (float(v) - f.mean) / f.std
+            ts = int(row[idx[schema.timestamp_column]])
+            comps, fracs = reference_calendar(ts)
+            comp[i] = (min(max(comps[0], lo), hi) - lo, *comps[1:])
+            trend = min(max((ts - schema.t_min) / span, 0.0), 1.0) if span > 0 else 0.0
+            tfl[i] = (*fracs, trend)
+            v = row[idx[schema.label_column]]
+            labels[i] = int(v) if v != "" else 0
+        for start in range(0, n - window + 1, stride):
+            end = start + window
+            label = int(labels[start:end].any()) if mode == "downstream" else None
+            out.append((cat[start:end], cont[start:end], comp[start:end], tfl[start:end],
+                        user, label))
+    return out
+
+
+def assert_windows_bitwise_equal(got, expected):
+    assert len(got) == len(expected)
+    for w, (cat, cont, comp, tfl, user, label) in zip(got, expected):
+        for a, b in ((w.cat_tokens, cat), (w.cont_values, cont),
+                     (w.ts_components, comp), (w.ts_floats, tfl)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert (w.user_id, w.label) == (user, label)
+
+
+def make_schema(t_min, t_max, mean=20.0, std=8.0):
+    return FeatureSchema(
+        fields=[FieldSpec("uid", "ignore"), FieldSpec("when", "timestamp"),
+                FieldSpec("shop", "categorical", vocab={"a": 2, "b": 3, "c": 4}),
+                FieldSpec("amount", "continuous", mean=mean, std=std),
+                FieldSpec("fraud", "label")],
+        user_column="uid", timestamp_column="when", label_column="fraud",
+        t_min=t_min, t_max=t_max)
+
+
+SUPPORTED_TS = st.integers(sc._TS_MIN, sc._TS_MAX)
+# Dec 29 - Jan 3, where ISO weeks 52/53 and 1 meet
+YEAR_TURN_TS = st.builds(
+    lambda year, day, second: epoch_seconds(dt.datetime(year, 1, 1) + dt.timedelta(days=day)) + second,
+    st.integers(2, 9999), st.integers(-3, 2), st.integers(0, 86399))
+LEAP_DAY_TS = st.builds(
+    lambda year, second: epoch_seconds(dt.datetime(year, 2, 29)) + second,
+    st.integers(1, 2499).map(lambda q: 4 * q).filter(calendar.isleap), st.integers(0, 86399))
+# Feb 28 - Mar 1 of century years: 1900 is not a leap year, 2000 is
+CENTURY_TS = st.builds(
+    lambda century, day, second: epoch_seconds(dt.datetime(100 * century, 2, 28)
+                                               + dt.timedelta(days=day)) + second,
+    st.integers(1, 99), st.integers(0, 2), st.integers(0, 86399))
+CALENDAR_TS = st.one_of(SUPPORTED_TS, YEAR_TURN_TS, LEAP_DAY_TS, CENTURY_TS)
+
+
+class TestColumnwiseCalendar:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(CALENDAR_TS, min_size=1, max_size=40))
+    @example([sc._TS_MIN, sc._TS_MAX, -1, 0, -86401])
+    @example([epoch_seconds(dt.datetime(*ymd)) for ymd in
+              ((2020, 12, 31), (2021, 1, 1), (2015, 12, 29), (1900, 2, 28), (1900, 3, 1),
+               (2000, 2, 29), (1, 1, 1), (9999, 12, 31))])
+    def test_array_calendar_matches_datetime(self, stamps):
+        comps, fracs = sc._calendar(np.asarray(stamps, dtype=np.int64))
+        schema = make_schema(sc._TS_MIN, sc._TS_MAX)
+        for i, ts in enumerate(stamps):
+            ref_comps, ref_fracs = reference_calendar(ts)
+            assert tuple(int(c[i]) for c in comps) == ref_comps, ts
+            assert tuple(float(f[i]) for f in fracs) == ref_fracs, ts
+            assert decompose_timestamp(ts) == ref_comps
+            assert time_floats(ts, schema)[:3] == ref_fracs
+
+    @pytest.mark.parametrize("ts", [sc._TS_MIN - 1, sc._TS_MAX + 1, 10**19, -(10**19)])
+    def test_unsupported_years_rejected(self, ts):
+        with pytest.raises(ValueError, match="unsupported year"):
+            decompose_timestamp(ts)
+
+
+@st.composite
+def user_logs(draw):
+    """A multi-user log of time-ordered rows, its schema, and windowing settings."""
+    n_users = draw(st.integers(1, 5))
+    cell = {
+        "shop": st.sampled_from(["a", "b", "c", "", "unseen"]),
+        "amount": st.one_of(st.just(""), st.integers(-10**6, 10**6).map(str),
+                            st.floats(-1e6, 1e6).map(repr)),
+        "fraud": st.sampled_from(["0", "1", ""]),
+    }
+    rows_by_user = {}
+    for u in range(n_users):
+        stamps = sorted(draw(st.lists(CALENDAR_TS, max_size=12)))
+        rows_by_user[f"u{u}"] = [[f"u{u}", str(ts), draw(cell["shop"]), draw(cell["amount"]),
+                                  draw(cell["fraud"])] for ts in stamps]
+    t_min, t_max = sorted(draw(st.lists(CALENDAR_TS, min_size=2, max_size=2)))
+    schema = make_schema(t_min, t_max, mean=draw(st.floats(-100, 100)),
+                         std=draw(st.floats(1e-3, 1e3)))
+    return schema, rows_by_user
+
+
+class TestColumnwiseWindows:
+    @settings(deadline=None, max_examples=150)
+    @given(user_logs(), st.integers(1, 8), st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from(["pretrain", "downstream"]), st.sampled_from([np.float32, np.float64]))
+    def test_equals_per_row_reference(self, log, block, window, stride, mode, float_dtype):
+        schema, rows_by_user = log
+        with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", block):
+            got = make_windows(schema, BASIC_HEADER, rows_by_user, window, stride, mode, float_dtype)
+        assert_windows_bitwise_equal(got, reference_windows(
+            schema, BASIC_HEADER, rows_by_user, window, stride, mode, float_dtype))
+
+    @pytest.mark.parametrize("mode,float_dtype", [("pretrain", np.float64), ("downstream", np.float32)])
+    def test_user_straddling_a_block_boundary(self, mode, float_dtype):
+        rng = np.random.default_rng(17)
+        per_user = 1500  # u1 covers rows 1500-2999 and u2 rows 3000-4499
+        assert sc._ENCODE_BLOCK_ROWS < 3 * per_user and sc._ENCODE_BLOCK_ROWS % per_user
+        rows_by_user = {}
+        for u in range(3):
+            stamps = np.sort(rng.integers(-2 * 10**9, 4 * 10**9, per_user))
+            rows_by_user[f"u{u}"] = [
+                [f"u{u}", str(ts), str(rng.choice(["a", "b", "c", "", "zz"])),
+                 "" if i % 97 == 0 else f"{rng.normal(20, 8):.6f}", str(int(rng.random() < 0.05))]
+                for i, ts in enumerate(stamps)]
+        schema = make_schema(0, 2 * 10**9)
+        got = make_windows(schema, BASIC_HEADER, rows_by_user, 10, 7, mode, float_dtype)
+        assert_windows_bitwise_equal(got, reference_windows(
+            schema, BASIC_HEADER, rows_by_user, 10, 7, mode, float_dtype))
+
+
+class TestEncodeErrors:
+    """Bad cells in a log encoded with a schema built from clean data."""
+
+    def rows_by_user(self):
+        return {u: [[u, str(1000 + 100 * i), "a", str(i), "0"] for i in range(6)]
+                for u in ("u0", "u1", "u2")}
+
+    @pytest.mark.parametrize("stamp", ["123456789012345678901", "-99999999999999999999",
+                                       str(sc._TS_MAX + 1)])
+    def test_unsupported_timestamp_is_value_error(self, stamp):
+        rows_by_user = self.rows_by_user()
+        rows_by_user["u1"][5][1] = stamp
+        with pytest.raises(ValueError, match="unsupported year"):
+            make_windows(make_schema(1000, 1500), BASIC_HEADER, rows_by_user, 3, 3, "downstream")
+
+    def test_unsorted_rows_report_the_in_user_offset(self):
+        rows_by_user = self.rows_by_user()
+        rows_by_user["u2"][3][1], rows_by_user["u2"][4][1] = "1400", "1300"
+        with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", 4):
+            with pytest.raises(ContractError, match="sorted by timestamp at offset 4$"):
+                make_windows(make_schema(1000, 1500), BASIC_HEADER, rows_by_user, 3, 3, "pretrain")
+
+    def test_non_numeric_continuous_cell_is_value_error(self):
+        rows_by_user = self.rows_by_user()
+        rows_by_user["u1"][2][3] = "12abc"
+        with pytest.raises(ValueError, match="12abc"):
+            make_windows(make_schema(1000, 1500), BASIC_HEADER, rows_by_user, 3, 3, "pretrain")
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_names_user_and_row(self, cell):
+        rows_by_user = self.rows_by_user()
+        rows_by_user["u2"][4][3] = cell
+        with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", 5):
+            with pytest.raises(SchemaError, match=r"user 'u2'.*'amount' at row 4 "):
+                make_windows(make_schema(1000, 1500), BASIC_HEADER, rows_by_user, 3, 3, "pretrain")

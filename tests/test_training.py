@@ -17,7 +17,7 @@ from tabaconv.errors import (
 )
 from tabaconv.masking import MaskConfig
 from tabaconv.model import Batch, ModelConfig, forward_classify, init_params
-from tabaconv.tensor import Tensor
+from tabaconv.tensor import Tensor, sigmoid
 from tabaconv.training import (
     AdamState,
     Checkpoint,
@@ -31,6 +31,7 @@ from tabaconv.training import (
     masked_batch,
     mdm_loss,
     precision_recall_f1,
+    predict_proba,
     pretrain,
     save_checkpoint,
     stack_batch,
@@ -439,3 +440,25 @@ class TestEvaluate:
     def test_evaluate_needs_classifier(self, tiny_env, trained):
         with pytest.raises(ConfigError, match="classifier"):
             evaluate(trained["ckpt"], tiny_env["downstream_samples"], trained["schema"])
+
+
+class TestPredictProba:
+    def test_forward_records_no_graph_on_trainable_params(self, tiny_env, monkeypatch):
+        from tabaconv import training
+
+        schema, samples = tiny_env["schema"], tiny_env["downstream_samples"]
+        params = init_params(schema, TINY, seed=3, head="classify")
+        assert all(p.requires_grad for p in params.values())
+        expected = np.concatenate([
+            sigmoid(forward_classify(stack_batch(samples[i : i + 8]), params, TINY, schema).data)
+            for i in range(0, len(samples), 8)])
+        logits = []
+
+        def recording_forward(*args, **kwargs):
+            logits.append(forward_classify(*args, **kwargs))
+            return logits[-1]
+
+        monkeypatch.setattr(training, "forward_classify", recording_forward)
+        probs = predict_proba(params, TINY, schema, samples, batch_size=8)
+        assert logits and all(not t.requires_grad and t._parents == () for t in logits)
+        assert probs.tobytes() == expected.tobytes()
