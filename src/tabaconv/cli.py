@@ -8,7 +8,8 @@ into the run directory as config.json.
 
 Datasets are split 80/10/10 into train/val/test by user (first-appearance
 order), never by window, so overlapping windows of one user cannot leak
-across splits.
+across splits. `finetune` on the train split scores the val split after
+each epoch.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .masking import MaskConfig
 from .model import ModelConfig
 from .schema import (
     FeatureSchema,
+    WindowSample,
     group_rows_by_user,
     infer_schema,
     load_roles,
@@ -93,20 +95,35 @@ def _write_metrics(out_dir: Path, records: list[dict]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def _split_user_set(header, rows, user_column, split: str) -> set[str] | None:
+def _split_user_sets(header, rows, user_column, splits: list[str]) -> list[set[str]]:
+    """The users of each named split ("train", "val", "test" or "all"), from one user scan."""
     users = users_in_order(header, rows, user_column)
-    if split == "all":
-        return set(users)
-    train, val, test = split_users(users)
-    return set({"train": train, "val": val, "test": test}[split])
+    named = dict(zip(("train", "val", "test"), split_users(users)), all=users)
+    return [set(named[split]) for split in splits]
 
 
-def _windows_for_split(header: list[str], rows: list[list[str]], schema: FeatureSchema,
-                       split: str, window: int, stride: int, mode: str):
-    keep = _split_user_set(header, rows, schema.user_column, split)
-    rows = [r for r in rows if r[header.index(schema.user_column)] in keep]
-    grouped = group_rows_by_user(header, rows, schema)
-    return make_windows(schema, header, grouped, window=window, stride=stride, mode=mode)
+def _windows_for_users(header: list[str], rows: list[list[str]], schema: FeatureSchema,
+                       user_sets: list[set[str]], window: int, stride: int,
+                       mode: str) -> list[list[WindowSample]]:
+    """Windows of each disjoint user set, encoded together in one pass over their rows.
+
+    Empties `rows` once the sets' rows are grouped, so the full parse is
+    freed before encoding even though the caller still holds the list.
+    """
+    keep = set().union(*user_sets)
+    u = header.index(schema.user_column)
+    grouped = group_rows_by_user(header, [r for r in rows if r[u] in keep], schema)
+    rows.clear()
+    samples = make_windows(schema, header, grouped, window=window, stride=stride, mode=mode)
+    return [[s for s in samples if s.user_id in users] for users in user_sets]
+
+
+def _read_windows(path: Path, schema: FeatureSchema, splits: list[str], window: int, stride: int,
+                  mode: str) -> list[list[WindowSample]]:
+    """Windows of each named user split from one parse of `path`."""
+    header, rows = read_csv(path)
+    user_sets = _split_user_sets(header, rows, schema.user_column, splits)
+    return _windows_for_users(header, rows, schema, user_sets, window, stride, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +178,10 @@ def cmd_pretrain(args) -> int:
     roles_path = Path(cfg["roles"]) if cfg["roles"] else data.parent / "roles.json"
     roles = load_roles(roles_path)
     header, rows = read_csv(data)
-    train_users = _split_user_set(header, rows, roles["user"], cfg["split"])
-    schema = infer_schema(data, roles, include_users=train_users, parsed=(header, rows))
-    samples = _windows_for_split(header, rows, schema, cfg["split"], cfg["window"], cfg["stride"],
-                                 "pretrain")
-    del header, rows  # free the parsed log before training
+    user_sets = _split_user_sets(header, rows, roles["user"], [cfg["split"]])
+    schema = infer_schema(data, roles, include_users=user_sets[0], parsed=(header, rows))
+    (samples,) = _windows_for_users(header, rows, schema, user_sets, cfg["window"], cfg["stride"],
+                                    "pretrain")
     mcfg = _model_config(cfg)
     tcfg = TrainConfig(batch_size=cfg["batch_size"], epochs=cfg["epochs"],
                        learning_rate=cfg["lr"], seed=cfg["seed"], mode="pretrain")
@@ -208,12 +224,14 @@ def cmd_finetune(args) -> int:
     if cfg["data"] is None:
         raise ConfigError("--data is required")
     ckpt, schema = _load_ckpt_and_schema(cfg)
-    # the parsed rows are not bound here, so they are freed once windowed
-    samples = _windows_for_split(*read_csv(Path(cfg["data"])), schema, cfg["split"],
-                                 cfg["window"], cfg["stride"], "downstream")
+    # on the train split, the val split's windows are scored after each epoch
+    splits = [cfg["split"], "val"] if cfg["split"] == "train" else [cfg["split"]]
+    samples, *val = _read_windows(Path(cfg["data"]), schema, splits, cfg["window"],
+                                  cfg["stride"], "downstream")
+    val_samples = val[0] if val else []
     tcfg = TrainConfig(batch_size=cfg["batch_size"], epochs=cfg["epochs"],
                        learning_rate=cfg["lr"], seed=cfg["seed"], mode=cfg["mode"])
-    tuned, records = finetune(ckpt, samples, schema, tcfg)
+    tuned, records = finetune(ckpt, samples, schema, tcfg, val_samples=val_samples)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     schema.save(out / "schema.json")
@@ -221,7 +239,9 @@ def cmd_finetune(args) -> int:
     _write_metrics(out, records)
     _echo_config(out, "finetune", cfg)
     last = records[-1] if records else {}
-    print(f"finetuned ({cfg['mode']}) on {len(samples)} windows; final epoch: {json.dumps(last)}")
+    validated = f", validating on {len(val_samples)}" if val_samples else ""
+    print(f"finetuned ({cfg['mode']}) on {len(samples)} windows{validated}; "
+          f"final epoch: {json.dumps(last)}")
     return 0
 
 
@@ -234,9 +254,8 @@ def cmd_evaluate(args) -> int:
     if cfg["data"] is None:
         raise ConfigError("--data is required")
     ckpt, schema = _load_ckpt_and_schema(cfg)
-    # the parsed rows are not bound here, so they are freed once windowed
-    samples = _windows_for_split(*read_csv(Path(cfg["data"])), schema, cfg["split"],
-                                 cfg["window"], cfg["stride"], "downstream")
+    (samples,) = _read_windows(Path(cfg["data"]), schema, [cfg["split"]], cfg["window"],
+                               cfg["stride"], "downstream")
     result = evaluate(ckpt, samples, schema)
     print(f"F1 {result['f1']:.4f} precision {result['precision']:.4f} "
           f"recall {result['recall']:.4f} (n={result['n']}, positives={result['positives']})")

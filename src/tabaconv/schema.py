@@ -475,6 +475,9 @@ def group_rows_by_user(header: list[str], rows: list[list[str]], schema: Feature
     return grouped
 
 
+# The only label cells accepted; any other encodes as -1 and is refused by the row checks.
+_LABEL_CODES = {"": 0, "0": 0, "1": 1}
+
 # Rows encoded per numpy pass: the calendar maths makes a dozen int64
 # temporaries per row, so one pass over a whole split would hold them all.
 _ENCODE_BLOCK_ROWS = 4096
@@ -518,7 +521,7 @@ def _encode_rows(schema: FeatureSchema, header: list[str], rows: list[list[str]]
             tfl[out, c] = frac
         tfl[out, 3] = _trend(ts[out], schema.t_min, schema.t_max)
         if labels is not None:
-            labels[out] = [int(v) if v != "" else 0 for v in columns[idx[schema.label_column]]]
+            labels[out] = [_LABEL_CODES.get(v, -1) for v in columns[idx[schema.label_column]]]
     return cat, cont, comp, tfl, labels, ts
 
 
@@ -528,10 +531,25 @@ def _check_time_order(ts: np.ndarray) -> None:
         raise ContractError(f"rows not sorted by timestamp at offset {int(back[0]) + 1}")
 
 
+def _check_labels(schema: FeatureSchema, header: list[str], user: str, rows: list[list[str]],
+                  labels: np.ndarray) -> None:
+    """SchemaError naming the first of one user's rows whose label cell is not "", "0" or "1"."""
+    bad = np.flatnonzero(labels < 0)
+    if bad.size:
+        row = int(bad[0])
+        raise SchemaError(
+            f"user {user!r}: label {rows[row][header.index(schema.label_column)]!r} in column "
+            f"{schema.label_column!r} at row {row} of the user's time-ordered rows is not 0, 1 or empty"
+        )
+
+
 def encode_user_rows(schema: FeatureSchema, header: list[str], rows: list[list[str]], float_dtype=np.float32):
     """Encode one user's sorted rows into dense feature arrays."""
     *arrays, ts = _encode_rows(schema, header, rows, float_dtype)
     _check_time_order(ts)
+    labels = arrays[4]
+    if labels is not None and rows:
+        _check_labels(schema, header, rows[0][header.index(schema.user_column)], rows, labels)
     return tuple(arrays)
 
 
@@ -563,6 +581,9 @@ def make_windows(schema: FeatureSchema, header: list[str], rows_by_user: dict[st
     samples: list[WindowSample] = []
     hi = 0
     for user, rows in rows_by_user.items():
+        # a copy, not the parsed cell: one live cell keeps the allocator arena of the
+        # parsed rows around it (about a megabyte) from being returned once they are freed
+        user_id = user.encode().decode()
         lo, hi = hi, hi + len(rows)
         _check_time_order(ts[lo:hi])
         finite = np.isfinite(cont[lo:hi])
@@ -572,6 +593,8 @@ def make_windows(schema: FeatureSchema, header: list[str], rows_by_user: dict[st
                 f"user {user!r}: non-finite value in continuous column "
                 f"{schema.continuous_fields[col].name!r} at row {row} of the user's time-ordered rows"
             )
+        if labels is not None:
+            _check_labels(schema, header, user, rows, labels[lo:hi])
         for start in range(lo, hi - window + 1, stride):
             end = start + window
             label = None
@@ -583,7 +606,7 @@ def make_windows(schema: FeatureSchema, header: list[str], rows_by_user: dict[st
                     cont_values=cont[start:end],
                     ts_components=comp[start:end],
                     ts_floats=tfl[start:end],
-                    user_id=user,
+                    user_id=user_id,
                     label=label,
                 )
             )

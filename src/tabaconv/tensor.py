@@ -198,8 +198,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward():
         g = out.grad
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     out._backward = backward if out.requires_grad else None
     return out
@@ -211,8 +213,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward():
         g = out.grad
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     out._backward = backward if out.requires_grad else None
     return out
@@ -324,8 +328,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward():
         g = out.grad
-        _accumulate(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
-        _accumulate(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
 
     out._backward = backward if out.requires_grad else None
     return out

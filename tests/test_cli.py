@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -72,7 +73,8 @@ class TestPretrain:
         assert (pre / "schema.json").exists()
         lines = (pre / "metrics.jsonl").read_text().strip().splitlines()
         rec = json.loads(lines[0])
-        assert {"epoch", "loss", "masked_cat_acc", "masked_cont_mse"} == set(rec)
+        assert {"epoch", "loss", "masked_cat_acc", "masked_cont_mse",
+                "grad_norm_mean", "grad_norm_max", "clipped_frac"} == set(rec)
         config = json.loads((pre / "config.json").read_text())
         assert config["command"] == "pretrain"
         assert config["window"] == 8
@@ -126,6 +128,31 @@ class TestFinetuneEvaluate:
         out = capsys.readouterr().out
         assert out.startswith("F1 ")
         assert "precision" in out and "recall" in out
+
+    def test_validates_on_the_val_split(self, pipeline, tmp_path, capsys):
+        common = ["--data", str(pipeline["data"] / "transactions.csv"), "--window", "8",
+                  "--stride", "8"]
+        rc = main(["finetune", "--ckpt", str(pipeline["pre"] / "ckpt.bin"), *common,
+                   "--out", str(tmp_path / "fin"), "--epochs", "2", "--batch-size", "16"])
+        assert rc == 0
+        # 10 users x 40 rows: 8 train users and 1 val user, 5 windows each
+        match = re.search(r" on (\d+) windows", capsys.readouterr().out)
+        assert int(match.group(1)) == 40
+        last = json.loads((tmp_path / "fin" / "metrics.jsonl").read_text().splitlines()[-1])
+        assert main(["evaluate", "--ckpt", str(tmp_path / "fin" / "ckpt.bin"), *common,
+                     "--split", "val", "--out", str(tmp_path / "ev")]) == 0
+        result = json.loads((tmp_path / "ev" / "metrics.jsonl").read_text())
+        assert result["n"] == 5
+        assert {k: last[f"val_{k}"] for k in ("f1", "precision", "recall")} == \
+            {k: result[k] for k in ("f1", "precision", "recall")}
+
+    def test_no_val_pass_off_the_train_split(self, pipeline, tmp_path):
+        rc = main(["finetune", "--ckpt", str(pipeline["pre"] / "ckpt.bin"),
+                   "--data", str(pipeline["data"] / "transactions.csv"), "--split", "test",
+                   "--out", str(tmp_path / "fin"), "--epochs", "1", "--window", "8", "--stride", "8"])
+        assert rc == 0
+        record = json.loads((tmp_path / "fin" / "metrics.jsonl").read_text())
+        assert not any(k.startswith("val_") for k in record)
 
     def test_scratch_mode(self, pipeline, tmp_path):
         rc = main(["finetune", "--ckpt", str(pipeline["pre"] / "ckpt.bin"),
@@ -202,6 +229,10 @@ class TestEvaluateBadCells:
         ("ts", "-62135596801", "unsupported year 0"),
         ("amount", "twelve", "could not convert"),
         ("amount", "inf", "user 'u0001': non-finite value in continuous column 'amount' at row"),
+        ("label", "2", "user 'u0001': label '2' in column 'label' at row"),
+        ("label", "-1", "user 'u0001': label '-1' in column 'label' at row"),
+        ("label", "3000000000", "user 'u0001': label '3000000000' in column 'label' at row"),
+        ("label", "x", "user 'u0001': label 'x' in column 'label' at row"),
     ])
     def test_exits_two(self, classifier, tmp_path, capsys, column, value, message):
         assert self.evaluate_with(classifier, tmp_path, column, value) == 2

@@ -16,7 +16,7 @@ from tabaconv.errors import (
     UnsupportedVersionError,
 )
 from tabaconv.masking import MaskConfig
-from tabaconv.model import Batch, ModelConfig, forward_classify, init_params
+from tabaconv.model import Batch, ModelConfig, forward_classify, init_params, trainable_names
 from tabaconv.tensor import Tensor, sigmoid
 from tabaconv.training import (
     AdamState,
@@ -24,6 +24,7 @@ from tabaconv.training import (
     TrainConfig,
     adam_step,
     bce_loss,
+    clip_global_norm,
     evaluate,
     f1_binary,
     finetune,
@@ -145,7 +146,7 @@ class TestAdam:
         params = {"w": Tensor(np.ones(4), requires_grad=True)}
         params["w"].grad = np.zeros(4, dtype=params["w"].dtype)
         state = AdamState.for_params(params, ["w"])
-        adam_step(params, state, TrainConfig())
+        adam_step(state, TrainConfig())
         np.testing.assert_array_equal(params["w"].data, np.ones(4, dtype=np.float32))
 
     def test_first_step_is_signed_learning_rate(self):
@@ -154,7 +155,7 @@ class TestAdam:
         params["w"].grad = g.copy()
         state = AdamState.for_params(params, ["w"])
         cfg = TrainConfig(learning_rate=1e-3)
-        adam_step(params, state, cfg)
+        adam_step(state, cfg)
         np.testing.assert_allclose(params["w"].data, -1e-3 * np.sign(g), rtol=1e-3)
 
     def test_identical_tensors_update_identically(self):
@@ -164,7 +165,7 @@ class TestAdam:
         params["a"].grad = g.copy()
         params["b"].grad = g.copy()
         state = AdamState.for_params(params, ["a", "b"])
-        adam_step(params, state, TrainConfig())
+        adam_step(state, TrainConfig())
         np.testing.assert_array_equal(params["a"].data, params["b"].data)
 
     def test_non_finite_gradient_names_parameter(self):
@@ -172,7 +173,135 @@ class TestAdam:
         params["oddball"].grad = np.asarray([np.nan, 1.0], dtype=np.float32)
         state = AdamState.for_params(params, ["oddball"])
         with pytest.raises(NumericError, match="oddball"):
-            adam_step(params, state, TrainConfig())
+            adam_step(state, TrainConfig())
+
+
+def reference_clip_adam(params, names, ref, cfg):
+    """The per-parameter clip and Adam that the flat buffer replaced; missing grads count as zero."""
+    total = 0.0
+    for n in names:
+        g = params[n].grad
+        if g is not None:
+            total += float((g.astype(np.float64) ** 2).sum())
+    norm = math.sqrt(total)
+    if cfg.grad_clip > 0 and norm > cfg.grad_clip:
+        for n in names:
+            if params[n].grad is not None:
+                params[n].grad *= cfg.grad_clip / norm
+    ref["t"] += 1
+    c1 = 1.0 - cfg.beta1 ** ref["t"]
+    c2 = 1.0 - cfg.beta2 ** ref["t"]
+    for n in names:
+        p = params[n]
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m, v = ref["m"][n], ref["v"][n]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        update = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        p.data -= (cfg.learning_rate * update).astype(p.data.dtype)
+    return norm
+
+
+class TestFlatBuffer:
+    """Clip and Adam over the flat buffer against the per-parameter reference, bit for bit."""
+
+    def pair(self, tiny_env, seed=5):
+        flat = init_params(tiny_env["schema"], TINY, seed=seed, head="pretrain")
+        ref = init_params(tiny_env["schema"], TINY, seed=seed, head="pretrain")
+        names = list(flat)
+        moments = {"t": 0, "m": {n: np.zeros_like(ref[n].data) for n in names},
+                   "v": {n: np.zeros_like(ref[n].data) for n in names}}
+        return flat, ref, names, AdamState.for_params(flat, names), moments
+
+    def assert_same(self, flat, ref, names, step):
+        for n in names:
+            assert flat[n].data.tobytes() == ref[n].data.tobytes(), (step, n)
+
+    def test_steps_match_reference(self, tiny_env):
+        from tabaconv.tensor import _accumulate
+
+        flat, ref, names, state, moments = self.pair(tiny_env)
+        cfg = TrainConfig()
+        rng = np.random.default_rng(0)
+        skipped = names[3]
+        clipped = []
+        for step, scale in enumerate([10.0, 1e-3, 0.05, 1.0]):
+            state.zero_grad()
+            for p in ref.values():
+                p.grad = None
+            for n in names:
+                if step == 1 and n == skipped:
+                    continue  # a parameter the loss did not reach this step
+                # a float64 then a float32 contribution, as backward hands them over
+                for dtype in (np.float64, np.float32):
+                    g = (rng.normal(size=flat[n].data.shape) * scale).astype(dtype)
+                    _accumulate(flat[n], g)
+                    _accumulate(ref[n], g)
+            norm = clip_global_norm(state, cfg.grad_clip)
+            adam_step(state, cfg)
+            assert norm == reference_clip_adam(ref, names, moments, cfg)
+            clipped.append(norm > cfg.grad_clip)
+            self.assert_same(flat, ref, names, step)
+        assert clipped[0] and not all(clipped)
+
+    def test_rebound_gradient_and_value_are_honoured(self, tiny_env):
+        flat, ref, names, state, moments = self.pair(tiny_env)
+        cfg = TrainConfig()
+        rng = np.random.default_rng(1)
+        for step in range(3):
+            state.zero_grad()
+            for n in names:
+                g = rng.normal(size=flat[n].data.shape).astype(np.float32) * 0.01
+                flat[n].grad = g.copy()  # rebinds instead of accumulating into the buffer
+                ref[n].grad = g
+            flat[names[0]].grad = None
+            ref[names[0]].grad = None
+            value = np.full(flat[names[1]].data.shape, 0.5, dtype=np.float32)
+            flat[names[1]].data = value.copy()
+            ref[names[1]].data = value
+            clip_global_norm(state, cfg.grad_clip)
+            adam_step(state, cfg)
+            reference_clip_adam(ref, names, moments, cfg)
+            self.assert_same(flat, ref, names, step)
+            assert all(np.shares_memory(flat[n].data, state.data) for n in names)
+
+    def test_rebound_gradient_of_wrong_shape_rejected(self, tiny_env):
+        flat, _, names, state, _ = self.pair(tiny_env)
+        flat[names[0]].grad = np.zeros(flat[names[0]].data.size + 1, dtype=np.float32)
+        with pytest.raises(ContractError, match=names[0]):
+            clip_global_norm(state, 1.0)
+
+    def test_non_finite_gradient_names_parameter_and_changes_nothing(self, tiny_env):
+        flat, ref, names, state, _ = self.pair(tiny_env)
+        state.zero_grad()
+        for p in flat.values():
+            p.grad += 0.01
+        flat[names[5]].grad.flat[0] = np.inf
+        with pytest.raises(NumericError, match=f"parameter {names[5]!r}"):
+            adam_step(state, TrainConfig())
+        self.assert_same(flat, ref, names, 0)
+
+    def test_frozen_parameters_stay_outside(self, tiny_env, trained):
+        ckpt = trained["ckpt"]
+        params = {n: Tensor(a.copy()) for n, a in ckpt.params.items()}
+        names = trainable_names(params, "finetune")
+        frozen = [n for n in params if n not in names]
+        assert frozen
+        for n in names:
+            params[n].requires_grad = True
+        state = AdamState.for_params(params, names)
+        for _ in range(3):
+            state.zero_grad()
+            for n in names:
+                params[n].grad += 0.1
+            clip_global_norm(state, 1.0)
+            adam_step(state, TrainConfig())
+        for n in frozen:
+            assert params[n].grad is None and not np.shares_memory(params[n].data, state.data)
+            assert params[n].data.tobytes() == ckpt.params[n].tobytes(), n
+        assert all(params[n].data.tobytes() != ckpt.params[n].tobytes() for n in names)
 
 
 class TestF1:
@@ -241,7 +370,10 @@ class TestPretrainLoop:
     def test_records_shape(self, trained):
         assert [r["epoch"] for r in trained["records"]] == [0, 1]
         for r in trained["records"]:
-            assert set(r) == {"epoch", "loss", "masked_cat_acc", "masked_cont_mse"}
+            assert set(r) == {"epoch", "loss", "masked_cat_acc", "masked_cont_mse",
+                              "grad_norm_mean", "grad_norm_max", "clipped_frac"}
+            assert 0.0 < r["grad_norm_mean"] <= r["grad_norm_max"]
+            assert 0.0 <= r["clipped_frac"] <= 1.0
 
     def test_labeled_samples_rejected(self, tiny_env):
         with pytest.raises(ContractError):
@@ -265,7 +397,7 @@ class TestPretrainLoop:
                 p.grad = None
             before.backward()
             state = AdamState.for_params(params, list(params))
-            adam_step(params, state, TrainConfig(learning_rate=1e-3), list(params))
+            adam_step(state, TrainConfig(learning_rate=1e-3))
             after = loss_value()
             assert float(after.data) < float(before.data), f"seed {seed}"
 
@@ -312,11 +444,25 @@ class TestFinetuneLoop:
             finetune(trained["ckpt"], tiny_env["pretrain_samples"], trained["schema"],
                      TrainConfig(mode="finetune"))
 
+    def test_val_metrics_equal_evaluate(self, tiny_env, trained):
+        samples = tiny_env["downstream_samples"]
+        tuned, records = finetune(trained["ckpt"], samples[6:], trained["schema"],
+                                  TrainConfig(epochs=2, batch_size=8, seed=1, mode="finetune"),
+                                  val_samples=samples[:6])
+        result = evaluate(tuned, samples[:6], trained["schema"])
+        assert {k: records[-1][f"val_{k}"] for k in ("f1", "precision", "recall")} == \
+            {k: result[k] for k in ("f1", "precision", "recall")}
+
     def test_records_carry_f1(self, tiny_env, trained):
-        _, records = finetune(trained["ckpt"], tiny_env["downstream_samples"], trained["schema"],
-                              TrainConfig(epochs=1, batch_size=8, seed=1, mode="finetune"))
-        assert set(records[0]) == {"epoch", "loss", "f1"}
-        assert 0.0 <= records[0]["f1"] <= 1.0
+        samples = tiny_env["downstream_samples"]
+        tcfg = TrainConfig(epochs=1, batch_size=8, seed=1, mode="finetune")
+        _, records = finetune(trained["ckpt"], samples[4:], trained["schema"], tcfg,
+                              val_samples=samples[:4])
+        assert set(records[0]) == {"epoch", "loss", "grad_norm_mean", "grad_norm_max",
+                                   "clipped_frac", "val_f1", "val_precision", "val_recall"}
+        assert 0.0 <= records[0]["val_f1"] <= 1.0
+        _, records = finetune(trained["ckpt"], samples[4:], trained["schema"], tcfg)
+        assert set(records[0]) == {"epoch", "loss", "grad_norm_mean", "grad_norm_max", "clipped_frac"}
 
 
 def crafted_checkpoint(blob: bytes, case: str) -> bytes:
