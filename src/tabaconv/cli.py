@@ -15,6 +15,7 @@ each epoch.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import tempfile
@@ -56,6 +57,10 @@ from .training import (
     pretrain,
     save_checkpoint,
 )
+
+# glibc <malloc.h> parameter: bytes kept mapped above the top of the heap when it is trimmed
+_M_TOP_PAD = -2
+_HEAP_TOP_PAD = 16 << 20
 
 _CONFIG_ERRORS = (ConfigError, SchemaError, ContractError, IntegrityError,
                   UnsupportedVersionError, FileNotFoundError, ValueError, KeyError)
@@ -398,9 +403,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pad_heap_top() -> None:
+    """Keep 16 MiB mapped above the heap top, through glibc `mallopt`; a no-op without it.
+
+    A training step frees its activations at the top of the heap. With
+    glibc's default pad they are trimmed off after every step and the next
+    forward faults them back in: tens of thousands of minor page faults per
+    pretraining epoch, a count that shifts with the heap layout. Results do
+    not change. A 4 MiB pad did not remove the faults; 64 MiB removed no more.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt in it
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _pad_heap_top()
     try:
         return args.func(args)
     except NumericError as exc:

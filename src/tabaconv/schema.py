@@ -463,15 +463,46 @@ def time_floats(ts: int, schema: FeatureSchema) -> tuple[float, float, float, fl
     return frac_day, frac_week, frac_year, float(_trend(ts, schema.t_min, schema.t_max))
 
 
-def group_rows_by_user(header: list[str], rows: list[list[str]], schema: FeatureSchema) -> dict[str, list[list[str]]]:
+class UserRows(dict):
+    """User id -> that user's rows in time order, as `group_rows_by_user` returns them.
+
+    `stamps` holds the parsed epoch seconds of all those rows as one int64
+    array, users in the mapping's order, so `make_windows` does not parse the
+    timestamp cells again. Change the rows and `stamps` together, or pass a
+    plain dict instead.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.stamps = np.zeros(0, dtype=np.int64)
+
+
+def _parse_stamps(values, fmt: str) -> np.ndarray:
+    """Epoch seconds of timestamp cells as int64; ValueError for one outside years 1-9999."""
+    stamps = [parse_timestamp(v, fmt) for v in values]
+    if stamps and (min(stamps) < _TS_MIN or max(stamps) > _TS_MAX):
+        for t in stamps:  # raises at the first unsupported one, before int64 could overflow
+            _require_supported(t)
+    return np.array(stamps, dtype=np.int64)
+
+
+def group_rows_by_user(header: list[str], rows: list[list[str]], schema: FeatureSchema) -> UserRows:
     """Group rows per user (first-appearance order), stable-sorted by timestamp."""
     u = header.index(schema.user_column)
     t = header.index(schema.timestamp_column)
-    grouped: dict[str, list[list[str]]] = {}
+    grouped = UserRows()
     for row in rows:
         grouped.setdefault(row[u], []).append(row)
-    for rows_of_user in grouped.values():
-        rows_of_user.sort(key=lambda r: parse_timestamp(r[t], schema.timestamp_format))
+    grouped.stamps = _parse_stamps([r[t] for user_rows in grouped.values() for r in user_rows],
+                                   schema.timestamp_format)
+    hi = 0
+    for user_rows in grouped.values():
+        lo, hi = hi, hi + len(user_rows)
+        stamps = grouped.stamps[lo:hi]
+        if (stamps[1:] < stamps[:-1]).any():  # only a user whose rows are out of time order
+            order = np.argsort(stamps, kind="stable")
+            user_rows[:] = [user_rows[i] for i in order.tolist()]
+            stamps[:] = stamps[order]
     return grouped
 
 
@@ -483,11 +514,13 @@ _LABEL_CODES = {"": 0, "0": 0, "1": 1}
 _ENCODE_BLOCK_ROWS = 4096
 
 
-def _encode_rows(schema: FeatureSchema, header: list[str], rows: list[list[str]], float_dtype):
+def _encode_rows(schema: FeatureSchema, header: list[str], rows: list[list[str]], float_dtype,
+                 stamps: np.ndarray | None = None):
     """Encode rows column-wise, one block of rows at a time, into dense arrays.
 
     Returns (cat, cont, comp, tfl, labels, ts): the feature arrays plus each
-    row's epoch seconds, for the caller's time-order check.
+    row's epoch seconds, for the caller's time-order check. `stamps`, when
+    given, are those epoch seconds already parsed, and the cells are not read.
     """
     idx = {name: header.index(name) for name in header}
     n = len(rows)
@@ -498,7 +531,7 @@ def _encode_rows(schema: FeatureSchema, header: list[str], rows: list[list[str]]
     comp = np.empty((n, 8), dtype=np.int32)
     tfl = np.empty((n, 4), dtype=float_dtype)
     labels = np.empty(n, dtype=np.int32) if schema.label_column else None
-    ts = np.empty(n, dtype=np.int64)
+    ts = np.empty(n, dtype=np.int64) if stamps is None else stamps
     for start in range(0, n, _ENCODE_BLOCK_ROWS):
         block = rows[start : start + _ENCODE_BLOCK_ROWS]
         out = slice(start, start + len(block))
@@ -507,12 +540,8 @@ def _encode_rows(schema: FeatureSchema, header: list[str], rows: list[list[str]]
             cat[out, c] = f.encode_categorical_column(columns[idx[f.name]])
         for c, f in enumerate(cont_fields):
             cont[out, c] = f.encode_continuous_column(columns[idx[f.name]])
-        stamps = [parse_timestamp(v, schema.timestamp_format)
-                  for v in columns[idx[schema.timestamp_column]]]
-        if min(stamps) < _TS_MIN or max(stamps) > _TS_MAX:
-            for t in stamps:  # raises at the first unsupported one, before int64 could overflow
-                _require_supported(t)
-        ts[out] = stamps
+        if stamps is None:
+            ts[out] = _parse_stamps(columns[idx[schema.timestamp_column]], schema.timestamp_format)
         (year, *parts), fracs = _calendar(ts[out])
         comp[out, 0] = schema.year_offset(year)
         for c, part in enumerate(parts, 1):
@@ -574,8 +603,12 @@ def make_windows(schema: FeatureSchema, header: list[str], rows_by_user: dict[st
         raise ContractError(f"window and stride must be >= 1, got {window}/{stride}")
     if mode == "downstream" and schema.label_column is None:
         raise ContractError("downstream windowing needs a label column")
+    stamps = rows_by_user.stamps if isinstance(rows_by_user, UserRows) else None
+    if stamps is not None and len(stamps) != sum(map(len, rows_by_user.values())):
+        raise ContractError("grouped rows were changed without their timestamps")
     cat, cont, comp, tfl, labels, ts = _encode_rows(
-        schema, header, list(itertools.chain.from_iterable(rows_by_user.values())), float_dtype)
+        schema, header, list(itertools.chain.from_iterable(rows_by_user.values())), float_dtype,
+        stamps)
     for features in (cat, cont, comp, tfl):
         features.flags.writeable = False  # windows are views, and overlapping ones share rows
     samples: list[WindowSample] = []

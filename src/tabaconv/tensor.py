@@ -243,11 +243,11 @@ def shift(x: Tensor, c: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, 0.0), requires_grad=x.requires_grad, parents=(x,))
+    """max(x, 0); a NaN input stays NaN, so it reaches the loss instead of reading as 0."""
+    out = Tensor(np.maximum(x.data, 0), requires_grad=x.requires_grad, parents=(x,))
 
     def backward():
-        _accumulate(x, out.grad * mask)
+        _accumulate(x, out.grad * (x.data > 0))
 
     out._backward = backward if out.requires_grad else None
     return out
@@ -328,6 +328,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward():
         g = out.grad
+        if b.data.ndim == 2:
+            # a 2-D weight: fold a's batch dimensions into rows, so each gradient is one
+            # GEMM and the weight gradient is no [B, k, n] product summed over B
+            k, n = b.data.shape
+            g2 = g.reshape(-1, n)
+            if a.requires_grad:
+                # with n == 1 the GEMM is one product per element; the broadcast is bitwise equal
+                ga = g2 * b.data[:, 0] if n == 1 else g2 @ b.data.T
+                _accumulate(a, ga.reshape(a.data.shape))
+            if b.requires_grad:
+                _accumulate(b, a.data.reshape(-1, k).T @ g2)
+            return
         if a.requires_grad:
             _accumulate(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
         if b.requires_grad:

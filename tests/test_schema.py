@@ -514,6 +514,28 @@ class TestColumnwiseWindows:
         assert_windows_bitwise_equal(got, reference_windows(
             schema, BASIC_HEADER, rows_by_user, window, stride, mode, float_dtype))
 
+    @settings(deadline=None, max_examples=100)
+    @given(user_logs(), st.randoms(use_true_random=False))
+    def test_grouped_log_windows_equal_reference(self, log, rnd):
+        """Shuffled rows regrouped: users in first-appearance order, each stable-sorted by time,
+        and windows made from the grouping's parsed timestamps equal the per-row reference."""
+        schema, rows_by_user = log
+        flat = [r for rows in rows_by_user.values() for r in rows]
+        rnd.shuffle(flat)
+        expected = {}
+        for row in flat:
+            expected.setdefault(row[0], []).append(row)
+        for rows in expected.values():
+            rows.sort(key=lambda r: int(r[1]))
+        grouped = sc.group_rows_by_user(BASIC_HEADER, flat, schema)
+        assert list(grouped.items()) == list(expected.items())
+        assert grouped.stamps.tolist() == [int(r[1]) for rows in expected.values() for r in rows]
+        for mode in ("pretrain", "downstream"):
+            with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", 3):
+                got = make_windows(schema, BASIC_HEADER, grouped, 3, 2, mode)
+            assert_windows_bitwise_equal(got, reference_windows(
+                schema, BASIC_HEADER, expected, 3, 2, mode, np.float32))
+
     @pytest.mark.parametrize("mode,float_dtype", [("pretrain", np.float64), ("downstream", np.float32)])
     def test_user_straddling_a_block_boundary(self, mode, float_dtype):
         rng = np.random.default_rng(17)
@@ -546,6 +568,20 @@ class TestEncodeErrors:
         rows_by_user["u1"][5][1] = stamp
         with pytest.raises(ValueError, match="unsupported year"):
             make_windows(make_schema(1000, 1500), BASIC_HEADER, rows_by_user, 3, 3, "downstream")
+
+    @pytest.mark.parametrize("stamp", ["123456789012345678901", str(sc._TS_MIN - 1)])
+    def test_unsupported_timestamp_is_value_error_when_grouping(self, stamp):
+        rows = [row for rows in self.rows_by_user().values() for row in rows]
+        rows[8][1] = stamp
+        with pytest.raises(ValueError, match="unsupported year"):
+            sc.group_rows_by_user(BASIC_HEADER, rows, make_schema(1000, 1500))
+
+    def test_grouped_rows_changed_without_their_timestamps_refused(self):
+        rows = [row for rows in self.rows_by_user().values() for row in rows]
+        grouped = sc.group_rows_by_user(BASIC_HEADER, rows, make_schema(1000, 1500))
+        grouped["u1"] = grouped["u1"][:4]
+        with pytest.raises(ContractError, match="changed without their timestamps"):
+            make_windows(make_schema(1000, 1500), BASIC_HEADER, grouped, 3, 3, "pretrain")
 
     def test_unsorted_rows_report_the_in_user_offset(self):
         rows_by_user = self.rows_by_user()

@@ -70,6 +70,52 @@ class TestMatmul:
         assert x.grad.shape == (2, 5, 3)
 
 
+class TestFoldedMatmul:
+    """[B, T, k] @ [k, n]: backward folds B and T into rows, one GEMM per gradient."""
+
+    @staticmethod
+    def operands(n):
+        rng = np.random.default_rng(n)
+        return (rng.normal(size=(4, 10, 32)).astype(np.float32),
+                rng.normal(size=(32, n)).astype(np.float32),
+                rng.normal(size=(4, 10, n)).astype(np.float32))
+
+    @staticmethod
+    def grads(a_data, b_data, g, needs):
+        a = Tensor(a_data, requires_grad="a" in needs)
+        b = Tensor(b_data, requires_grad="b" in needs)
+        tt.sum_all(tt.mul(tt.matmul(a, b), Tensor(g))).backward()
+        return a.grad, b.grad
+
+    @pytest.mark.parametrize("needs", ["ab", "a", "b"])
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_matches_batched_and_summed_reference(self, n, needs):
+        a, b, g = self.operands(n)
+        ga, gb = self.grads(a, b, g, needs)
+        a64, b64, g64 = (x.astype(np.float64) for x in (a, b, g))
+        eps = np.finfo(np.float32).eps
+        if "a" in needs:
+            # each element sums n products; the bound is the worst-case float32 summation error
+            ref, size = g64 @ b64.T, np.abs(g64) @ np.abs(b64).T
+            assert ga.dtype == np.float32 and np.all(np.abs(ga - ref) <= (n + 1) * eps * size)
+        else:
+            assert ga is None
+        if "b" in needs:
+            # the batched [B, k, n] product summed over B, as the gradient was formed before
+            ref = np.matmul(a64.swapaxes(-1, -2), g64).sum(axis=0)
+            size = np.matmul(np.abs(a64).swapaxes(-1, -2), np.abs(g64)).sum(axis=0)
+            assert gb.dtype == np.float32 and np.all(np.abs(gb - ref) <= 41 * eps * size)
+        else:
+            assert gb is None
+        for first, second in zip((ga, gb), self.grads(a, b, g, needs)):
+            assert (first is None and second is None) or first.tobytes() == second.tobytes()
+
+    def test_single_column_input_gradient_equals_the_gemm_bitwise(self):
+        a, b, g = self.operands(1)
+        ga, _ = self.grads(a, b, g, "ab")
+        assert ga.tobytes() == (g.reshape(-1, 1) @ b.T).reshape(a.shape).tobytes()
+
+
 class TestConv1d:
     def test_k1_identity_kernel(self):
         rng = np.random.default_rng(2)
@@ -185,6 +231,15 @@ class TestElementwise:
         out = tt.relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
+    def test_relu_bitwise_equals_select_on_finite_input(self):
+        x = np.concatenate([np.random.default_rng(5).normal(size=1000),
+                            [0.0, -0.0, 1e-45, -1e-45, 3e38, -3e38]]).astype(np.float32)
+        assert tt.relu(Tensor(x)).data.tobytes() == np.where(x > 0, x, 0.0).astype(np.float32).tobytes()
+
+    def test_relu_keeps_nan(self):
+        out = tt.relu(Tensor([np.nan, -1.0, 2.0]))
+        assert np.isnan(out.data[0]) and out.data[1:].tolist() == [0.0, 2.0]
+
     def test_concat_lastdim_width(self):
         a = Tensor(np.zeros((2, 4, 3)))
         b = Tensor(np.ones((2, 4, 5)))
@@ -271,6 +326,8 @@ PRIMITIVE_CASES = [
     ("scale", lambda p: tt.scale(p["a"], -1.7), lambda r: {"a": _random_tensor(r, (4, 8))}),
     ("relu", lambda p: tt.relu(p["a"]), lambda r: {"a": Tensor(r.normal(size=(4, 8)) + np.where(r.normal(size=(4, 8)) > 0, 0.2, -0.2), requires_grad=True)}),
     ("matmul", lambda p: tt.matmul(p["a"], p["b"]), lambda r: {"a": _random_tensor(r, (4, 8)), "b": _random_tensor(r, (8, 16))}),
+    ("matmul_folded", lambda p: tt.matmul(p["a"], p["b"]), lambda r: {"a": _random_tensor(r, (2, 4, 8)), "b": _random_tensor(r, (8, 5))}),
+    ("matmul_folded_n1", lambda p: tt.matmul(p["a"], p["b"]), lambda r: {"a": _random_tensor(r, (2, 4, 8)), "b": _random_tensor(r, (8, 1))}),
     ("matmul_batched", lambda p: tt.matmul(p["a"], p["b"]), lambda r: {"a": _random_tensor(r, (2, 4, 8)), "b": _random_tensor(r, (2, 8, 3))}),
     ("conv_zero", lambda p: tt.conv1d(p["x"], p["w"], p["b"], "zero"), lambda r: {"x": _random_tensor(r, (2, 8, 3)), "w": _random_tensor(r, (3, 3, 4)), "b": _random_tensor(r, (4,))}),
     ("conv_circular", lambda p: tt.conv1d(p["x"], p["w"], p["b"], "circular"), lambda r: {"x": _random_tensor(r, (2, 8, 3)), "w": _random_tensor(r, (5, 3, 4)), "b": _random_tensor(r, (4,))}),

@@ -444,6 +444,17 @@ class TestFinetuneLoop:
             finetune(trained["ckpt"], tiny_env["pretrain_samples"], trained["schema"],
                      TrainConfig(mode="finetune"))
 
+    def test_nan_before_a_relu_stops_training(self, tiny_env, trained):
+        # a NaN hidden unit reaches the loss; a relu that zeroed it trained on quietly
+        params = dict(trained["ckpt"].params)
+        params["block0.ffn.w1"] = params["block0.ffn.w1"].copy()
+        params["block0.ffn.w1"][0, 0] = np.nan
+        bad = Checkpoint(model_config=trained["ckpt"].model_config,
+                         schema_digest=trained["ckpt"].schema_digest, params=params)
+        with pytest.raises(NumericError, match="training loss is non-finite"):
+            finetune(bad, tiny_env["downstream_samples"], trained["schema"],
+                     TrainConfig(epochs=1, batch_size=8, seed=1, mode="finetune"))
+
     def test_val_metrics_equal_evaluate(self, tiny_env, trained):
         samples = tiny_env["downstream_samples"]
         tuned, records = finetune(trained["ckpt"], samples[6:], trained["schema"],
