@@ -35,15 +35,16 @@ from .errors import (
 from .masking import MaskConfig
 from .model import ModelConfig
 from .schema import (
+    CsvColumns,
     FeatureSchema,
     WindowSample,
     group_rows_by_user,
     infer_schema,
     load_roles,
     make_windows,
+    read_columns,
     read_csv,
     split_users,
-    users_in_order,
 )
 from .tensor import use_dtype, grad_check
 from .training import (
@@ -100,35 +101,35 @@ def _write_metrics(out_dir: Path, records: list[dict]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def _split_user_sets(header, rows, user_column, splits: list[str]) -> list[set[str]]:
-    """The users of each named split ("train", "val", "test" or "all"), from one user scan."""
-    users = users_in_order(header, rows, user_column)
-    named = dict(zip(("train", "val", "test"), split_users(users)), all=users)
+def _split_user_sets(log: CsvColumns, splits: list[str]) -> list[set[str]]:
+    """The users of each named split ("train", "val", "test" or "all")."""
+    named = dict(zip(("train", "val", "test"), split_users(log.users)), all=log.users)
     return [set(named[split]) for split in splits]
 
 
-def _windows_for_users(header: list[str], rows: list[list[str]], schema: FeatureSchema,
-                       user_sets: list[set[str]], window: int, stride: int,
-                       mode: str) -> list[list[WindowSample]]:
-    """Windows of each disjoint user set, encoded together in one pass over their rows.
-
-    Empties `rows` once the sets' rows are grouped, so the full parse is
-    freed before encoding even though the caller still holds the list.
-    """
-    keep = set().union(*user_sets)
-    u = header.index(schema.user_column)
-    grouped = group_rows_by_user(header, [r for r in rows if r[u] in keep], schema)
-    rows.clear()
-    samples = make_windows(schema, header, grouped, window=window, stride=stride, mode=mode)
+def _windows_for_users(log: CsvColumns, schema: FeatureSchema, user_sets: list[set[str]],
+                       window: int, stride: int, mode: str) -> list[list[WindowSample]]:
+    """Windows of each disjoint user set, encoded together in one pass over their rows."""
+    grouped = group_rows_by_user(log.header, log, schema, users=set().union(*user_sets))
+    samples = make_windows(schema, log.header, grouped, window=window, stride=stride, mode=mode)
     return [[s for s in samples if s.user_id in users] for users in user_sets]
 
 
 def _read_windows(path: Path, schema: FeatureSchema, splits: list[str], window: int, stride: int,
                   mode: str) -> list[list[WindowSample]]:
-    """Windows of each named user split from one parse of `path`."""
-    header, rows = read_csv(path)
-    user_sets = _split_user_sets(header, rows, schema.user_column, splits)
-    return _windows_for_users(header, rows, schema, user_sets, window, stride, mode)
+    """Windows of each named user split from one streamed read of `path`."""
+    log = read_columns(path, schema=schema)
+    return _windows_for_users(log, schema, _split_user_sets(log, splits), window, stride, mode)
+
+
+def _pretrain_windows(path: Path, roles: dict, split: str, window: int,
+                      stride: int) -> tuple[FeatureSchema, list[WindowSample]]:
+    """The schema of a user split and its pretraining windows, from one streamed read of `path`."""
+    log = read_columns(path, roles=roles)
+    user_sets = _split_user_sets(log, [split])
+    schema = infer_schema(path, roles, include_users=user_sets[0], parsed=log)
+    (samples,) = _windows_for_users(log, schema, user_sets, window, stride, "pretrain")
+    return schema, samples
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +182,8 @@ def cmd_pretrain(args) -> int:
         cfg["mask_seed"] = cfg["seed"]
     data = Path(cfg["data"])
     roles_path = Path(cfg["roles"]) if cfg["roles"] else data.parent / "roles.json"
-    roles = load_roles(roles_path)
-    header, rows = read_csv(data)
-    user_sets = _split_user_sets(header, rows, roles["user"], [cfg["split"]])
-    schema = infer_schema(data, roles, include_users=user_sets[0], parsed=(header, rows))
-    (samples,) = _windows_for_users(header, rows, schema, user_sets, cfg["window"], cfg["stride"],
-                                    "pretrain")
+    schema, samples = _pretrain_windows(data, load_roles(roles_path), cfg["split"], cfg["window"],
+                                        cfg["stride"])
     mcfg = _model_config(cfg)
     tcfg = TrainConfig(batch_size=cfg["batch_size"], epochs=cfg["epochs"],
                        learning_rate=cfg["lr"], seed=cfg["seed"], mode="pretrain")

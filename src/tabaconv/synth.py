@@ -99,6 +99,9 @@ def generate(cfg: SynthConfig, out_dir) -> tuple[Path, Path]:
     merchants = [f"m{i:02d}" for i in range(cfg.n_merchants)]
     merchant_p = 1.0 / (np.arange(cfg.n_merchants) + 2.0)
     merchant_p /= merchant_p.sum()
+    # Generator.choice(n, p=merchant_p) draws exactly this way, but re-validates p on every call
+    merchant_cdf = merchant_p.cumsum()
+    merchant_cdf /= merchant_cdf[-1]
     risky = set(merchants[cfg.n_merchants // 2 :])  # rarer merchants under the skew
 
     rows = []
@@ -111,7 +114,7 @@ def generate(cfg: SynthConfig, out_dir) -> tuple[Path, Path]:
         for _ in range(cfg.rows_per_user):
             gap = 1 + int(rng.exponential(6 * 3600.0))
             ts += gap
-            m_idx = int(rng.choice(cfg.n_merchants, p=merchant_p))
+            m_idx = int(merchant_cdf.searchsorted(rng.random(), side="right"))
             merchant = merchants[m_idx]
             if rng.random() < 0.8:
                 c_idx = m_idx % cfg.n_categories

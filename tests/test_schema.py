@@ -3,6 +3,9 @@
 import calendar
 import datetime as dt
 import json
+import tempfile
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -387,6 +390,15 @@ def reference_calendar(ts: int):
     return comps, fracs
 
 
+def reference_stamp(cell: str) -> int:
+    """Epoch seconds of an epoch or a UTC ISO-8601 timestamp cell, from datetime."""
+    cell = cell.strip()
+    if cell.lstrip("-").isdigit():
+        return int(cell)
+    when = dt.datetime.fromisoformat(cell.replace("Z", "").replace("+00:00", ""))
+    return epoch_seconds(when)
+
+
 def reference_windows(schema, header, rows_by_user, window, stride, mode, float_dtype):
     """make_windows one row and one cell at a time, features from reference_calendar."""
     idx = {name: header.index(name) for name in header}
@@ -408,7 +420,7 @@ def reference_windows(schema, header, rows_by_user, window, stride, mode, float_
             for c, f in enumerate(cont_fields):
                 v = row[idx[f.name]]
                 cont[i, c] = 0.0 if v == "" else (float(v) - f.mean) / f.std
-            ts = int(row[idx[schema.timestamp_column]])
+            ts = reference_stamp(row[idx[schema.timestamp_column]])
             comps, fracs = reference_calendar(ts)
             comp[i] = (min(max(comps[0], lo), hi) - lo, *comps[1:])
             trend = min(max((ts - schema.t_min) / span, 0.0), 1.0) if span > 0 else 0.0
@@ -603,3 +615,185 @@ class TestEncodeErrors:
         with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", 5):
             with pytest.raises(SchemaError, match=r"user 'u2'.*'amount' at row 4 "):
                 make_windows(make_schema(1000, 1500), BASIC_HEADER, rows_by_user, 3, 3, "pretrain")
+
+
+# ---------------------------------------------------------------------------
+# the streamed CLI ingest against per-row references
+# ---------------------------------------------------------------------------
+
+
+def iso_cell(ts: int, style: int) -> str:
+    text = (EPOCH + dt.timedelta(seconds=ts)).strftime("%Y-%m-%dT%H:%M:%S")
+    return (text + "Z", text.replace("T", " "), text + "+00:00")[style]
+
+
+@st.composite
+def csv_logs(draw):
+    """Rows of a log in file order: users interleaved, timestamps out of order and tied,
+    empty cells, and values that only later users have (unseen by a training schema)."""
+    fmt = draw(st.sampled_from(["epoch", "iso8601"]))
+    n_users = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 80))):
+        u = draw(st.integers(0, n_users - 1))
+        ts = 1_500_000_000 + draw(st.integers(-30, 30)) * 4001
+        cell = str(ts) if fmt == "epoch" else iso_cell(ts, draw(st.integers(0, 2)))
+        shop = draw(st.sampled_from(["a", "b", "", f"only{u}"]))
+        amount = draw(st.one_of(st.just(""), st.integers(-10**4, 10**4).map(str),
+                                st.floats(-1e4, 1e4).map(repr)))
+        rows.append([f"u{u}", cell, shop, amount, draw(st.sampled_from(["0", "1", ""]))])
+    return rows
+
+
+def reference_schema(rows, include_users):
+    """infer_schema one row and one cell at a time, over the training rows in file order."""
+    rows = [r for r in rows if r[0] in include_users]
+    vocab = {}
+    for r in rows:
+        if r[2] != "" and r[2] not in vocab:
+            vocab[r[2]] = sc.UNK_ID + len(vocab)
+    amounts = np.array([float(r[3]) for r in rows if r[3] != ""])
+    amount = FieldSpec("amount", "ignore")
+    if amounts.size and amounts.std() > 0:
+        amount = FieldSpec("amount", "continuous", mean=float(amounts.mean()), std=float(amounts.std()))
+    stamps = [reference_stamp(r[1]) for r in rows]
+    return FeatureSchema(
+        fields=[FieldSpec("uid", "ignore"), FieldSpec("when", "timestamp"),
+                FieldSpec("shop", "categorical", vocab=vocab), amount, FieldSpec("fraud", "label")],
+        user_column="uid", timestamp_column="when", label_column="fraud",
+        t_min=min(stamps), t_max=max(stamps),
+        timestamp_format="epoch" if rows[0][1].lstrip("-").isdigit() else "iso8601")
+
+
+def reference_groups(rows, users):
+    """Each of `users`' rows, users in first-appearance order, each user's sorted by time."""
+    grouped = {}
+    for r in rows:
+        if r[0] in users:
+            grouped.setdefault(r[0], []).append(r)
+    return {u: sorted(rs, key=lambda r: reference_stamp(r[1])) for u, rs in grouped.items()}
+
+
+def write_log(directory, rows):
+    path = Path(directory) / "log.csv"
+    write_csv(path, BASIC_HEADER, rows)
+    return path
+
+
+class TestStreamedIngest:
+    @settings(deadline=None, max_examples=120)
+    @given(csv_logs(), st.integers(1, 8), st.integers(1, 4), st.integers(1, 3))
+    # "a" first appears in a test user's row, then in training rows only after "b"
+    @example([[f"u{u}", str(1_500_000_000 + u), "", "1", "0"] for u in range(4)]
+             + [["u4", "1500000004", "a", "2", "0"], ["u0", "1500000005", "b", "3", "1"],
+                ["u0", "1500000006", "a", "4", "0"]], 3, 2, 1)
+    def test_equals_row_path_and_reference(self, rows, block, window, stride):
+        from tabaconv import cli
+
+        users = list(dict.fromkeys(r[0] for r in rows))
+        train_split = set(split_users(users)[0])
+        split, train = ("train", train_split) if train_split else ("all", set(users))
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a constant training column is demoted with a warning
+            path = write_log(tmp, rows)
+            expected_schema = reference_schema(rows, train)
+            with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", block):
+                schema, pretrain = cli._pretrain_windows(path, BASIC_ROLES, split, window, stride)
+                downstream = cli._read_windows(path, schema, ["all", "train"], window, stride,
+                                               "downstream")
+            assert schema.to_json() == expected_schema.to_json()
+            assert_windows_bitwise_equal(pretrain, reference_windows(
+                schema, BASIC_HEADER, reference_groups(rows, train), window, stride, "pretrain",
+                np.float32))
+            for got, kept in zip(downstream, (set(users), train_split)):
+                assert_windows_bitwise_equal(got, reference_windows(
+                    schema, BASIC_HEADER, reference_groups(rows, kept), window, stride,
+                    "downstream", np.float32))
+            header, raw = sc.read_csv(path)
+            assert sc.users_in_order(header, raw, "uid") == users
+            assert infer_schema(path, BASIC_ROLES, include_users=train, parsed=(header, raw)) == schema
+            row_windows = make_windows(schema, header, sc.group_rows_by_user(header, raw, schema),
+                                       window, stride, "downstream")
+            assert_windows_bitwise_equal(row_windows, [
+                (w.cat_tokens, w.cont_values, w.ts_components, w.ts_floats, w.user_id, w.label)
+                for w in downstream[0]])
+
+    BAD_CELLS = [(1, "not-a-time"), (1, "99999999999999999999"), (1, str(sc._TS_MAX + 1)),
+                 (3, "12abc"), (3, "inf"), (3, "nan"), (4, "2"), (4, "yes")]
+
+    @settings(deadline=None, max_examples=120)
+    @given(csv_logs(), st.sampled_from(BAD_CELLS), st.integers(0, 80), st.integers(1, 8),
+           st.sampled_from(["all", "train", "test"]))
+    def test_one_bad_cell_raises_as_the_row_path(self, rows, bad, at, block, split):
+        """The error names the same user, row and value whichever path reads the log,
+        and only a split whose users include the bad row's raises one."""
+        from tabaconv import cli
+
+        clean = [[r[0], r[1], r[2], str(i), r[4]] for i, r in enumerate(rows + rows[:1])]
+        column, value = bad
+        dirty = [list(r) for r in clean]
+        dirty[at % len(dirty)][column] = value
+        user = dirty[at % len(dirty)][0]
+        users = list(dict.fromkeys(r[0] for r in dirty))
+        kept = dict(zip(("train", "val", "test"), map(set, split_users(users))), all=set(users))[split]
+        with tempfile.TemporaryDirectory() as tmp:
+            schema = infer_schema(write_log(tmp, clean), BASIC_ROLES)
+            path = write_log(tmp, dirty)
+            streamed = row = None
+            try:
+                with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", block):
+                    cli._read_windows(path, schema, [split], 2, 1, "downstream")
+            except SchemaError as exc:
+                streamed = str(exc)
+            header, raw = sc.read_csv(path)
+            try:
+                make_windows(schema, header, sc.group_rows_by_user(
+                    header, [r for r in raw if r[0] in kept], schema), 2, 1, "downstream")
+            except SchemaError as exc:
+                row = str(exc)
+        assert streamed == row
+        if user in kept:
+            assert streamed is not None
+            assert value in streamed or "unsupported year" in streamed or f"user {user!r}" in streamed
+        else:
+            assert streamed is None
+
+    @settings(deadline=None, max_examples=60)
+    @given(csv_logs(), st.sampled_from(BAD_CELLS), st.integers(0, 80), st.integers(1, 8))
+    def test_one_bad_cell_in_pretraining_raises_as_the_row_path(self, rows, bad, at, block):
+        """Schema inference and pretraining windows over all users, streamed and from rows."""
+        from tabaconv import cli
+
+        dirty = [[r[0], r[1], r[2], str(i), r[4]] for i, r in enumerate(rows + rows[:1])]
+        dirty[at % len(dirty)][bad[0]] = bad[1]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_log(tmp, dirty)
+            streamed = row = None
+            try:
+                with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", block):
+                    cli._pretrain_windows(path, BASIC_ROLES, "all", 2, 1)
+            except SchemaError as exc:
+                streamed = str(exc)
+            header, raw = sc.read_csv(path)
+            try:
+                schema = infer_schema(path, BASIC_ROLES, parsed=(header, raw))
+                make_windows(schema, header, sc.group_rows_by_user(header, raw, schema), 2, 1)
+            except SchemaError as exc:
+                row = str(exc)
+        assert streamed is not None and streamed == row
+
+    def test_training_rows_in_another_timestamp_format_than_the_first_row(self, tmp_path):
+        """The format is the first training row's; the file is read again to parse it."""
+        from tabaconv import cli
+
+        rows = [[f"u{u}", str(1_500_000_000 + 3600 * i) if u == 0 else
+                 iso_cell(1_500_000_000 + 3600 * i, 0), "a", str(i), "0"]
+                for u in range(10) for i in range(4)]
+        path = write_log(tmp_path, rows)
+        schema, samples = cli._pretrain_windows(path, BASIC_ROLES, "test", 2, 2)
+        assert schema.timestamp_format == "iso8601"
+        assert schema == infer_schema(path, BASIC_ROLES, include_users={"u9"})
+        assert_windows_bitwise_equal(samples, reference_windows(
+            schema, BASIC_HEADER, reference_groups(rows, {"u9"}), 2, 2, "pretrain", np.float32))
+        with pytest.raises(SchemaError, match="unparseable timestamp"):
+            infer_schema(path, BASIC_ROLES)

@@ -40,6 +40,37 @@ class TestGenerate:
         assert hashlib.sha256(p1.read_bytes()).digest() == hashlib.sha256(p2.read_bytes()).digest()
         assert json.loads(m1.read_text()) == json.loads(m2.read_text())
 
+    # sha256 of the CSV and manifest that the generator wrote when it drew each
+    # merchant with `rng.choice(n_merchants, p=merchant_p)` (numpy 2.4 streams)
+    CHOICE_DRAWN_FILES = {
+        0: ("fefce2916a483bbcea2408a57671910c3551180f065597d2f570c9f18fc8123b",
+            "65b9bad86d47d88cf3c3b5721cfacae8f6728470fa088273ee91fe2657d84a6a"),
+        3: ("877d5f905f50d32d35b4730f799576eaa01f7c7429c3cf285912d9fdc96dd6ff",
+            "d9d4456d695264cf383e2aca46fcf73c85b0c2a689658632540089a2eefdd3fd"),
+        7: ("cad531f84077885fa76365991cdd098e150d8006304e7bca36fd3df364e6b36b",
+            "bf9c6a2847fa97d9998b76b3ddb8336f6938c68b75e7b2b9bdddd7691d5e04ac"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(CHOICE_DRAWN_FILES))
+    def test_same_files_as_the_choice_based_draw(self, tmp_path, seed):
+        csv_path, manifest_path = generate(SynthConfig(n_users=30, rows_per_user=50, seed=seed),
+                                           tmp_path)
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, manifest_path))
+        assert digests == self.CHOICE_DRAWN_FILES[seed]
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 40])
+    def test_cdf_draw_equals_generator_choice(self, n):
+        """The merchant draw against `Generator.choice(n, p=p)`, draw by draw, other draws between."""
+        p = 1.0 / (np.arange(n) + 2.0)
+        p /= p.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(2000):
+            assert int(cdf.searchsorted(ours.random(), side="right")) == int(theirs.choice(n, p=p))
+            assert ours.integers(7) == theirs.integers(7)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_timestamps_strictly_increase_per_user(self, tmp_path):
         csv_path, _ = generate(SynthConfig(n_users=4, rows_per_user=50, seed=1), tmp_path)
         header, rows = read_rows(csv_path)
