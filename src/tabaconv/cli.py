@@ -260,7 +260,8 @@ def cmd_evaluate(args) -> int:
                                cfg["stride"], "downstream")
     result = evaluate(ckpt, samples, schema)
     print(f"F1 {result['f1']:.4f} precision {result['precision']:.4f} "
-          f"recall {result['recall']:.4f} (n={result['n']}, positives={result['positives']})")
+          f"recall {result['recall']:.4f} AUROC {result['auroc']:.4f} "
+          f"(n={result['n']}, positives={result['positives']})")
     if cfg["out"]:
         out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)

@@ -231,15 +231,10 @@ def positional_encoding(t_len: int, d_model: int) -> Tensor:
     return Tensor(pe)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = tt.matmul(x, w)
-    return tt.add(out, b) if b is not None else out
-
-
 def _time_net(floats: np.ndarray, params: dict[str, Tensor], cfg: ModelConfig) -> tuple[Tensor, Tensor]:
     """Shallow net over the time floats and its activity penalty lambda * mean(out**2)."""
-    hidden = tt.relu(linear(Tensor(floats), params["time.net.w1"], params["time.net.b1"]))
-    out = linear(hidden, params["time.net.w2"], params["time.net.b2"])
+    hidden = tt.relu(tt.linear(Tensor(floats), params["time.net.w1"], params["time.net.b1"]))
+    out = tt.linear(hidden, params["time.net.w2"], params["time.net.b2"])
     return out, tt.scale(tt.mean_all(tt.mul(out, out)), cfg.activity_reg_lambda)
 
 
@@ -279,21 +274,9 @@ def embed_inputs(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig,
 
 
 def mha(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str = "block0") -> Tensor:
-    """Bidirectional multi-head self-attention, [B,T,d] -> [B,T,attn_channels]."""
-    b, t_len, _ = x.shape
-    heads, dk = cfg.n_heads, cfg.d_head
-
-    def split_heads(z: Tensor) -> Tensor:
-        return tt.transpose(tt.reshape(z, (b, t_len, heads, dk)), (0, 2, 1, 3))
-
-    q = split_heads(linear(x, params[f"{prefix}.attn.wq"]))
-    k = split_heads(linear(x, params[f"{prefix}.attn.wk"]))
-    v = split_heads(linear(x, params[f"{prefix}.attn.wv"]))
-    scores = tt.scale(tt.matmul(q, tt.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
-    weights = tt.softmax_lastdim(scores)            # [B, H, T, T]
-    context = tt.matmul(weights, v)                 # [B, H, T, dk]
-    merged = tt.reshape(tt.transpose(context, (0, 2, 1, 3)), (b, t_len, heads * dk))
-    return linear(merged, params[f"{prefix}.attn.wmix"])
+    """Bidirectional multi-head self-attention, [B,T,d] -> [B,T,attn_channels], as one node."""
+    return tt.attention(x, *(params[f"{prefix}.attn.{w}"] for w in ("wq", "wk", "wv", "wmix")),
+                        heads=cfg.n_heads)
 
 
 def aaconv_layer(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
@@ -309,12 +292,12 @@ def aaconv_layer(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
     attn_out = mha(x, params, cfg, prefix)
     stacked = tt.concat_lastdim([conv_out, attn_out])
     d = cfg.d_model
-    return linear(stacked, tt.reshape(params[f"{prefix}.mix.w"], (d, d)), params[f"{prefix}.mix.b"])
+    return tt.linear(stacked, tt.reshape(params[f"{prefix}.mix.w"], (d, d)), params[f"{prefix}.mix.b"])
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    hidden = tt.relu(linear(x, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
-    return linear(hidden, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
+    hidden = tt.relu(tt.linear(x, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
+    return tt.linear(hidden, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
 
 
 def encoder_forward(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
@@ -334,16 +317,16 @@ def pretrain_heads(h: Tensor, params: dict[str, Tensor], schema: FeatureSchema) 
     """Per-field reconstruction predictions at every position."""
     preds: dict[str, Tensor] = {}
     for f in schema.categorical_fields:
-        preds[f.name] = linear(h, params[f"head.cat.{f.name}.w"], params[f"head.cat.{f.name}.b"])
+        preds[f.name] = tt.linear(h, params[f"head.cat.{f.name}.w"], params[f"head.cat.{f.name}.b"])
     for f in schema.continuous_fields:
-        preds[f.name] = linear(h, params[f"head.cont.{f.name}.w"], params[f"head.cont.{f.name}.b"])
+        preds[f.name] = tt.linear(h, params[f"head.cont.{f.name}.w"], params[f"head.cont.{f.name}.b"])
     return preds
 
 
 def classify_logits(h: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Mean-pool over time then a single dense unit; returns [B] logits."""
     pooled = tt.mean_axis(h, axis=1)
-    z = linear(pooled, params["clf.w"], params["clf.b"])
+    z = tt.linear(pooled, params["clf.w"], params["clf.b"])
     return tt.reshape(z, (h.shape[0],))
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .training import f1_binary
+from .metrics import f1_binary
 
 FRAUD_HOURS = frozenset(range(0, 6))
 

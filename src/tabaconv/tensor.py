@@ -118,11 +118,13 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep seeded with gradient 1; loss must be scalar.
 
-        The sweep consumes the graph: each node drops its backward closure
-        and parent links once run. A closure refers to its own output node,
-        so without this every step's graph is a reference cycle that only
-        the cyclic garbage collector frees, and memory grows between its
-        full collections.
+        The sweep consumes the graph: each node drops its backward closure,
+        its parent links and its own gradient once its closure has run, and
+        the sweep lets go of it, so an activation and its gradient are freed
+        as soon as no later closure needs them. Only leaves (nodes no op
+        made, such as parameters) keep their gradients. A closure refers to
+        its own output node, so without this every step's graph is a
+        reference cycle that only the cyclic garbage collector frees.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -144,11 +146,13 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward()
                 node._backward = None
                 node._parents = ()
+                node.grad = None
 
 
 def tensor(data) -> Tensor:
@@ -310,10 +314,13 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b; a 2-D right operand is a weight and runs as `linear`."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul: operands must be >=2-D, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for {a.data.shape} and {b.data.shape}")
+    if b.data.ndim == 2:
+        return linear(a, b)
     try:
         np.broadcast_shapes(a.data.shape[:-2], b.data.shape[:-2])
     except ValueError:
@@ -328,22 +335,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward():
         g = out.grad
-        if b.data.ndim == 2:
-            # a 2-D weight: fold a's batch dimensions into rows, so each gradient is one
-            # GEMM and the weight gradient is no [B, k, n] product summed over B
-            k, n = b.data.shape
-            g2 = g.reshape(-1, n)
-            if a.requires_grad:
-                # with n == 1 the GEMM is one product per element; the broadcast is bitwise equal
-                ga = g2 * b.data[:, 0] if n == 1 else g2 @ b.data.T
-                _accumulate(a, ga.reshape(a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, a.data.reshape(-1, k).T @ g2)
-            return
         if a.requires_grad:
             _accumulate(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
+
+    out._backward = backward if out.requires_grad else None
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w + b for a 2-D weight w [k, n] and an optional bias b [n], as one node.
+
+    The leading axes of x fold into rows, so the forward pass and each
+    gradient are one GEMM; the bias is added to the product in place, and
+    its gradient is the column sum of the folded output gradient.
+    """
+    if x.data.ndim < 1 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear: need x[..., k] and w[k, n]; got {x.data.shape} and {w.data.shape}")
+    k, n = w.data.shape
+    if b is not None and b.data.shape != (n,):
+        raise ShapeError(f"linear: bias shape {b.data.shape} does not match output width {n}")
+    x2 = x.data.reshape(-1, k)
+    y = x2 @ w.data
+    if b is not None:
+        y += b.data
+    parents = (x, w) if b is None else (x, w, b)
+    out = Tensor(y.reshape(x.data.shape[:-1] + (n,)),
+                 requires_grad=any(p.requires_grad for p in parents), parents=parents)
+
+    def backward():
+        g2 = out.grad.reshape(-1, n)
+        if x.requires_grad:
+            # with n == 1 the GEMM is one product per element; the broadcast is bitwise equal
+            gx = g2 * w.data[:, 0] if n == 1 else g2 @ w.data.T
+            _accumulate(x, gx.reshape(x.data.shape))
+        if w.requires_grad:
+            _accumulate(w, x2.T @ g2)
+        if b is not None and b.requires_grad:
+            _accumulate(b, g2.sum(axis=0))
 
     out._backward = backward if out.requires_grad else None
     return out
@@ -374,14 +404,33 @@ def transpose(x: Tensor, axes) -> Tensor:
 # -- convolution ---------------------------------------------------------
 
 
+# Elements of the conv1d forward's product buffer, which holds the products of as many input
+# features as fit (at least one). At the model's width (64 -> 32 channels, T = 10) that is 12,
+# 6, 3 and 1 features for batches of 32, 64, 128 and 256 windows, each close to the fastest
+# fixed block for its batch; a fixed 8 features was 25 % slower than 1 at batch 256.
+CONV_PRODUCT_ELEMENTS = 1 << 17
+
+
 def conv1d(x: Tensor, w: Tensor, bias: Tensor, padding: str = "zero") -> Tensor:
     """Length-preserving 1-D convolution over [B, T, F_in] -> [B, T, F_c].
 
     out[b,t,c] = sum_{tap,f} x[b, t+tap-k//2, f] * w[tap,f,c] + bias[c],
     with out-of-range positions read as 0 (zero padding) or wrapped
-    (circular). The forward pass accumulates one fused multiply-add per
-    (tap, feature) in a fixed order so 64-bit results are bitwise equal to
-    a plain nested-loop evaluation.
+    (circular). Every output starts at 0 and gets its products added one at
+    a time, tap-major and feature-minor, then the bias, so each term is one
+    rounded product and one rounded sum, and 64-bit results are bitwise
+    equal to a plain nested-loop evaluation.
+
+    The forward pass runs in a [F_c, B*T] layout: each tap's inputs are one
+    contiguous [F_in, B*T] column block, the products of a block of features
+    are formed at once into a buffer of at most CONV_PRODUCT_ELEMENTS, and
+    each product row is then added to the accumulator over all B*T
+    positions at once. The products come from an `einsum` outer product
+    with no summed index, which writes 0 + w*x per element and so rounds
+    each product exactly once, as a broadcast multiply would, at a lower
+    cost per row. Only a product of -0 comes out as +0, which changes no
+    sum: the accumulator starts at +0, and a rounded sum is -0 only when
+    both terms are, so the accumulator never holds -0.
     """
     if padding not in ("zero", "circular"):
         raise ConfigError(f"conv1d: unknown padding {padding!r}")
@@ -396,47 +445,57 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, padding: str = "zero") -> Tensor:
     if bias.data.shape != (f_c,):
         raise ShapeError(f"conv1d: bias shape {bias.data.shape} does not match output features {f_c}")
     half = k // 2
+    dtype = x.data.dtype
 
+    # cols[tap, f, b*T + t] = x[b, t + tap - half, f], or its padding
+    xt = x.data.transpose(2, 0, 1)
+    cols = np.empty((k, f_in, batch, t_len), dtype=dtype)
     if padding == "zero":
-        padded = np.zeros((batch, t_len + 2 * half, f_in), dtype=x.data.dtype)
-        padded[:, half : half + t_len, :] = x.data
-        shifted = [padded[:, tap : tap + t_len, :] for tap in range(k)]
+        padded = np.zeros((f_in, batch, t_len + 2 * half), dtype=dtype)
+        padded[:, :, half : half + t_len] = xt
+        for tap in range(k):
+            cols[tap] = padded[:, :, tap : tap + t_len]
     else:
-        shifted = [np.roll(x.data, half - tap, axis=1) for tap in range(k)]
+        for tap in range(k):
+            cols[tap] = np.roll(xt, half - tap, axis=2)
+    cols = cols.reshape(k, f_in, batch * t_len)
 
-    out_data = np.zeros((batch, t_len, f_c), dtype=x.data.dtype)
+    acc = np.zeros((f_c, batch * t_len), dtype=dtype)
+    block = max(1, min(f_in, CONV_PRODUCT_ELEMENTS // max(acc.size, 1)))
+    products = np.empty((block, f_c, batch * t_len), dtype=dtype)
     for tap in range(k):
-        s = shifted[tap]
         wk = w.data[tap]
-        for f in range(f_in):
-            out_data += s[:, :, f, None] * wk[f]
-    out_data += bias.data
+        for f0 in range(0, f_in, block):
+            m = min(block, f_in - f0)
+            np.einsum("fc,fn->fcn", wk[f0 : f0 + m], cols[tap, f0 : f0 + m], out=products[:m])
+            for j in range(m):
+                acc += products[j]
+    acc += bias.data[:, None]
 
     out = Tensor(
-        out_data,
+        acc.T.reshape(batch, t_len, f_c),
         requires_grad=x.requires_grad or w.requires_grad or bias.requires_grad,
         parents=(x, w, bias),
     )
 
     def backward():
-        g = out.grad
-        _accumulate(bias, g.sum(axis=(0, 1)))
+        g2 = out.grad.reshape(-1, f_c)
+        _accumulate(bias, g2.sum(axis=0))
         if w.requires_grad:
-            gw = np.zeros_like(w.data)
-            g2 = g.reshape(-1, f_c)
-            for tap in range(k):
-                gw[tap] = shifted[tap].reshape(-1, f_in).T @ g2
-            _accumulate(w, gw)
+            _accumulate(w, np.stack([cols[tap] @ g2 for tap in range(k)]))
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
+            # every tap's input gradient from one GEMM: per_tap[b, t, tap] = g[b, t] @ w[tap].T
+            w_taps = w.data.transpose(2, 0, 1).reshape(f_c, k * f_in)
+            per_tap = (g2 @ w_taps).reshape(batch, t_len, k, f_in)
             if padding == "zero":
-                gp = np.zeros((batch, t_len + 2 * half, f_in), dtype=g.dtype)
+                gp = np.zeros((batch, t_len + 2 * half, f_in), dtype=per_tap.dtype)
                 for tap in range(k):
-                    gp[:, tap : tap + t_len, :] += np.matmul(g, w.data[tap].T)
-                gx += gp[:, half : half + t_len, :]
+                    gp[:, tap : tap + t_len, :] += per_tap[:, :, tap]
+                gx = gp[:, half : half + t_len, :]
             else:
+                gx = np.zeros_like(x.data)
                 for tap in range(k):
-                    gx += np.roll(np.matmul(g, w.data[tap].T), tap - half, axis=1)
+                    gx += np.roll(per_tap[:, :, tap], tap - half, axis=1)
             _accumulate(x, gx)
 
     out._backward = backward if out.requires_grad else None
@@ -456,6 +515,66 @@ def softmax_lastdim(x: Tensor) -> Tensor:
         g = out.grad
         inner = (g * y).sum(axis=-1, keepdims=True)
         _accumulate(x, y * (g - inner))
+
+    out._backward = backward if out.requires_grad else None
+    return out
+
+
+def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wmix: Tensor, heads: int) -> Tensor:
+    """Bidirectional multi-head self-attention as one node, [B, T, d] -> [B, T, A].
+
+    q, k and v come from one GEMM against [wq | wk | wv] side by side, each
+    [d, A] and split into `heads` heads of A // heads channels. The scores
+    are scaled by 1/sqrt(A // heads) and soft-maxed over keys with the row
+    maximum subtracted first; the heads' contexts are merged back to
+    [B, T, A] and mixed by wmix [A, A]. The backward pass is written out by
+    hand, so none of the [B, H, T, T] intermediates is a graph node.
+    """
+    if x.data.ndim != 3:
+        raise ShapeError(f"attention: need x[B, T, d]; got {x.data.shape}")
+    batch, t_len, d = x.data.shape
+    width = wq.data.shape[-1]
+    if any(w.data.shape != (d, width) for w in (wq, wk, wv)) or wmix.data.shape != (width, width):
+        raise ShapeError(f"attention: weights {[w.data.shape for w in (wq, wk, wv, wmix)]} "
+                         f"do not fit input width {d}")
+    if heads < 1 or width % heads:
+        raise ConfigError(f"attention: {width} channels do not split into {heads} heads")
+    dk = width // heads
+    scale_by = 1.0 / math.sqrt(dk)
+    x2 = x.data.reshape(-1, d)
+    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    # [B, T, 3, H, dk] -> [3, B, H, T, dk]
+    qkv = (x2 @ w_qkv).reshape(batch, t_len, 3, heads, dk).transpose(2, 0, 3, 1, 4)
+    q, k, v = qkv
+    scores = np.matmul(q, k.swapaxes(-1, -2))
+    scores *= scale_by
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)  # [B, H, T, T]
+    merged = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(-1, width)  # [B*T, A]
+    parents = (x, wq, wk, wv, wmix)
+    out = Tensor((merged @ wmix.data).reshape(batch, t_len, width),
+                 requires_grad=any(p.requires_grad for p in parents), parents=parents)
+
+    def backward():
+        g2 = out.grad.reshape(-1, width)
+        if wmix.requires_grad:
+            _accumulate(wmix, merged.T @ g2)
+        g_ctx = (g2 @ wmix.data.T).reshape(batch, t_len, heads, dk).transpose(0, 2, 1, 3)
+        g_qkv = np.empty((batch, t_len, 3, heads, dk), dtype=g2.dtype)
+        gq, gk, gv = g_qkv.transpose(2, 0, 3, 1, 4)
+        gv[...] = np.matmul(weights.swapaxes(-1, -2), g_ctx)
+        g_w = np.matmul(g_ctx, v.swapaxes(-1, -2))
+        g_s = weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True))
+        g_s *= scale_by
+        gq[...] = np.matmul(g_s, k)
+        gk[...] = np.matmul(g_s.swapaxes(-1, -2), q)
+        g_qkv2 = g_qkv.reshape(-1, 3 * width)
+        if x.requires_grad:
+            _accumulate(x, (g_qkv2 @ w_qkv.T).reshape(x.data.shape))
+        g_wqkv = x2.T @ g_qkv2
+        for i, w in enumerate((wq, wk, wv)):
+            if w.requires_grad:
+                _accumulate(w, g_wqkv[:, i * width : (i + 1) * width])
 
     out._backward = backward if out.requires_grad else None
     return out

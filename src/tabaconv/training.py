@@ -1,4 +1,4 @@
-"""Pretraining and fine-tuning loops, optimizer, metrics, checkpointing.
+"""Pretraining and fine-tuning loops, optimizer, checkpointing.
 
 The reconstruction loss is mean cross entropy over masked categorical cells
 plus mean squared error over masked continuous cells plus the activity
@@ -27,7 +27,9 @@ from .errors import (
     NumericError,
     UnsupportedVersionError,
 )
-from .masking import MaskConfig, apply_mask, rng_for_sample, sample_mask_plan
+# apply_mask and f1_binary stay importable from this module, where callers look them up
+from .masking import MaskConfig, apply_mask, rng_for_sample, sample_mask_plan  # noqa: F401
+from .metrics import auroc, f1_binary, precision_recall_f1  # noqa: F401
 from .model import (
     Batch,
     ModelConfig,
@@ -36,7 +38,7 @@ from .model import (
     init_params,
     trainable_names,
 )
-from .schema import FeatureSchema, WindowSample
+from .schema import MASK_ID, FeatureSchema, WindowSample
 from .tensor import Tensor
 
 
@@ -86,21 +88,21 @@ def stack_batch(samples: list[WindowSample]) -> Batch:
 
 def masked_batch(samples: list[WindowSample], schema: FeatureSchema, cfg: MaskConfig,
                  epoch: int, sample_indices: list[int]) -> Batch:
-    """Fresh mask plan per sample (derived per-epoch stream), then stack."""
-    masked, cat_masks, cont_masks = [], [], []
-    cat_targets, cont_targets = [], []
-    for sample, idx in zip(samples, sample_indices):
-        plan = sample_mask_plan(sample.window, schema, cfg, rng_for_sample(cfg.seed, epoch, idx))
-        masked.append(apply_mask(sample, plan, schema))
-        cat_masks.append(plan.cat_mask)
-        cont_masks.append(plan.cont_mask)
-        cat_targets.append(sample.cat_tokens)
-        cont_targets.append(sample.cont_values)
-    batch = stack_batch(masked)
-    batch.cat_mask = np.stack(cat_masks)
-    batch.cont_mask = np.stack(cont_masks)
-    batch.cat_targets = np.stack(cat_targets)
-    batch.cont_targets = np.stack(cont_targets)
+    """Fresh mask plan per sample (derived per-epoch stream), applied to the stacked batch.
+
+    The targets are the stacked originals; the inputs are those with every
+    masked cell set to MASK_ID (categorical) or 0.0 (continuous), as
+    `apply_mask` sets them one sample at a time.
+    """
+    plans = [sample_mask_plan(s.window, schema, cfg, rng_for_sample(cfg.seed, epoch, idx))
+             for s, idx in zip(samples, sample_indices)]
+    batch = stack_batch(samples)
+    field_mask = np.stack([plan.field_mask for plan in plans])
+    n_cat = len(schema.categorical_fields)
+    batch.cat_mask, batch.cont_mask = field_mask[..., :n_cat], field_mask[..., n_cat:]
+    batch.cat_targets, batch.cont_targets = batch.cat, batch.cont
+    batch.cat = np.where(batch.cat_mask, batch.cat.dtype.type(MASK_ID), batch.cat)
+    batch.cont = np.where(batch.cont_mask, batch.cont.dtype.type(0.0), batch.cont)
     return batch
 
 
@@ -157,29 +159,6 @@ def bce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean binary cross entropy from logits (probability = sigmoid(logit))."""
     n = logits.data.size
     return tt.scale(tt.bce_with_logits_sum(logits, labels), 1.0 / n)
-
-
-def precision_recall_f1(preds, labels) -> tuple[float, float, float]:
-    """Precision, recall and F1 of the positive class; each is 0 when its denominator is.
-
-    F1 is 0 by convention whenever TP == 0.
-    """
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.shape != labels.shape:
-        raise ContractError(f"{preds.shape} predictions vs {labels.shape} labels")
-    tp = int(((preds == 1) & (labels == 1)).sum())
-    fp = int(((preds == 1) & (labels == 0)).sum())
-    fn = int(((preds == 0) & (labels == 1)).sum())
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if tp else 0.0
-    return precision, recall, f1
-
-
-def f1_binary(preds, labels) -> float:
-    """F1 of the positive class, as precision_recall_f1 computes it."""
-    return precision_recall_f1(preds, labels)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -577,16 +556,18 @@ def predict_proba(params: dict[str, Tensor], mcfg: ModelConfig, schema: FeatureS
 def _classification_scores(params: dict[str, Tensor], mcfg: ModelConfig, schema: FeatureSchema,
                            samples: list[WindowSample], batch_size: int = 64,
                            threshold: float = 0.5) -> dict:
-    """F1, precision and recall of the classifier in `params` on labeled windows."""
+    """F1, precision, recall, AUROC and the predicted-positive rate on labeled windows."""
     probs = predict_proba(params, mcfg, schema, samples, batch_size)
     labels = np.asarray([s.label for s in samples], dtype=np.int64)
-    precision, recall, f1 = precision_recall_f1((probs >= threshold).astype(int), labels)
-    return {"f1": f1, "precision": precision, "recall": recall}
+    preds = (probs >= threshold).astype(int)
+    precision, recall, f1 = precision_recall_f1(preds, labels)
+    return {"f1": f1, "precision": precision, "recall": recall, "auroc": auroc(probs, labels),
+            "predicted_positive_rate": float(preds.mean()) if preds.size else 0.0}
 
 
 def evaluate(ckpt: Checkpoint, samples: list[WindowSample], schema: FeatureSchema,
              batch_size: int = 64, threshold: float = 0.5) -> dict:
-    """F1/precision/recall of the checkpointed classifier on labeled windows."""
+    """F1/precision/recall/AUROC of the checkpointed classifier on labeled windows."""
     if ckpt.schema_digest != schema.digest():
         raise ConfigError("checkpoint schema digest does not match the dataset schema")
     if "clf.w" not in ckpt.params:

@@ -151,8 +151,9 @@ class TestFinetuneEvaluate:
                      "--split", "val", "--out", str(tmp_path / "ev")]) == 0
         result = json.loads((tmp_path / "ev" / "metrics.jsonl").read_text())
         assert result["n"] == 5
-        assert {k: last[f"val_{k}"] for k in ("f1", "precision", "recall")} == \
-            {k: result[k] for k in ("f1", "precision", "recall")}
+        scores = ("f1", "precision", "recall", "auroc", "predicted_positive_rate")
+        assert set(result) == {*scores, "n", "positives"}
+        assert {k: last[f"val_{k}"] for k in scores} == {k: result[k] for k in scores}
 
     def test_no_val_pass_off_the_train_split(self, pipeline, tmp_path):
         rc = main(["finetune", "--ckpt", str(pipeline["pre"] / "ckpt.bin"),

@@ -148,6 +148,35 @@ class TestApply:
         np.testing.assert_array_equal(batch.cat, np.where(batch.cat_mask, MASK_ID, cat))
         np.testing.assert_array_equal(batch.cont, np.where(batch.cont_mask, np.float32(0.0), cont))
 
+    @pytest.mark.parametrize("p_field,p_row", [(0.0, 0.5), (0.3, 0.15), (0.0, 0.0), (1.0, 1.0)])
+    def test_masked_batch_equals_per_sample_reference(self, p_field, p_row):
+        schema = toy_schema()
+        samples = [toy_sample(seed=s) for s in range(6)]
+        indices = [5, 0, 17, 3, 3, 40]
+        cfg = MaskConfig(p_field=p_field, p_row=p_row, seed=7)
+        batch = masked_batch(samples, schema, cfg, epoch=2, sample_indices=indices)
+        plans = [sample_mask_plan(s.window, schema, cfg, rng_for_sample(cfg.seed, 2, i))
+                 for s, i in zip(samples, indices)]
+        masked = [apply_mask(s, plan, schema) for s, plan in zip(samples, plans)]
+        expected = {
+            "cat": np.stack([m.cat_tokens for m in masked]),
+            "cont": np.stack([m.cont_values for m in masked]),
+            "ts_components": np.stack([s.ts_components for s in samples]),
+            "ts_floats": np.stack([s.ts_floats for s in samples]),
+            "cat_mask": np.stack([plan.cat_mask for plan in plans]),
+            "cont_mask": np.stack([plan.cont_mask for plan in plans]),
+            "cat_targets": np.stack([s.cat_tokens for s in samples]),
+            "cont_targets": np.stack([s.cont_values for s in samples]),
+        }
+        for name, ref in expected.items():
+            got = getattr(batch, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), name
+        assert batch.labels is None
+        rows = np.concatenate([batch.cat_mask, batch.cont_mask], axis=-1).reshape(-1, schema.n_mask_columns)
+        if p_field == 0.0 and p_row == 0.5:  # whole rows masked next to untouched rows
+            assert rows.all(axis=1).any() and (~rows).all(axis=1).any()
+
     def test_shape_mismatch_rejected(self):
         schema = toy_schema()
         plan = sample_mask_plan(8, schema, MaskConfig(), np.random.default_rng(0))

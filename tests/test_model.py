@@ -422,3 +422,29 @@ def test_end_to_end_gradient_check_small(tiny_env):
 
         report = grad_check(loss, params, max_coords=4, seed=0)
     assert report.passed, report.summary()
+
+
+def test_default_pretraining_loss_graph_size(tiny_env):
+    """Nodes reachable from one pretraining loss of the default model, dropout on.
+
+    Pinned so that a change which adds nodes per step shows here; the count
+    falls when ops are fused (each linear layer with its bias and the whole
+    self-attention are one node each).
+    """
+    schema = tiny_env["schema"]
+    samples = tiny_env["pretrain_samples"][:32]
+    cfg = ModelConfig()
+    params = init_params(schema, cfg, seed=0, head="pretrain")
+    batch = masked_batch(samples, schema, MaskConfig(seed=0), 0, list(range(len(samples))))
+    assert batch.cat_mask.any(axis=(0, 1)).all() and batch.cont_mask.any(axis=(0, 1)).all()
+    preds, reg = forward_mdm(batch, params, cfg, schema, dropout_rng=np.random.default_rng(0))
+    loss = mdm_loss(preds, batch, reg, schema)
+    seen, stack, ops = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops += node._backward is not None
+            stack.extend(node._parents)
+    assert ops == 51
+

@@ -160,6 +160,27 @@ class TestConv1d:
             ref = conv1d_oracle(x.data, w.data, b.data, padding)
         np.testing.assert_array_equal(out.data, ref)
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("padding", ["zero", "circular"])
+    @pytest.mark.parametrize("block", [1, 3, 4, None])
+    @pytest.mark.parametrize("x_shape,k,f_c", [((2, 10, 64), 3, 32), ((2, 9, 7), 5, 5)],
+                             ids=["model_width", "odd_width"])
+    def test_matches_loop_oracle_bitwise_at_width(self, x_shape, k, f_c, block, padding, dtype,
+                                                  monkeypatch):
+        # the product buffer sized for `block` features at a time (None: the default size);
+        # 3 features leave a remainder block of 64 and of 7, 4 fill 64 and leave one of 7
+        if block is not None:
+            monkeypatch.setattr(tt, "CONV_PRODUCT_ELEMENTS", block * f_c * x_shape[0] * x_shape[1])
+        rng = np.random.default_rng(x_shape[-1])
+        with use_dtype(dtype):
+            x = Tensor(rng.normal(size=x_shape))
+            w = Tensor(rng.normal(size=(k, x_shape[-1], f_c)))
+            b = Tensor(rng.normal(size=f_c))
+            out = tt.conv1d(x, w, b, padding=padding)
+            ref = conv1d_oracle(x.data, w.data, b.data, padding)
+        assert out.data.dtype == ref.dtype == np.dtype(dtype)
+        assert out.data.tobytes() == ref.tobytes()
+
     def test_circular_translation_equivariance(self):
         rng = np.random.default_rng(7)
         with use_dtype("float64"):
@@ -329,6 +350,10 @@ PRIMITIVE_CASES = [
     ("matmul_folded", lambda p: tt.matmul(p["a"], p["b"]), lambda r: {"a": _random_tensor(r, (2, 4, 8)), "b": _random_tensor(r, (8, 5))}),
     ("matmul_folded_n1", lambda p: tt.matmul(p["a"], p["b"]), lambda r: {"a": _random_tensor(r, (2, 4, 8)), "b": _random_tensor(r, (8, 1))}),
     ("matmul_batched", lambda p: tt.matmul(p["a"], p["b"]), lambda r: {"a": _random_tensor(r, (2, 4, 8)), "b": _random_tensor(r, (2, 8, 3))}),
+    ("linear", lambda p: tt.linear(p["x"], p["w"], p["b"]), lambda r: {"x": _random_tensor(r, (2, 4, 8)), "w": _random_tensor(r, (8, 5)), "b": _random_tensor(r, (5,))}),
+    ("linear_n1", lambda p: tt.linear(p["x"], p["w"], p["b"]), lambda r: {"x": _random_tensor(r, (2, 4, 8)), "w": _random_tensor(r, (8, 1)), "b": _random_tensor(r, (1,))}),
+    ("linear_nobias", lambda p: tt.linear(p["x"], p["w"]), lambda r: {"x": _random_tensor(r, (3, 8)), "w": _random_tensor(r, (8, 5))}),
+    ("attention", lambda p: tt.attention(p["x"], p["wq"], p["wk"], p["wv"], p["wmix"], heads=2), lambda r: {"x": _random_tensor(r, (2, 5, 8)), "wq": _random_tensor(r, (8, 6)), "wk": _random_tensor(r, (8, 6)), "wv": _random_tensor(r, (8, 6)), "wmix": _random_tensor(r, (6, 6))}),
     ("conv_zero", lambda p: tt.conv1d(p["x"], p["w"], p["b"], "zero"), lambda r: {"x": _random_tensor(r, (2, 8, 3)), "w": _random_tensor(r, (3, 3, 4)), "b": _random_tensor(r, (4,))}),
     ("conv_circular", lambda p: tt.conv1d(p["x"], p["w"], p["b"], "circular"), lambda r: {"x": _random_tensor(r, (2, 8, 3)), "w": _random_tensor(r, (5, 3, 4)), "b": _random_tensor(r, (4,))}),
     ("softmax", lambda p: tt.softmax_lastdim(p["a"]), lambda r: {"a": _random_tensor(r, (4, 8))}),
@@ -478,6 +503,87 @@ def test_backward_frees_the_graph_without_the_cycle_collector():
     finally:
         gc.enable()
     np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+
+
+def test_backward_releases_intermediates_as_it_sweeps():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    y = Tensor(np.array([0.5, 0.5, 2.0]), requires_grad=True)
+    seen = {}
+
+    def probe_backward():
+        # runs last: every node between the loss and the probe has been swept by now
+        seen["dead"] = (inner() is None, outer() is None)
+        tt._accumulate(x, probe.grad)
+
+    probe = Tensor(x.data, requires_grad=True, parents=(x,), backward=probe_backward)
+    scaled = tt.scale(probe, 2.0)
+    kept = tt.relu(scaled)
+    squared = tt.mul(kept, y)
+    inner, outer = weakref.ref(scaled.data), weakref.ref(squared.data)
+    loss = tt.sum_all(squared)
+    del scaled, squared
+    gc.disable()
+    try:
+        loss.backward()
+    finally:
+        gc.enable()
+    assert seen["dead"] == (True, True)
+    assert kept.grad is None and loss.grad is None and probe.grad is None
+    np.testing.assert_array_equal(x.grad, [1.0, 0.0, 4.0])
+    np.testing.assert_array_equal(y.grad, [2.0, 0.0, 6.0])
+
+
+def mha_composition(x, wq, wk, wv, wmix, heads):
+    """Self-attention as a chain of single-op nodes: the reference `tt.attention` must match."""
+    b, t_len, _ = x.shape
+    dk = wq.shape[1] // heads
+
+    def split_heads(z):
+        return tt.transpose(tt.reshape(z, (b, t_len, heads, dk)), (0, 2, 1, 3))
+
+    q, k, v = (split_heads(tt.matmul(x, w)) for w in (wq, wk, wv))
+    scores = tt.scale(tt.matmul(q, tt.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
+    context = tt.matmul(tt.softmax_lastdim(scores), v)
+    merged = tt.reshape(tt.transpose(context, (0, 2, 1, 3)), (b, t_len, heads * dk))
+    return tt.matmul(merged, wmix)
+
+
+@pytest.mark.parametrize("shape,width,heads", [((2, 5, 8), 6, 2), ((3, 10, 16), 8, 4), ((1, 1, 4), 4, 1)])
+def test_attention_matches_node_by_node_composition(shape, width, heads):
+    rng = np.random.default_rng(sum(shape) + heads)
+    with use_dtype("float64"):
+        x = rng.normal(size=shape)
+        ws = [rng.normal(size=(shape[-1], width)) for _ in range(3)] + [rng.normal(size=(width, width))]
+        g = rng.normal(size=shape[:-1] + (width,))
+        results = []
+        for op in (tt.attention, mha_composition):
+            leaves = [Tensor(a, requires_grad=True) for a in (x, *ws)]
+            out = op(*leaves, heads=heads)
+            tt.sum_all(tt.mul(out, Tensor(g))).backward()
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+    for got, ref in zip(*results):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_attention_rejects_a_width_the_heads_do_not_split():
+    x = Tensor(np.zeros((1, 3, 4)))
+    ws = [Tensor(np.zeros((4, 6))) for _ in range(3)] + [Tensor(np.zeros((6, 6)))]
+    with pytest.raises(ConfigError):
+        tt.attention(x, *ws, heads=4)
+    with pytest.raises(ShapeError):
+        tt.attention(x, *ws[:3], Tensor(np.zeros((4, 4))), heads=2)
+
+
+def test_linear_equals_matmul_plus_bias():
+    rng = np.random.default_rng(12)
+    x, w, b = (rng.normal(size=s).astype(np.float32) for s in ((4, 6, 8), (8, 5), (5,)))
+    out = tt.linear(Tensor(x), Tensor(w), Tensor(b))
+    assert out.shape == (4, 6, 5) and out.dtype == np.float32
+    np.testing.assert_array_equal(out.data, (x.reshape(-1, 8) @ w + b).reshape(4, 6, 5))
+    with pytest.raises(ShapeError):
+        tt.linear(Tensor(x), Tensor(w), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        tt.linear(Tensor(x), Tensor(w.T))
 
 
 def test_first_gradient_write_does_not_alias():

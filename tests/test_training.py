@@ -470,7 +470,8 @@ class TestFinetuneLoop:
         _, records = finetune(trained["ckpt"], samples[4:], trained["schema"], tcfg,
                               val_samples=samples[:4])
         assert set(records[0]) == {"epoch", "loss", "grad_norm_mean", "grad_norm_max",
-                                   "clipped_frac", "val_f1", "val_precision", "val_recall"}
+                                   "clipped_frac", "val_f1", "val_precision", "val_recall",
+                                   "val_auroc", "val_predicted_positive_rate"}
         assert 0.0 <= records[0]["val_f1"] <= 1.0
         _, records = finetune(trained["ckpt"], samples[4:], trained["schema"], tcfg)
         assert set(records[0]) == {"epoch", "loss", "grad_norm_mean", "grad_norm_max", "clipped_frac"}
