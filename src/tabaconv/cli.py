@@ -180,14 +180,14 @@ def cmd_pretrain(args) -> int:
         return 2
     if cfg["mask_seed"] is None:
         cfg["mask_seed"] = cfg["seed"]
-    data = Path(cfg["data"])
-    roles_path = Path(cfg["roles"]) if cfg["roles"] else data.parent / "roles.json"
-    schema, samples = _pretrain_windows(data, load_roles(roles_path), cfg["split"], cfg["window"],
-                                        cfg["stride"])
     mcfg = _model_config(cfg)
     tcfg = TrainConfig(batch_size=cfg["batch_size"], epochs=cfg["epochs"],
                        learning_rate=cfg["lr"], seed=cfg["seed"], mode="pretrain")
     mask_cfg = MaskConfig(p_field=cfg["p_field"], p_row=cfg["p_row"], seed=cfg["mask_seed"])
+    data = Path(cfg["data"])
+    roles_path = Path(cfg["roles"]) if cfg["roles"] else data.parent / "roles.json"
+    schema, samples = _pretrain_windows(data, load_roles(roles_path), cfg["split"], cfg["window"],
+                                        cfg["stride"])
     ckpt, records = pretrain(samples, schema, mcfg, tcfg, mask_cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -225,14 +225,14 @@ def cmd_finetune(args) -> int:
     cfg = _resolve(args, _FINETUNE_DEFAULTS)
     if cfg["data"] is None:
         raise ConfigError("--data is required")
+    tcfg = TrainConfig(batch_size=cfg["batch_size"], epochs=cfg["epochs"],
+                       learning_rate=cfg["lr"], seed=cfg["seed"], mode=cfg["mode"])
     ckpt, schema = _load_ckpt_and_schema(cfg)
     # on the train split, the val split's windows are scored after each epoch
     splits = [cfg["split"], "val"] if cfg["split"] == "train" else [cfg["split"]]
     samples, *val = _read_windows(Path(cfg["data"]), schema, splits, cfg["window"],
                                   cfg["stride"], "downstream")
     val_samples = val[0] if val else []
-    tcfg = TrainConfig(batch_size=cfg["batch_size"], epochs=cfg["epochs"],
-                       learning_rate=cfg["lr"], seed=cfg["seed"], mode=cfg["mode"])
     tuned, records = finetune(ckpt, samples, schema, tcfg, val_samples=val_samples)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)

@@ -295,7 +295,7 @@ class FeatureSchema:
             return cls.from_json(fh.read())
 
 
-@dataclass
+@dataclass(slots=True)
 class WindowSample:
     """One fixed-length training example (T rows of one user)."""
 

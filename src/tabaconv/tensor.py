@@ -404,13 +404,6 @@ def transpose(x: Tensor, axes) -> Tensor:
 # -- convolution ---------------------------------------------------------
 
 
-# Elements of the conv1d forward's product buffer, which holds the products of as many input
-# features as fit (at least one). At the model's width (64 -> 32 channels, T = 10) that is 12,
-# 6, 3 and 1 features for batches of 32, 64, 128 and 256 windows, each close to the fastest
-# fixed block for its batch; a fixed 8 features was 25 % slower than 1 at batch 256.
-CONV_PRODUCT_ELEMENTS = 1 << 17
-
-
 def conv1d(x: Tensor, w: Tensor, bias: Tensor, padding: str = "zero") -> Tensor:
     """Length-preserving 1-D convolution over [B, T, F_in] -> [B, T, F_c].
 
@@ -421,16 +414,18 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, padding: str = "zero") -> Tensor:
     rounded product and one rounded sum, and 64-bit results are bitwise
     equal to a plain nested-loop evaluation.
 
-    The forward pass runs in a [F_c, B*T] layout: each tap's inputs are one
-    contiguous [F_in, B*T] column block, the products of a block of features
-    are formed at once into a buffer of at most CONV_PRODUCT_ELEMENTS, and
-    each product row is then added to the accumulator over all B*T
-    positions at once. The products come from an `einsum` outer product
-    with no summed index, which writes 0 + w*x per element and so rounds
-    each product exactly once, as a broadcast multiply would, at a lower
-    cost per row. Only a product of -0 comes out as +0, which changes no
-    sum: the accumulator starts at +0, and a rounded sum is -0 only when
-    both terms are, so the accumulator never holds -0.
+    The forward pass is one `einsum("tfc,tfn->cn", w, cols)` over column
+    blocks cols[tap, f, b*T + t] = x[b, t + tap - k//2, f]. It is ordered
+    because numpy's einsum (without `optimize`) runs its iterator with the
+    summed tap and feature axes outermost, tap before feature, as they have
+    the largest strides, and the output's B*T axis innermost, where its
+    loop is out[n] += w * x[n] with one rounded product and one rounded sum
+    per term. The one exception is a single output element (B*T = 1 and
+    F_c = 1): the summed axes then become the inner loop, which numpy adds
+    up in unrolled partial sums, so that case gets one zero column of
+    padding, dropped after the einsum. Products of -0 change no sum: the
+    accumulator starts at +0, and a rounded sum is -0 only when both terms
+    are.
     """
     if padding not in ("zero", "circular"):
         raise ConfigError(f"conv1d: unknown padding {padding!r}")
@@ -458,18 +453,13 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, padding: str = "zero") -> Tensor:
     else:
         for tap in range(k):
             cols[tap] = np.roll(xt, half - tap, axis=2)
-    cols = cols.reshape(k, f_in, batch * t_len)
+    n_out = batch * t_len
+    cols = cols.reshape(k, f_in, n_out)
 
-    acc = np.zeros((f_c, batch * t_len), dtype=dtype)
-    block = max(1, min(f_in, CONV_PRODUCT_ELEMENTS // max(acc.size, 1)))
-    products = np.empty((block, f_c, batch * t_len), dtype=dtype)
-    for tap in range(k):
-        wk = w.data[tap]
-        for f0 in range(0, f_in, block):
-            m = min(block, f_in - f0)
-            np.einsum("fc,fn->fcn", wk[f0 : f0 + m], cols[tap, f0 : f0 + m], out=products[:m])
-            for j in range(m):
-                acc += products[j]
+    summed = cols
+    if f_c == 1 and n_out == 1:  # see above: keep the output axis the inner loop
+        summed = np.concatenate([cols, np.zeros((k, f_in, 1), dtype=dtype)], axis=2)
+    acc = np.einsum("tfc,tfn->cn", w.data, summed)[:, :n_out]
     acc += bias.data[:, None]
 
     out = Tensor(

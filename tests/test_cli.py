@@ -112,6 +112,25 @@ class TestPretrain:
         rc = main(["pretrain", "--data", data, "--out", str(tmp_path / "p"), "--epochs", "0"])
         assert rc == 0 and len(reads) == 1
 
+    @pytest.mark.parametrize("command,flag,value", [("pretrain", "--mask-seed", "-1"),
+                                                    ("pretrain", "--seed", "-3"),
+                                                    ("finetune", "--seed", "-1")])
+    def test_negative_seed_exits_two_before_any_input_is_read(self, pipeline, tmp_path, monkeypatch,
+                                                              capsys, command, flag, value):
+        from tabaconv import cli
+
+        reads = []
+        for reader in ("read_columns", "load_checkpoint"):
+            monkeypatch.setattr(cli, reader, lambda *args, **kwargs: reads.append(args))
+        argv = [command, "--data", str(pipeline["data"] / "transactions.csv"),
+                "--out", str(tmp_path / "p"), flag, value]
+        if command == "finetune":
+            argv += ["--ckpt", str(pipeline["pre"] / "ckpt.bin")]
+        assert main(argv) == 2
+        assert reads == []
+        err = capsys.readouterr().err
+        assert flag in err and value in err and "expected non-negative integer" not in err
+
     def test_paper_defaults(self):
         from tabaconv.cli import _PRETRAIN_DEFAULTS
 

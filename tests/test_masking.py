@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tabaconv.errors import ConfigError, ContractError
-from tabaconv.masking import MaskConfig, apply_mask, rng_for_sample, sample_mask_plan
+from tabaconv.masking import MaskConfig, apply_mask, field_masks, rng_for_sample, sample_mask_plan
 from tabaconv.schema import MASK_ID, FeatureSchema, FieldSpec, WindowSample
 from tabaconv.training import masked_batch
 
@@ -93,6 +93,10 @@ class TestSampling:
         with pytest.raises(ContractError):
             sample_mask_plan(0, toy_schema(), MaskConfig(), np.random.default_rng(0))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="--mask-seed"):
+            MaskConfig(seed=-1)
+
     def test_bad_probabilities_rejected(self):
         with pytest.raises(ConfigError):
             MaskConfig(p_field=1.5)
@@ -176,6 +180,40 @@ class TestApply:
         rows = np.concatenate([batch.cat_mask, batch.cont_mask], axis=-1).reshape(-1, schema.n_mask_columns)
         if p_field == 0.0 and p_row == 0.5:  # whole rows masked next to untouched rows
             assert rows.all(axis=1).any() and (~rows).all(axis=1).any()
+
+    @pytest.mark.parametrize("p_field,p_row", [(0.3, 0.15), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0),
+                                               (1.0, 0.0)])
+    @pytest.mark.parametrize("indices,t_len", [
+        (np.random.default_rng(0).permutation(300), 10),  # permuted
+        ([5, 5, 0, 5, 2**32 - 1, 0], 3),                  # repeated, and the largest index
+        ([], 10),                                         # empty
+    ], ids=["permuted", "repeated", "empty"])
+    @pytest.mark.parametrize("epoch", [0, 3])
+    @pytest.mark.parametrize("seed", [0, 7, 2**33 + 5, 2**70 + 3])
+    def test_field_masks_equal_per_window_reference(self, seed, epoch, indices, t_len, p_field,
+                                                    p_row):
+        # 2**33 + 5 takes two 32-bit words of entropy and 2**70 + 3 three, so with the epoch
+        # and the index the latter overflows the SeedSequence pool of four words
+        schema = toy_schema(n_cat=5, n_cont=4)
+        cfg = MaskConfig(p_field=p_field, p_row=p_row, seed=seed)
+        got = field_masks(t_len, schema, cfg, epoch, indices)
+        ref = np.array([sample_mask_plan(t_len, schema, cfg, rng_for_sample(seed, epoch, int(i))).field_mask
+                        for i in indices], dtype=bool).reshape(len(indices), t_len, 9)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("indices", [[0, -1], [2**32]])
+    def test_field_masks_reject_indices_outside_32_bits(self, indices):
+        with pytest.raises(ContractError, match="sample indices"):
+            field_masks(10, toy_schema(), MaskConfig(), 0, indices)
+
+    def test_field_masks_reject_empty_window(self):
+        with pytest.raises(ContractError):
+            field_masks(0, toy_schema(), MaskConfig(), 0, [0])
+
+    def test_masked_batch_rejects_indices_of_another_length(self):
+        with pytest.raises(ContractError, match="field masks"):
+            masked_batch([toy_sample(), toy_sample()], toy_schema(), MaskConfig(), 0, [0])
 
     def test_shape_mismatch_rejected(self):
         schema = toy_schema()

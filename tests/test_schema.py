@@ -228,6 +228,14 @@ class TestWindows:
         write_csv(path, BASIC_HEADER, rows)
         return path, infer_schema(path, BASIC_ROLES)
 
+    def test_samples_carry_no_instance_dict(self, tmp_path):
+        path, schema = self.schema_for(tmp_path, self.make_rows(12))
+        header, rows = sc.read_csv(path)
+        sample = make_windows(schema, header, {"u1": rows}, 10, 2, "downstream")[0]
+        assert not hasattr(sample, "__dict__")
+        with pytest.raises(AttributeError):
+            sample.extra = 1
+
     def test_counts_match_formula(self, tmp_path):
         path, schema = self.schema_for(tmp_path, self.make_rows(15))
         header, rows = sc.read_csv(path)

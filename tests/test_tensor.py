@@ -162,15 +162,14 @@ class TestConv1d:
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("padding", ["zero", "circular"])
-    @pytest.mark.parametrize("block", [1, 3, 4, None])
+    @pytest.mark.parametrize("batch", [1, 3, 4, None])
     @pytest.mark.parametrize("x_shape,k,f_c", [((2, 10, 64), 3, 32), ((2, 9, 7), 5, 5)],
                              ids=["model_width", "odd_width"])
-    def test_matches_loop_oracle_bitwise_at_width(self, x_shape, k, f_c, block, padding, dtype,
-                                                  monkeypatch):
-        # the product buffer sized for `block` features at a time (None: the default size);
-        # 3 features leave a remainder block of 64 and of 7, 4 fill 64 and leave one of 7
-        if block is not None:
-            monkeypatch.setattr(tt, "CONV_PRODUCT_ELEMENTS", block * f_c * x_shape[0] * x_shape[1])
+    def test_matches_loop_oracle_bitwise_at_width(self, x_shape, k, f_c, batch, padding, dtype):
+        # `batch` windows of the shape (None: its own 2) set the length of the einsum's inner
+        # loop over B*T positions
+        if batch is not None:
+            x_shape = (batch, *x_shape[1:])
         rng = np.random.default_rng(x_shape[-1])
         with use_dtype(dtype):
             x = Tensor(rng.normal(size=x_shape))
@@ -179,6 +178,27 @@ class TestConv1d:
             out = tt.conv1d(x, w, b, padding=padding)
             ref = conv1d_oracle(x.data, w.data, b.data, padding)
         assert out.data.dtype == ref.dtype == np.dtype(dtype)
+        assert out.data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("padding", ["zero", "circular"])
+    @pytest.mark.parametrize("f_in", [1, 2, 7, 64, 256])
+    @pytest.mark.parametrize("batch,t_len", [(1, 1), (2, 3)], ids=["bt1", "bt6"])
+    @pytest.mark.parametrize("f_c", [1, 2, 32])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_loop_oracle_bitwise_on_shape_grid(self, k, f_c, batch, t_len, f_in, padding,
+                                                       dtype):
+        # bt1 with f_c = 1 is the single-output case, where the einsum would sum its reduction
+        # as the inner loop without the zero column conv1d pads it with
+        rng = np.random.default_rng([k, f_c, batch, t_len, f_in])
+        with use_dtype(dtype):
+            x = Tensor(rng.normal(size=(batch, t_len, f_in)))
+            w = Tensor(rng.normal(size=(k, f_in, f_c)))
+            b = Tensor(rng.normal(size=f_c))
+            out = tt.conv1d(x, w, b, padding=padding)
+            ref = conv1d_oracle(x.data, w.data, b.data, padding)
+        assert out.data.dtype == ref.dtype == np.dtype(dtype)
+        assert out.data.shape == (batch, t_len, f_c)
         assert out.data.tobytes() == ref.tobytes()
 
     def test_circular_translation_equivariance(self):

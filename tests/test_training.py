@@ -17,7 +17,7 @@ from tabaconv.errors import (
 )
 from tabaconv.masking import MaskConfig
 from tabaconv.model import Batch, ModelConfig, forward_classify, init_params, trainable_names
-from tabaconv.tensor import Tensor, sigmoid
+from tabaconv.tensor import Tensor, sigmoid, use_dtype
 from tabaconv.training import (
     AdamState,
     Checkpoint,
@@ -141,6 +141,12 @@ class TestBce:
         assert float(loss.data) == pytest.approx(2.302585092994046, rel=1e-5)
 
 
+class TestTrainConfig:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="--seed"):
+            TrainConfig(seed=-3)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         params = {"w": Tensor(np.ones(4), requires_grad=True)}
@@ -206,6 +212,26 @@ def reference_clip_adam(params, names, ref, cfg):
 
 class TestFlatBuffer:
     """Clip and Adam over the flat buffer against the per-parameter reference, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_norm_equals_per_parameter_squares(self, dtype):
+        # odd parameter sizes put every slice of the squares at a different alignment
+        rng = np.random.default_rng(30)
+        for trial in range(30):
+            sizes = rng.integers(1, 3000, size=int(rng.integers(1, 12)))
+            with use_dtype(dtype):
+                params = {f"p{i}": Tensor(np.zeros(int(n)), requires_grad=True)
+                          for i, n in enumerate(sizes)}
+            state = AdamState.for_params(params, list(params))
+            scale = 10.0 ** rng.uniform(-4, 2)
+            grads = {n: (rng.normal(size=p.data.shape) * scale).astype(dtype) for n, p in params.items()}
+            for n, p in params.items():
+                p.grad[...] = grads[n]
+            assert state.grad.dtype == dtype
+            expected = 0.0
+            for g in grads.values():
+                expected += float(np.square(g, dtype=np.float64).sum())
+            assert clip_global_norm(state, 0.0) == math.sqrt(expected), trial
 
     def pair(self, tiny_env, seed=5):
         flat = init_params(tiny_env["schema"], TINY, seed=seed, head="pretrain")
@@ -400,6 +426,40 @@ class TestPretrainLoop:
             adam_step(state, TrainConfig(learning_rate=1e-3))
             after = loss_value()
             assert float(after.data) < float(before.data), f"seed {seed}"
+
+    @pytest.mark.parametrize("chunk_windows", [1, 20, None])
+    def test_epoch_equals_a_loop_over_masked_batch(self, tiny_env, monkeypatch, chunk_windows):
+        # pretrain draws the masks of up to MASK_CHUNK_WINDOWS windows at once (1: one batch;
+        # 20: two batches of 8, so the last chunk holds the 4-window tail; None: the default,
+        # all 36 windows); the parameters must equal those of a plain per-batch loop
+        from tabaconv import training
+        from tabaconv.model import forward_mdm
+
+        if chunk_windows is not None:
+            monkeypatch.setattr(training, "MASK_CHUNK_WINDOWS", chunk_windows)
+        samples, schema = tiny_env["pretrain_samples"], tiny_env["schema"]
+        mcfg = ModelConfig(d_model=16, n_heads=2, kernel_size=3, n_blocks=1, ffn_mult=2, dropout=0.1)
+        tcfg = TrainConfig(epochs=1, batch_size=8, seed=3)
+        mask_cfg = MaskConfig(seed=2**40 + 9)
+        ckpt, _ = pretrain(samples, schema, mcfg, tcfg, mask_cfg)
+
+        params = init_params(schema, mcfg, seed=tcfg.seed, head="pretrain")
+        state = AdamState.for_params(params, list(params))
+        order = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 101, 0])).permutation(len(samples))
+        drop_rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 202, 0]))
+        for start in range(0, len(samples), tcfg.batch_size):
+            idx = order[start : start + tcfg.batch_size]
+            batch = masked_batch([samples[i] for i in idx], schema, mask_cfg, 0, [int(i) for i in idx])
+            preds, reg = forward_mdm(batch, params, mcfg, schema, dropout_rng=drop_rng)
+            loss = mdm_loss(preds, batch, reg, schema)
+            state.zero_grad()
+            loss.backward()
+            clip_global_norm(state, tcfg.grad_clip)
+            adam_step(state, tcfg)
+        assert len(samples) % tcfg.batch_size and len(samples) > 20
+        assert ckpt.params.keys() == params.keys()
+        for name, p in params.items():
+            assert ckpt.params[name].tobytes() == p.data.tobytes(), name
 
     def test_full_run_determinism(self, tiny_env, trained):
         ckpt2, records2 = pretrain(tiny_env["pretrain_samples"], tiny_env["schema"], TINY,
