@@ -44,7 +44,8 @@ print(f"encoder output: {encoded.shape} "
       f"residual + layer norm, FFN x{cfg.ffn_mult})")
 
 preds = pretrain_heads(encoded, params, schema)
-print("\nreconstruction heads:")
+print(f"\nreconstruction heads: one node of shape {preds.fused.shape}, "
+      "every field's columns side by side; per field:")
 for f in schema.categorical_fields[:2]:
     print(f"  {f.name}: logits {preds[f.name].shape} over {f.vocab_size()} token ids")
 for f in schema.continuous_fields[:2]:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 check failure, 2 configuration or input error,
 3 runtime numeric failure. Every command takes --config (JSON file whose
-keys mirror the flag names); explicit flags win over the file, the file
-wins over built-in defaults. The fully resolved configuration is echoed
+keys mirror the flag names, each checked against the command's flags and
+their types); explicit flags win over the file, the file wins over
+built-in defaults. The fully resolved configuration is echoed
 into the run directory as config.json.
 
 Datasets are split 80/10/10 into train/val/test by user (first-appearance
@@ -77,10 +78,39 @@ def _load_config_file(path: str | None) -> dict:
     return cfg
 
 
+def _check_config_entry(path: str, key: str, value, defaults: dict, actions: dict) -> None:
+    """ConfigError naming `path` and `key` unless the command has that flag and `value` fits it.
+
+    A flag of type int takes a JSON integer, one of type float any JSON
+    number, and any other flag a string (one of its choices, if it has them);
+    true and false are not numbers. null is taken only where the flag's
+    default is null.
+    """
+    if key not in defaults or key not in actions:
+        raise ConfigError(f"{path}: unknown key {key!r} for this command")
+    if value is None and defaults[key] is None:
+        return
+    action = actions[key]
+    if action.type is int:
+        ok, wanted = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif action.type is float:
+        ok, wanted = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        ok, wanted = isinstance(value, str), "a string"
+    if ok and action.choices is not None and value not in action.choices:
+        ok, wanted = False, f"one of {list(action.choices)}"
+    if not ok:
+        raise ConfigError(f"{path}: {key!r} must be {wanted}, got {json.dumps(value)}")
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags; every config file entry is checked first."""
     resolved = dict(defaults)
-    resolved.update(_load_config_file(getattr(args, "config", None)))
+    path = getattr(args, "config", None)
+    from_file = _load_config_file(path)
+    for key, value in from_file.items():
+        _check_config_entry(path, key, value, defaults, args.option_actions)
+    resolved.update(from_file)
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -398,6 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--max-coords", dest="max_coords", type=int, help="coordinates checked per parameter")
     gc.set_defaults(func=cmd_gradcheck)
 
+    for command in sub.choices.values():  # what each config file key is checked against
+        command.set_defaults(option_actions={a.dest: a for a in command._actions if a.option_strings})
     return parser
 
 

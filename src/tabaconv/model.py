@@ -44,6 +44,10 @@ class ModelConfig:
     conv_padding: str = "zero"
 
     def __post_init__(self):
+        for name, flag, least in (("d_model", "--d-model", 2), ("n_heads", "--heads", 1),
+                                  ("ffn_mult", "--ffn-mult", 1), ("kernel_size", "--kernel", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} ({flag}) must be >= {least}, got {getattr(self, name)}")
         if self.attn_channels is None:
             self.attn_channels = self.d_model // 2
         if self.conv_channels is None:
@@ -259,17 +263,15 @@ def embed_inputs(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig,
                  schema: FeatureSchema) -> tuple[Tensor, Tensor]:
     """Sum all input streams into [B, T, d_model]; also returns the activity penalty.
 
-    The calendar and categorical lookups are one `embedding_sum` node.
+    The calendar and categorical lookups are one `embedding_sum` node, and
+    the continuous projections value * w + b are one `add_projections` node.
     """
     tables = _time_tables(params) + [params[f"embed.cat.{f.name}"] for f in schema.categorical_fields]
     ids = np.concatenate([batch.ts_components, batch.cat], axis=-1)
     t_out, reg = _time_net(batch.ts_floats, params, cfg)
     h = tt.add(tt.embedding_sum(tables, ids), t_out)
-    for c, f in enumerate(schema.continuous_fields):
-        value = Tensor(batch.cont[..., c : c + 1])  # [B, T, 1]
-        proj = tt.add(tt.mul(value, params[f"embed.cont.{f.name}.w"]),
-                      params[f"embed.cont.{f.name}.b"])
-        h = tt.add(h, proj)
+    cont = [f"embed.cont.{f.name}" for f in schema.continuous_fields]
+    h = tt.add_projections(h, batch.cont, [params[f"{p}.w"] for p in cont], [params[f"{p}.b"] for p in cont])
     return tt.add(h, positional_encoding(batch.window, cfg.d_model)), reg
 
 
@@ -313,14 +315,33 @@ def encoder_forward(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
     return h
 
 
-def pretrain_heads(h: Tensor, params: dict[str, Tensor], schema: FeatureSchema) -> dict[str, Tensor]:
-    """Per-field reconstruction predictions at every position."""
-    preds: dict[str, Tensor] = {}
-    for f in schema.categorical_fields:
-        preds[f.name] = tt.linear(h, params[f"head.cat.{f.name}.w"], params[f"head.cat.{f.name}.b"])
-    for f in schema.continuous_fields:
-        preds[f.name] = tt.linear(h, params[f"head.cont.{f.name}.w"], params[f"head.cont.{f.name}.b"])
-    return preds
+class HeadOutputs(dict):
+    """Each field's reconstruction prediction [B, T, V_f] by field name, from one heads node.
+
+    `fused` is the [B, T, W] graph node: every field's columns side by side,
+    categorical fields first, then the continuous fields' single columns, in
+    schema order. The per-field values are detached Tensors over views of its
+    columns, for reading; the losses take `fused`.
+    """
+
+    __slots__ = ("fused",)
+
+    def __init__(self, fused: Tensor, widths: dict[str, int]):
+        super().__init__()
+        hi = 0
+        for name, width in widths.items():
+            lo, hi = hi, hi + width
+            self[name] = Tensor(fused.data[..., lo:hi])
+        self.fused = fused
+
+
+def pretrain_heads(h: Tensor, params: dict[str, Tensor], schema: FeatureSchema) -> HeadOutputs:
+    """Per-field reconstruction predictions at every position, as one `concat_linear` node."""
+    names = ([(f.name, f"head.cat.{f.name}") for f in schema.categorical_fields]
+             + [(f.name, f"head.cont.{f.name}") for f in schema.continuous_fields])
+    weights = [params[f"{p}.w"] for _, p in names]
+    fused = tt.concat_linear(h, weights, [params[f"{p}.b"] for _, p in names])
+    return HeadOutputs(fused, {name: w.shape[1] for (name, _), w in zip(names, weights)})
 
 
 def classify_logits(h: Tensor, params: dict[str, Tensor]) -> Tensor:

@@ -175,6 +175,15 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
     t.grad += grad
 
 
+def _accumulate_at(t: Tensor, index, grad: np.ndarray) -> None:
+    """Add `grad` to t's gradient at `index` only; a missing gradient starts at zeros."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad[index] += grad
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` after trailing-dimension broadcasting."""
     extra = grad.ndim - len(shape)
@@ -374,6 +383,90 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             _accumulate(w, x2.T @ g2)
         if b is not None and b.requires_grad:
             _accumulate(b, g2.sum(axis=0))
+
+    out._backward = backward if out.requires_grad else None
+    return out
+
+
+def concat_linear(x: Tensor, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
+    """x @ [w_1 | ... | w_K] + [b_1 | ... | b_K] as one node: K linear maps side by side.
+
+    Each w_i is [k, n_i] and each b_i [n_i]; columns n_1 + ... + n_(i-1) up to
+    n_1 + ... + n_i of the output are x @ w_i + b_i. The forward pass and
+    each gradient are one GEMM over the weights placed side by side (as
+    `attention` places [wq | wk | wv]), split back into spans for the
+    parameters' gradients.
+    """
+    k = x.data.shape[-1] if x.data.ndim else 0
+    if not weights or len(biases) != len(weights) or any(
+            w.data.ndim != 2 or w.data.shape[0] != k or b.data.shape != w.data.shape[1:]
+            for w, b in zip(weights, biases)):
+        raise ShapeError(f"concat_linear: need x[..., k], w_i[k, n_i] and b_i[n_i]; got {x.data.shape}, "
+                         f"{[w.data.shape for w in weights]} and {[b.data.shape for b in biases]}")
+    w_all = np.concatenate([w.data for w in weights], axis=1)
+    n = w_all.shape[1]
+    x2 = x.data.reshape(-1, k)
+    y = x2 @ w_all
+    y += np.concatenate([b.data for b in biases])
+    parents = (x, *weights, *biases)
+    out = Tensor(y.reshape(x.data.shape[:-1] + (n,)),
+                 requires_grad=any(p.requires_grad for p in parents), parents=parents)
+
+    def backward():
+        g2 = out.grad.reshape(-1, n)
+        if x.requires_grad:
+            _accumulate(x, (g2 @ w_all.T).reshape(x.data.shape))
+        g_w = x2.T @ g2 if any(w.requires_grad for w in weights) else None
+        g_b = g2.sum(axis=0) if any(b.requires_grad for b in biases) else None
+        hi = 0
+        for w, b in zip(weights, biases):
+            lo, hi = hi, hi + w.data.shape[1]
+            if w.requires_grad:
+                _accumulate(w, g_w[:, lo:hi])
+            if b.requires_grad:
+                _accumulate(b, g_b[lo:hi])
+
+    out._backward = backward if out.requires_grad else None
+    return out
+
+
+def add_projections(h: Tensor, values: np.ndarray, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
+    """h + sum_c (values[..., c] * weights[c] + biases[c]) as one node; h itself without weights.
+
+    h is [..., d], values [..., C] and each weight and bias [d]. The values
+    are cast to the default dtype, as `Tensor(values)` casts them. Each term
+    is formed and added to h in field order, one rounded product, bias sum
+    and running sum at a time, and each gradient is the same reduction, so
+    the output and every gradient are bitwise equal to the per-field chain
+    h = add(h, add(mul(Tensor(values[..., c:c+1]), w_c), b_c)).
+    """
+    if not weights:
+        return h
+    d = h.data.shape[-1]
+    v = np.asarray(values).astype(_DEFAULT_DTYPE, copy=False)
+    if v.shape != h.data.shape[:-1] + (len(weights),) or len(biases) != len(weights) or any(
+            p.data.shape != (d,) for p in (*weights, *biases)):
+        raise ShapeError(f"add_projections: values {v.shape}, weights {[w.data.shape for w in weights]} "
+                         f"and biases {[b.data.shape for b in biases]} do not fit h {h.data.shape}")
+    y = h.data.copy()
+    term = np.empty_like(y)
+    for c, (w, b) in enumerate(zip(weights, biases)):
+        np.multiply(v[..., c : c + 1], w.data, out=term)
+        term += b.data
+        y += term
+    parents = (h, *weights, *biases)
+    out = Tensor(y, requires_grad=any(p.requires_grad for p in parents), parents=parents)
+
+    def backward():
+        g = out.grad
+        lead = tuple(range(g.ndim - 1))
+        _accumulate(h, g)
+        g_b = g.sum(axis=lead) if any(b.requires_grad for b in biases) else None
+        for c, (w, b) in enumerate(zip(weights, biases)):
+            if w.requires_grad:
+                _accumulate(w, np.multiply(g, v[..., c : c + 1], out=term).sum(axis=lead))
+            if b.requires_grad:
+                _accumulate(b, g_b)
 
     out._backward = backward if out.requires_grad else None
     return out
@@ -719,58 +812,69 @@ def cross_entropy_sum(logits: Tensor, targets: np.ndarray) -> Tensor:
     return out
 
 
-def _squared_error_rows(z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Summed squared error of predictions z [M, 1] against targets [M], and its gradient."""
-    diff = z[:, 0] - targets.astype(z.dtype)
-    return (diff * diff).sum(), 2.0 * diff[:, None]
+def _check_cell_grid(op: str, z: np.ndarray, targets: np.ndarray, mask: np.ndarray, n_fields: int) -> None:
+    if mask.shape != targets.shape or mask.shape[:-1] != z.shape[:-1] or mask.shape[-1] != n_fields:
+        raise ShapeError(f"{op}: mask {mask.shape} and targets {targets.shape} do not match "
+                         f"{n_fields} fields of the predictions {z.shape}")
 
 
-def _masked_sum(op: str, preds: list[Tensor], targets: np.ndarray, mask: np.ndarray, rows_loss) -> Tensor:
-    """One node summing rows_loss over the masked cells of each field's [B, T, ...] grid.
+def masked_cross_entropy_sum(logits: Tensor, spans: list[tuple[int, int]], targets: np.ndarray,
+                             mask: np.ndarray) -> Tensor:
+    """Cross entropy summed over the masked cells of every field, as one node.
 
-    Only masked cells are read; fields are summed in order, each field's cells
-    first, and a field without a masked cell is not a parent.
+    Field k's logits are the columns spans[k] = (lo, hi) of logits [B, T, W];
+    targets and mask are [B, T, K]. Only masked cells are read. Fields are
+    summed in order, each field's cells in (b, t) order, so the value equals
+    a per-field `cross_entropy_sum` chain over the masked cells. The backward
+    pass writes each field's gradient into its span of the logits' gradient.
     """
-    if mask.shape != targets.shape or mask.shape[-1] != len(preds):
-        raise ShapeError(f"{op}: mask {mask.shape} and targets {targets.shape} "
-                         f"do not match {len(preds)} fields")
+    z = logits.data
+    _check_cell_grid("masked_cross_entropy_sum", z, targets, mask, len(spans))
+    if any(not 0 <= lo < hi <= z.shape[-1] for lo, hi in spans):
+        raise ShapeError(f"masked_cross_entropy_sum: spans {spans} do not fit width {z.shape[-1]}")
     total = np.zeros((), dtype=_DEFAULT_DTYPE)
     cells = []
-    for k, p in enumerate(preds):
-        b_idx, t_idx = np.nonzero(mask[:, :, k])
-        if len(b_idx):
-            loss, d = rows_loss(p.data[b_idx, t_idx], targets[b_idx, t_idx, k])
+    for k, (lo, hi) in enumerate(spans):
+        idx = np.nonzero(mask[..., k])
+        if len(idx[0]):
+            at = idx + (slice(lo, hi),)
+            loss, d = _cross_entropy_rows(z[at], targets[idx + (k,)])
             total = total + loss
-            cells.append((p, b_idx, t_idx, d))
-    parents = tuple(c[0] for c in cells)
-    out = Tensor(total, requires_grad=any(p.requires_grad for p in parents), parents=parents)
+            cells.append((at, d))
+    out = Tensor(total, requires_grad=logits.requires_grad, parents=(logits,))
 
     def backward():
         g = float(out.grad)
-        for p, b_idx, t_idx, d in cells:
-            acc = np.zeros_like(p.data)
-            acc[b_idx, t_idx] = d * g
-            _accumulate(p, acc)
+        for at, d in cells:
+            _accumulate_at(logits, at, d * g)
 
     out._backward = backward if out.requires_grad else None
     return out
 
 
-def masked_cross_entropy_sum(logits: list[Tensor], targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Cross entropy summed over the masked cells of every field, as one node.
-
-    logits[k] is field k's [B, T, V_k] grid; targets and mask are [B, T, K].
-    The value equals a per-field `cross_entropy_sum` chain over masked cells.
-    """
-    return _masked_sum("masked_cross_entropy_sum", logits, targets, mask, _cross_entropy_rows)
-
-
-def masked_squared_error_sum(preds: list[Tensor], targets: np.ndarray, mask: np.ndarray) -> Tensor:
+def masked_squared_error_sum(preds: Tensor, start: int, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     """Squared error summed over the masked cells of every field, as one node.
 
-    preds[k] is field k's [B, T, 1] grid; targets and mask are [B, T, K].
+    Field k's prediction is column start + k of preds [B, T, W]; targets and
+    mask are [B, T, K]. The K columns are one block: its error is formed once,
+    with every unmasked cell set to 0, so no unmasked value reaches the sum or
+    the gradient. The backward pass writes the block's gradient in place.
     """
-    return _masked_sum("masked_squared_error_sum", preds, targets, mask, _squared_error_rows)
+    z = preds.data
+    n_fields = mask.shape[-1]
+    _check_cell_grid("masked_squared_error_sum", z, targets, mask, n_fields)
+    if not 0 <= start <= z.shape[-1] - n_fields:
+        raise ShapeError(f"masked_squared_error_sum: {n_fields} columns from {start} "
+                         f"do not fit width {z.shape[-1]}")
+    cols = (..., slice(start, start + n_fields))
+    diff = np.where(mask, z[cols] - targets.astype(z.dtype), z.dtype.type(0))
+    out = Tensor((diff * diff).sum(), requires_grad=preds.requires_grad, parents=(preds,))
+
+    def backward():
+        _accumulate_at(preds, cols, 2.0 * diff * float(out.grad))
+
+    out._backward = backward if out.requires_grad else None
+    return out
 
 
 def bce_with_logits_sum(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -25,6 +25,7 @@ from .errors import (
     ContractError,
     IntegrityError,
     NumericError,
+    ShapeError,
     UnsupportedVersionError,
 )
 # apply_mask and f1_binary stay importable from this module, where callers look them up
@@ -32,6 +33,7 @@ from .masking import MaskConfig, apply_mask, field_masks, rng_for_sample, sample
 from .metrics import auroc, f1_binary, precision_recall_f1  # noqa: F401
 from .model import (
     Batch,
+    HeadOutputs,
     ModelConfig,
     forward_classify,
     forward_mdm,
@@ -123,48 +125,60 @@ def _apply_field_masks(batch: Batch, field_mask: np.ndarray, schema: FeatureSche
 # ---------------------------------------------------------------------------
 
 
+def _head_columns(preds: dict[str, Tensor], schema: FeatureSchema) -> tuple[Tensor, list[tuple[int, int]], int]:
+    """The [B, T, W] heads output, the categorical fields' column spans and the first continuous column.
+
+    Predictions from `pretrain_heads` carry their fused node; a plain dict of
+    per-field Tensors is joined into one with `concat_lastdim`, in the same
+    column order, so both run the same loss code.
+    """
+    cat, cont = schema.categorical_fields, schema.continuous_fields
+    if any(preds[f.name].shape[-1] != 1 for f in cont):
+        raise ShapeError(f"continuous predictions must be one column wide, got "
+                         f"{[preds[f.name].shape for f in cont]}")
+    fused = (preds.fused if isinstance(preds, HeadOutputs)
+             else tt.concat_lastdim([preds[f.name] for f in cat + cont]))
+    spans, hi = [], 0
+    for f in cat:
+        lo, hi = hi, hi + preds[f.name].shape[-1]
+        spans.append((lo, hi))
+    return fused, spans, hi
+
+
 def mdm_loss(preds: dict[str, Tensor], batch: Batch, reg: Tensor, schema: FeatureSchema,
              ce_weight: float = 1.0, mse_weight: float = 1.0) -> Tensor:
     """Masked-cell reconstruction loss; a kind with zero masked cells contributes 0."""
     total = reg
     n_cat = int(batch.cat_mask.sum()) if batch.cat_mask is not None else 0
-    if n_cat:
-        ce_sum = tt.masked_cross_entropy_sum([preds[f.name] for f in schema.categorical_fields],
-                                             batch.cat_targets, batch.cat_mask)
-        total = tt.add(total, tt.scale(ce_sum, ce_weight / n_cat))
     n_cont = int(batch.cont_mask.sum()) if batch.cont_mask is not None else 0
+    if not (n_cat or n_cont):
+        return total
+    fused, spans, cont_start = _head_columns(preds, schema)
+    if n_cat:
+        ce_sum = tt.masked_cross_entropy_sum(fused, spans, batch.cat_targets, batch.cat_mask)
+        total = tt.add(total, tt.scale(ce_sum, ce_weight / n_cat))
     if n_cont:
-        se_sum = tt.masked_squared_error_sum([preds[f.name] for f in schema.continuous_fields],
-                                             batch.cont_targets, batch.cont_mask)
+        se_sum = tt.masked_squared_error_sum(fused, cont_start, batch.cont_targets, batch.cont_mask)
         total = tt.add(total, tt.scale(se_sum, mse_weight / n_cont))
     return total
 
 
 def mdm_batch_stats(preds: dict[str, Tensor], batch: Batch, schema: FeatureSchema) -> dict:
-    """Reconstruction accuracy/error counters at masked cells (no gradients)."""
-    cat_total = cat_correct = 0
-    cont_total = 0
-    cont_sse = 0.0
-    for c, f in enumerate(schema.categorical_fields):
-        mask = batch.cat_mask[:, :, c]
-        if not mask.any():
-            continue
-        b_idx, t_idx = np.nonzero(mask)
-        guesses = preds[f.name].data[b_idx, t_idx].argmax(axis=-1)
-        targets = batch.cat_targets[b_idx, t_idx, c]
-        cat_total += len(b_idx)
-        cat_correct += int((guesses == targets).sum())
-    for c, f in enumerate(schema.continuous_fields):
-        mask = batch.cont_mask[:, :, c]
-        if not mask.any():
-            continue
-        b_idx, t_idx = np.nonzero(mask)
-        pred = preds[f.name].data[b_idx, t_idx, 0]
-        target = batch.cont_targets[b_idx, t_idx, c]
-        cont_total += len(b_idx)
-        cont_sse += float(((pred - target) ** 2).sum())
-    return {"cat_total": cat_total, "cat_correct": cat_correct,
-            "cont_total": cont_total, "cont_sse": cont_sse}
+    """Reconstruction accuracy/error counters at masked cells (no gradients).
+
+    A categorical cell is right when the argmax of its field's span equals
+    its target; the continuous squared error is one sum over the block.
+    """
+    fused, spans, cont_start = _head_columns(preds, schema)
+    z = fused.data
+    cat_correct = 0
+    if spans:
+        guesses = np.stack([z[..., lo:hi].argmax(axis=-1) for lo, hi in spans], axis=-1)
+        cat_correct = int(np.count_nonzero((guesses == batch.cat_targets) & batch.cat_mask))
+    n_cont = batch.cont_mask.shape[-1]
+    diff = np.where(batch.cont_mask, z[..., cont_start : cont_start + n_cont] - batch.cont_targets, 0.0)
+    return {"cat_total": int(np.count_nonzero(batch.cat_mask)), "cat_correct": cat_correct,
+            "cont_total": int(np.count_nonzero(batch.cont_mask)), "cont_sse": float((diff * diff).sum())}
 
 
 def bce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -391,7 +405,7 @@ def load_checkpoint(path) -> Checkpoint:
     _check_meta_structure(path, meta)
     try:
         model_config = ModelConfig.from_dict(meta["model_config"])
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise IntegrityError(f"{path}: unusable model_config: {exc}") from exc
     params: dict[str, np.ndarray] = {}
     for name, dtype, shape in meta["params"]:

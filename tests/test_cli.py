@@ -131,6 +131,20 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert flag in err and value in err and "expected non-negative integer" not in err
 
+    @pytest.mark.parametrize("flag,value", [("--heads", "0"), ("--d-model", "0"), ("--d-model", "1"),
+                                            ("--ffn-mult", "0"), ("--kernel", "-1")])
+    def test_zero_width_model_exits_two_before_any_input_is_read(self, pipeline, tmp_path, monkeypatch,
+                                                                 capsys, flag, value):
+        from tabaconv import cli
+
+        reads = []
+        monkeypatch.setattr(cli, "read_columns", lambda *args, **kwargs: reads.append(args))
+        assert main(["pretrain", "--data", str(pipeline["data"] / "transactions.csv"),
+                     "--out", str(tmp_path / "p"), flag, value]) == 2
+        assert reads == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and f"got {value}" in err
+
     def test_paper_defaults(self):
         from tabaconv.cli import _PRETRAIN_DEFAULTS
 
@@ -296,6 +310,54 @@ def test_config_file_overridden_by_flags(tmp_path):
     with open(out / "transactions.csv", newline="") as fh:
         rows = list(_csv.reader(fh))[1:]
     assert len(rows) == 3 * 9
+
+
+class TestConfigFile:
+    """Every entry of a --config file must name a flag of the command and fit its type."""
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"learning_rat": 0.5}, "unknown key 'learning_rat'"),
+        ({"epochs": "1"}, "'epochs' must be an integer, got \"1\""),
+        ({"epochs": True}, "'epochs' must be an integer, got true"),
+        ({"batch_size": 2.5}, "'batch_size' must be an integer, got 2.5"),
+        ({"lr": "0.1"}, "'lr' must be a number"),
+        ({"p_field": False}, "'p_field' must be a number, got false"),
+        ({"epochs": None}, "'epochs' must be an integer, got null"),
+        ({"out": 5}, "'out' must be a string"),
+        ({"split": "everyone"}, "'split' must be one of"),
+    ], ids=["unknown_key", "string_for_int", "bool_for_int", "float_for_int", "string_for_number",
+            "bool_for_number", "null_for_int", "number_for_string", "not_a_choice"])
+    def test_bad_entry_exits_two_before_any_input_is_read(self, pipeline, tmp_path, monkeypatch,
+                                                          capsys, entry, message):
+        from tabaconv import cli
+
+        reads = []
+        monkeypatch.setattr(cli, "read_columns", lambda *args, **kwargs: reads.append(args))
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(entry))
+        rc = main(["pretrain", "--config", str(cfg_file), "--data",
+                   str(pipeline["data"] / "transactions.csv"), "--out", str(tmp_path / "p")])
+        assert rc == 2 and reads == []
+        err = capsys.readouterr().err
+        assert f"error: {cfg_file}: " in err and message in err
+        assert not (tmp_path / "p").exists()
+
+    def test_integers_for_numbers_and_null_defaults_accepted(self, pipeline, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"lr": 1, "p_field": 0, "mask_seed": None, "split": "all",
+                                        "epochs": 0}))
+        out = tmp_path / "p"
+        assert main(["pretrain", "--config", str(cfg_file), "--data",
+                     str(pipeline["data"] / "transactions.csv"), "--out", str(out)]) == 0
+        echoed = json.loads((out / "config.json").read_text())
+        assert echoed["lr"] == 1 and echoed["mask_seed"] == echoed["seed"] and echoed["split"] == "all"
+
+    def test_each_command_checks_its_own_keys(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"epochs": 1}))  # a pretrain key, not a gen one
+        assert main(["gen", "--config", str(cfg_file), "--out", str(tmp_path / "g")]) == 2
+        assert "unknown key 'epochs'" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -26,7 +26,8 @@ from tabaconv.model import (
     trainable_names,
 )
 from tabaconv.tensor import Tensor, grad_check, use_dtype
-from tabaconv.training import masked_batch, mdm_loss
+from tabaconv.schema import group_rows_by_user, infer_schema, make_windows
+from tabaconv.training import masked_batch, mdm_batch_stats, mdm_loss
 
 TINY = ModelConfig(d_model=16, n_heads=2, kernel_size=3, n_blocks=1, ffn_mult=2, dropout=0.0)
 
@@ -363,6 +364,20 @@ class TestHeads:
         for f in env["schema"].continuous_fields:
             assert preds[f.name].shape == (3, 8, 1)
 
+    def test_fused_heads_equal_per_field_linear(self, env):
+        schema = env["schema"]
+        with use_dtype("float64"):
+            params = init_params(schema, TINY, seed=4, head="pretrain")
+            h = Tensor(np.random.default_rng(5).normal(size=(2, 8, 16)))
+            preds = pretrain_heads(h, params, schema)
+            for kind, fields in (("cat", schema.categorical_fields), ("cont", schema.continuous_fields)):
+                for f in fields:
+                    ref = tt.linear(h, params[f"head.{kind}.{f.name}.w"], params[f"head.{kind}.{f.name}.b"])
+                    np.testing.assert_allclose(preds[f.name].data, ref.data, rtol=1e-12, atol=1e-12)
+                    assert np.shares_memory(preds[f.name].data, preds.fused.data)
+        assert list(preds) == [f.name for f in schema.categorical_fields + schema.continuous_fields]
+        assert preds.fused.shape[-1] == sum(p.shape[-1] for p in preds.values())
+
     def test_zero_weight_head_outputs_bias(self, env):
         schema = env["schema"]
         params = {k: Tensor(v.data.copy()) for k, v in env["params"].items()}
@@ -424,12 +439,38 @@ def test_end_to_end_gradient_check_small(tiny_env):
     assert report.passed, report.summary()
 
 
+def test_schema_without_continuous_fields(tiny_env):
+    """No continuous field: no projection node, no continuous loss, and the gradients still check."""
+    roles = {**tiny_env["roles"], "columns": {
+        name: "ignore" if role == "continuous" else role for name, role in tiny_env["roles"]["columns"].items()}}
+    schema = infer_schema(tiny_env["csv"], roles)
+    assert schema.continuous_fields == [] and schema.categorical_fields
+    header, rows = tiny_env["header"], tiny_env["rows"]
+    samples = make_windows(schema, header, group_rows_by_user(header, rows, schema), 8, 4, "pretrain")
+    batch = masked_batch(samples[:3], schema, MaskConfig(seed=2), 0, [0, 1, 2])
+    cfg = ModelConfig(d_model=8, n_heads=2, kernel_size=3, n_blocks=1, ffn_mult=2, dropout=0.0)
+    with use_dtype("float64"):
+        params = init_params(schema, cfg, seed=0, head="pretrain")
+        preds, reg = forward_mdm(batch, params, cfg, schema)
+        assert preds.fused.shape == (3, 8, sum(f.vocab_size() for f in schema.categorical_fields))
+        stats = mdm_batch_stats(preds, batch, schema)
+        assert stats["cont_total"] == 0 and stats["cont_sse"] == 0.0 and stats["cat_total"] > 0
+
+        def loss(p):
+            preds, reg = forward_mdm(batch, p, cfg, schema)
+            return mdm_loss(preds, batch, reg, schema)
+
+        report = grad_check(loss, params, max_coords=4, seed=0)
+    assert report.passed, report.summary()
+
+
 def test_default_pretraining_loss_graph_size(tiny_env):
     """Nodes reachable from one pretraining loss of the default model, dropout on.
 
     Pinned so that a change which adds nodes per step shows here; the count
-    falls when ops are fused (each linear layer with its bias and the whole
-    self-attention are one node each).
+    falls when ops are fused (each linear layer with its bias, the whole
+    self-attention, all reconstruction heads and all continuous input
+    projections are one node each).
     """
     schema = tiny_env["schema"]
     samples = tiny_env["pretrain_samples"][:32]
@@ -446,5 +487,5 @@ def test_default_pretraining_loss_graph_size(tiny_env):
             seen.add(id(node))
             ops += node._backward is not None
             stack.extend(node._parents)
-    assert ops == 51
+    assert ops == 32
 

@@ -357,6 +357,11 @@ _IDS = np.random.default_rng(41).integers(0, [3, 5, 4], size=(2, 3, 3))
 _MASK = np.array([[[1, 0, 0], [0, 0, 1], [1, 0, 1]], [[0, 0, 0], [1, 0, 0], [1, 0, 1]]], dtype=bool)
 _CAT_TARGETS = np.random.default_rng(42).integers(0, 4, size=(2, 3, 3))
 _CONT_TARGETS = np.random.default_rng(43).normal(size=(2, 3, 3))
+# a fused heads grid of three categorical spans, then three continuous columns
+_SPANS = [(0, 4), (4, 9), (9, 15)]
+_CONT_START = 15
+_HEAD_WIDTH = 18
+_VALUES = np.random.default_rng(46).normal(size=(2, 3, 3))
 
 
 PRIMITIVE_CASES = [
@@ -383,8 +388,11 @@ PRIMITIVE_CASES = [
     ("transpose", lambda p: tt.transpose(p["a"], (0, 2, 1)), lambda r: {"a": _random_tensor(r, (2, 4, 8))}),
     ("reshape", lambda p: tt.reshape(p["a"], (8, 4)), lambda r: {"a": _random_tensor(r, (4, 8))}),
     ("embedding_sum", lambda p: tt.embedding_sum([p["t0"], p["t1"], p["t2"]], _IDS), lambda r: {"t0": _random_tensor(r, (3, 6)), "t1": _random_tensor(r, (5, 6)), "t2": _random_tensor(r, (4, 6))}),
-    ("masked_cross_entropy_sum", lambda p: tt.masked_cross_entropy_sum([p["a"], p["b"], p["c"]], _CAT_TARGETS, _MASK), lambda r: {"a": _random_tensor(r, (2, 3, 4)), "b": _random_tensor(r, (2, 3, 5)), "c": _random_tensor(r, (2, 3, 6))}),
-    ("masked_squared_error_sum", lambda p: tt.masked_squared_error_sum([p["a"], p["b"], p["c"]], _CONT_TARGETS, _MASK), lambda r: {"a": _random_tensor(r, (2, 3, 1)), "b": _random_tensor(r, (2, 3, 1)), "c": _random_tensor(r, (2, 3, 1))}),
+    ("masked_cross_entropy_sum", lambda p: tt.masked_cross_entropy_sum(p["z"], _SPANS, _CAT_TARGETS, _MASK), lambda r: {"z": _random_tensor(r, (2, 3, _HEAD_WIDTH))}),
+    ("masked_squared_error_sum", lambda p: tt.masked_squared_error_sum(p["z"], _CONT_START, _CONT_TARGETS, _MASK), lambda r: {"z": _random_tensor(r, (2, 3, _HEAD_WIDTH))}),
+    ("masked_losses_one_grid", lambda p: tt.add(tt.masked_cross_entropy_sum(p["z"], _SPANS, _CAT_TARGETS, _MASK), tt.masked_squared_error_sum(p["z"], _CONT_START, _CONT_TARGETS, ~_MASK)), lambda r: {"z": _random_tensor(r, (2, 3, _HEAD_WIDTH))}),
+    ("concat_linear", lambda p: tt.concat_linear(p["x"], [p["w0"], p["w1"], p["w2"]], [p["b0"], p["b1"], p["b2"]]), lambda r: {"x": _random_tensor(r, (2, 4, 8)), "w0": _random_tensor(r, (8, 5)), "w1": _random_tensor(r, (8, 1)), "w2": _random_tensor(r, (8, 3)), "b0": _random_tensor(r, (5,)), "b1": _random_tensor(r, (1,)), "b2": _random_tensor(r, (3,))}),
+    ("add_projections", lambda p: tt.add_projections(p["h"], _VALUES, [p["w0"], p["w1"], p["w2"]], [p["b0"], p["b1"], p["b2"]]), lambda r: {"h": _random_tensor(r, (2, 3, 6)), **{f"{k}{c}": _random_tensor(r, (6,)) for k in "wb" for c in range(3)}}),
     ("layernormed_softmax", lambda p: tt.softmax_lastdim(tt.layer_norm(p["x"], p["g"], p["b"])), lambda r: {"x": _random_tensor(r, (3, 6)), "g": _random_tensor(r, (6,)), "b": _random_tensor(r, (6,))}),
 ]
 
@@ -491,15 +499,18 @@ def _per_field_squared_error(preds, targets, mask):
 @pytest.mark.parametrize("mask", [_MASK, np.ones_like(_MASK)], ids=["one_field_unmasked", "all_masked"])
 @pytest.mark.parametrize("kind", ["cross_entropy", "squared_error"])
 def test_masked_loss_equals_per_field_reference(kind, mask):
+    """The span-reading losses over the per-field grids side by side equal the per-field chains."""
     with use_dtype("float64"):
         rng = np.random.default_rng(45)
         if kind == "cross_entropy":
             preds = [_random_tensor(rng, (2, 3, v)) for v in (4, 5, 6)]
-            fused = tt.masked_cross_entropy_sum(preds, _CAT_TARGETS, mask)
+            grid = tt.concat_lastdim([*preds, _random_tensor(rng, (2, 3, 3))])
+            fused = tt.masked_cross_entropy_sum(grid, _SPANS, _CAT_TARGETS, mask)
             ref = _per_field_cross_entropy(preds, _CAT_TARGETS, mask)
         else:
             preds = [_random_tensor(rng, (2, 3, 1)) for _ in range(3)]
-            fused = tt.masked_squared_error_sum(preds, _CONT_TARGETS, mask)
+            grid = tt.concat_lastdim([_random_tensor(rng, (2, 3, 2)), *preds])
+            fused = tt.masked_squared_error_sum(grid, 2, _CONT_TARGETS, mask)
             ref = _per_field_squared_error(preds, _CONT_TARGETS, mask)
         assert float(fused.data) == pytest.approx(float(ref.data), rel=1e-14)
         got = _grads(preds, tt.scale(fused, 0.7))
@@ -507,7 +518,115 @@ def test_masked_loss_equals_per_field_reference(kind, mask):
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-15)
     if mask is _MASK:
-        assert preds[1].grad is None  # the field without a masked cell is not in the graph
+        assert not got[1].any()  # the field without a masked cell gets no gradient
+
+
+class TestMaskedLossColumns:
+    def test_both_losses_write_into_one_gradient(self):
+        """CE and SE on one grid: each fills its own columns, and unmasked cells get exactly 0."""
+        rng = np.random.default_rng(47)
+        z = _random_tensor(rng, (2, 3, _HEAD_WIDTH))
+        loss = tt.add(tt.masked_cross_entropy_sum(z, _SPANS, _CAT_TARGETS, _MASK),
+                      tt.masked_squared_error_sum(z, _CONT_START, _CONT_TARGETS, _MASK))
+        loss.backward()
+        cont = [(c, c + 1) for c in range(_CONT_START, _HEAD_WIDTH)]
+        for spans in (_SPANS, cont):
+            for k, (lo, hi) in enumerate(spans):
+                assert not z.grad[..., lo:hi][~_MASK[..., k]].any()
+                assert z.grad[..., lo:hi][_MASK[..., k]].any() == _MASK[..., k].any()
+
+    def test_unmasked_cells_never_reach_the_value(self):
+        z = np.random.default_rng(48).normal(size=(2, 3, _HEAD_WIDTH))
+        moved = z.copy()
+        for k, (lo, hi) in enumerate(_SPANS):
+            moved[..., lo:hi][~_MASK[..., k]] = np.inf
+        moved[..., _CONT_START:][~_MASK] = np.nan
+        ce = [tt.masked_cross_entropy_sum(Tensor(x), _SPANS, _CAT_TARGETS, _MASK) for x in (z, moved)]
+        se = [tt.masked_squared_error_sum(Tensor(x), _CONT_START, _CONT_TARGETS, _MASK) for x in (z, moved)]
+        assert ce[0].data.tobytes() == ce[1].data.tobytes()
+        assert se[0].data.tobytes() == se[1].data.tobytes()
+
+    @pytest.mark.parametrize("call", [
+        lambda z: tt.masked_cross_entropy_sum(z, _SPANS[:2], _CAT_TARGETS, _MASK),
+        lambda z: tt.masked_cross_entropy_sum(z, [(0, 4), (4, 9), (9, 19)], _CAT_TARGETS, _MASK),
+        lambda z: tt.masked_squared_error_sum(z, 16, _CONT_TARGETS, _MASK),
+        lambda z: tt.masked_squared_error_sum(z, 0, _CONT_TARGETS[:1], _MASK),
+    ], ids=["too_few_spans", "span_past_width", "block_past_width", "targets_mismatch"])
+    def test_bad_columns_rejected(self, call):
+        with pytest.raises(ShapeError):
+            call(Tensor(np.zeros((2, 3, _HEAD_WIDTH))))
+
+
+def _projection_chain(h, values, weights, biases):
+    """Reference: the per-field mul/add/add chain that `add_projections` replaces."""
+    for c, (w, b) in enumerate(zip(weights, biases)):
+        h = tt.add(h, tt.add(tt.mul(Tensor(values[..., c : c + 1]), w), b))
+    return h
+
+
+class TestAddProjections:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_bitwise_equal_to_the_per_field_chain(self, dtype):
+        with use_dtype(dtype):
+            rng = np.random.default_rng(49)
+            h = _random_tensor(rng, (4, 7, 16))
+            weights = [_random_tensor(rng, (16,)) for _ in range(4)]
+            biases = [_random_tensor(rng, (16,)) for _ in range(4)]
+            values = rng.normal(size=(4, 7, 4)) * 3.0  # float64, cast as Tensor() casts it
+            upstream = Tensor(rng.normal(size=(4, 7, 16)))
+            params = [h, *weights, *biases]
+            fused = tt.add_projections(h, values, weights, biases)
+            ref = _projection_chain(h, values, weights, biases)
+            assert fused.dtype == np.dtype(dtype)
+            assert fused.data.tobytes() == ref.data.tobytes()
+            got = _grads(params, tt.sum_all(tt.mul(fused, upstream)))
+            want = _grads(params, tt.sum_all(tt.mul(ref, upstream)))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_no_fields_returns_h(self):
+        h = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        assert tt.add_projections(h, np.zeros((2, 3, 0)), [], []) is h
+
+    def test_frozen_projections_pass_only_the_input_gradient(self):
+        h = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+        w, b = Tensor(np.full(4, 2.0)), Tensor(np.ones(4))
+        tt.sum_all(tt.add_projections(h, np.ones((2, 3, 1)), [w], [b])).backward()
+        np.testing.assert_array_equal(h.grad, np.ones((2, 3, 4)))
+        assert w.grad is None and b.grad is None
+
+    def test_shape_mismatch_rejected(self):
+        h = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            tt.add_projections(h, np.zeros((2, 3, 2)), [Tensor(np.zeros(4))], [Tensor(np.zeros(4))])
+        with pytest.raises(ShapeError):
+            tt.add_projections(h, np.zeros((2, 3, 1)), [Tensor(np.zeros(5))], [Tensor(np.zeros(4))])
+
+
+class TestConcatLinear:
+    def test_equals_per_field_linear(self):
+        with use_dtype("float64"):
+            rng = np.random.default_rng(50)
+            x = _random_tensor(rng, (3, 5, 8))
+            weights = [_random_tensor(rng, (8, n)) for n in (6, 1, 4, 1)]
+            biases = [_random_tensor(rng, (w.shape[1],)) for w in weights]
+            fused = tt.concat_linear(x, weights, biases)
+            ref = tt.concat_lastdim([tt.linear(x, w, b) for w, b in zip(weights, biases)])
+            np.testing.assert_allclose(fused.data, ref.data, rtol=1e-12, atol=1e-12)
+            upstream = Tensor(rng.normal(size=fused.shape))
+            params = [x, *weights, *biases]
+            got = _grads(params, tt.sum_all(tt.mul(fused, upstream)))
+            want = _grads(params, tt.sum_all(tt.mul(ref, upstream)))
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+    def test_bad_shapes_rejected(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        for weights, biases in [([], []), ([Tensor(np.zeros((5, 2)))], [Tensor(np.zeros(2))]),
+                                ([Tensor(np.zeros((4, 2)))], [Tensor(np.zeros(3))]),
+                                ([Tensor(np.zeros((4, 2)))], [])]:
+            with pytest.raises(ShapeError):
+                tt.concat_linear(x, weights, biases)
 
 
 def test_backward_frees_the_graph_without_the_cycle_collector():

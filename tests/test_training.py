@@ -13,10 +13,11 @@ from tabaconv.errors import (
     ContractError,
     IntegrityError,
     NumericError,
+    ShapeError,
     UnsupportedVersionError,
 )
 from tabaconv.masking import MaskConfig
-from tabaconv.model import Batch, ModelConfig, forward_classify, init_params, trainable_names
+from tabaconv.model import Batch, ModelConfig, forward_classify, forward_mdm, init_params, trainable_names
 from tabaconv.tensor import Tensor, sigmoid, use_dtype
 from tabaconv.training import (
     AdamState,
@@ -30,6 +31,7 @@ from tabaconv.training import (
     finetune,
     load_checkpoint,
     masked_batch,
+    mdm_batch_stats,
     mdm_loss,
     precision_recall_f1,
     predict_proba,
@@ -123,6 +125,56 @@ class TestMdmLoss:
         preds2 = {k: Tensor(v) for k, v in {**perturbed_cat, **perturbed_cont}.items()}
         loss2 = mdm_loss(preds2, batch, Tensor(np.asarray(0.0)), schema)
         assert loss1.data.tobytes() == loss2.data.tobytes()
+
+
+def _per_field_stats(preds, batch, schema):
+    """Reference: the masked-cell counters gathered field by field."""
+    stats = {"cat_total": 0, "cat_correct": 0, "cont_total": 0, "cont_sse": 0.0}
+    for c, f in enumerate(schema.categorical_fields):
+        b_idx, t_idx = np.nonzero(batch.cat_mask[:, :, c])
+        stats["cat_total"] += len(b_idx)
+        stats["cat_correct"] += int((preds[f.name].data[b_idx, t_idx].argmax(axis=-1)
+                                     == batch.cat_targets[b_idx, t_idx, c]).sum())
+    for c, f in enumerate(schema.continuous_fields):
+        b_idx, t_idx = np.nonzero(batch.cont_mask[:, :, c])
+        stats["cont_total"] += len(b_idx)
+        diff = preds[f.name].data[b_idx, t_idx, 0] - batch.cont_targets[b_idx, t_idx, c]
+        stats["cont_sse"] += float((diff.astype(np.float64) ** 2).sum())
+    return stats
+
+
+class TestHeadColumns:
+    @pytest.fixture
+    def forward(self, tiny_env):
+        schema = tiny_env["schema"]
+        batch = masked_batch(tiny_env["pretrain_samples"][:6], schema, MaskConfig(seed=5), 0, list(range(6)))
+        params = init_params(schema, TINY, seed=6, head="pretrain")
+        preds, reg = forward_mdm(batch, params, TINY, schema)
+        return schema, batch, preds, reg
+
+    def test_plain_dict_runs_the_same_loss(self, forward):
+        schema, batch, preds, reg = forward
+        fused = mdm_loss(preds, batch, reg, schema)
+        adapted = mdm_loss(dict(preds), batch, reg, schema)  # per-field views, joined again
+        assert fused.data.tobytes() == adapted.data.tobytes()
+
+    def test_batch_stats_match_per_field_reference(self, forward):
+        schema, batch, preds, _ = forward
+        got, want = mdm_batch_stats(preds, batch, schema), _per_field_stats(preds, batch, schema)
+        assert {k: got[k] for k in ("cat_total", "cat_correct", "cont_total")} == \
+            {k: want[k] for k in ("cat_total", "cat_correct", "cont_total")}
+        assert got["cat_total"] > 0 and got["cont_total"] > 0
+        assert got["cont_sse"] == pytest.approx(want["cont_sse"], rel=1e-5)
+        assert mdm_batch_stats(dict(preds), batch, schema) == got
+
+    def test_wide_continuous_prediction_rejected(self, tiny_env):
+        schema = tiny_env["schema"]
+        batch = empty_mask_batch(schema)
+        batch.cont_mask[0, 0, 0] = True
+        preds = {f.name: Tensor(np.zeros((1, 4, f.vocab_size()))) for f in schema.categorical_fields}
+        preds.update({f.name: Tensor(np.zeros((1, 4, 2))) for f in schema.continuous_fields})
+        with pytest.raises(ShapeError, match="one column wide"):
+            mdm_loss(preds, batch, Tensor(np.asarray(0.0)), schema)
 
 
 class TestBce:
@@ -567,6 +619,8 @@ def crafted_checkpoint(blob: bytes, case: str) -> bytes:
         meta["params"][0] = [first_name, first_dtype]
     elif case == "model_config_unknown_key":
         meta["model_config"]["bogus"] = 1
+    elif case == "model_config_zero_heads":
+        meta["model_config"]["n_heads"] = 0
     raw = json.dumps(meta).encode("utf-8")
     declared = {"metadata_past_body": len(raw) + len(arrays) + 1,
                 "metadata_cut_short": len(raw) - 1}.get(case, len(raw))
@@ -632,6 +686,7 @@ class TestCheckpoint:
         ("missing_step", IntegrityError),
         ("params_entry_wrong_arity", IntegrityError),
         ("model_config_unknown_key", IntegrityError),
+        ("model_config_zero_heads", IntegrityError),
     ])
     def test_crafted_file_with_valid_trailer_rejected(self, trained, tmp_path, case, error):
         path = tmp_path / "ckpt.bin"
