@@ -7,10 +7,11 @@ import tempfile
 import numpy as np
 
 from tabaconv import synth
+from tabaconv import tensor as tt
 from tabaconv.masking import MaskConfig
 from tabaconv.model import (
     ModelConfig,
-    classify_head,
+    classify_logits,
     embed_inputs,
     encoder_forward,
     expected_param_count,
@@ -52,5 +53,5 @@ for f in schema.continuous_fields[:2]:
     print(f"  {f.name}: value prediction {preds[f.name].shape}")
 
 clf_params = init_params(schema, cfg, seed=0, head="classify")
-probs = classify_head(encoder_forward(h, clf_params, cfg), clf_params)
-print(f"\nclassifier head (mean-pool over time -> logistic): probabilities {np.round(probs.data, 3)}")
+probs = tt.sigmoid(classify_logits(encoder_forward(h, clf_params, cfg), clf_params).data)
+print(f"\nclassifier head (mean-pool over time -> logistic): probabilities {np.round(probs, 3)}")

@@ -152,6 +152,12 @@ def _read_windows(path: Path, schema: FeatureSchema, splits: list[str], window: 
     return _windows_for_users(log, schema, _split_user_sets(log, splits), window, stride, mode)
 
 
+def _require_windows(samples: list[WindowSample], split: str, window: int) -> None:
+    if not samples:
+        raise ConfigError(f"the {split} split yields no window: none of its users has "
+                          f"--window {window} rows")
+
+
 def _pretrain_windows(path: Path, roles: dict, split: str, window: int,
                       stride: int) -> tuple[FeatureSchema, list[WindowSample]]:
     """The schema of a user split and its pretraining windows, from one streamed read of `path`."""
@@ -218,6 +224,7 @@ def cmd_pretrain(args) -> int:
     roles_path = Path(cfg["roles"]) if cfg["roles"] else data.parent / "roles.json"
     schema, samples = _pretrain_windows(data, load_roles(roles_path), cfg["split"], cfg["window"],
                                         cfg["stride"])
+    _require_windows(samples, cfg["split"], cfg["window"])
     ckpt, records = pretrain(samples, schema, mcfg, tcfg, mask_cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -262,6 +269,7 @@ def cmd_finetune(args) -> int:
     splits = [cfg["split"], "val"] if cfg["split"] == "train" else [cfg["split"]]
     samples, *val = _read_windows(Path(cfg["data"]), schema, splits, cfg["window"],
                                   cfg["stride"], "downstream")
+    _require_windows(samples, cfg["split"], cfg["window"])
     val_samples = val[0] if val else []
     tuned, records = finetune(ckpt, samples, schema, tcfg, val_samples=val_samples)
     out = Path(cfg["out"])
@@ -288,6 +296,7 @@ def cmd_evaluate(args) -> int:
     ckpt, schema = _load_ckpt_and_schema(cfg)
     (samples,) = _read_windows(Path(cfg["data"]), schema, [cfg["split"]], cfg["window"],
                                cfg["stride"], "downstream")
+    _require_windows(samples, cfg["split"], cfg["window"])
     result = evaluate(ckpt, samples, schema)
     print(f"F1 {result['f1']:.4f} precision {result['precision']:.4f} "
           f"recall {result['recall']:.4f} AUROC {result['auroc']:.4f} "

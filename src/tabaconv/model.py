@@ -242,23 +242,6 @@ def _time_net(floats: np.ndarray, params: dict[str, Tensor], cfg: ModelConfig) -
     return out, tt.scale(tt.mean_all(tt.mul(out, out)), cfg.activity_reg_lambda)
 
 
-def _time_tables(params: dict[str, Tensor]) -> list[Tensor]:
-    return [params[f"time.comp.{name}"] for name in TS_COMPONENT_NAMES]
-
-
-def timestamp_embedding(components: np.ndarray, floats: np.ndarray,
-                        params: dict[str, Tensor], cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Sum of calendar-component lookups plus a shallow net over time floats.
-
-    components: [..., 8] ints (year-offset first), floats: [..., 4].
-    Returns (embedding [..., d_model], activity penalty scalar) where the
-    penalty is lambda * mean(shallow_output**2) and belongs in the training
-    loss.
-    """
-    out, reg = _time_net(floats, params, cfg)
-    return tt.add(tt.embedding_sum(_time_tables(params), components), out), reg
-
-
 def embed_inputs(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig,
                  schema: FeatureSchema) -> tuple[Tensor, Tensor]:
     """Sum all input streams into [B, T, d_model]; also returns the activity penalty.
@@ -266,7 +249,8 @@ def embed_inputs(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig,
     The calendar and categorical lookups are one `embedding_sum` node, and
     the continuous projections value * w + b are one `add_projections` node.
     """
-    tables = _time_tables(params) + [params[f"embed.cat.{f.name}"] for f in schema.categorical_fields]
+    tables = ([params[f"time.comp.{name}"] for name in TS_COMPONENT_NAMES]
+              + [params[f"embed.cat.{f.name}"] for f in schema.categorical_fields])
     ids = np.concatenate([batch.ts_components, batch.cat], axis=-1)
     t_out, reg = _time_net(batch.ts_floats, params, cfg)
     h = tt.add(tt.embedding_sum(tables, ids), t_out)
@@ -349,12 +333,6 @@ def classify_logits(h: Tensor, params: dict[str, Tensor]) -> Tensor:
     pooled = tt.mean_axis(h, axis=1)
     z = tt.linear(pooled, params["clf.w"], params["clf.b"])
     return tt.reshape(z, (h.shape[0],))
-
-
-def classify_head(h: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Fraud probability in (0,1); detached (training uses classify_logits)."""
-    z = classify_logits(h, params)
-    return Tensor(tt.sigmoid(z.data))
 
 
 # ---------------------------------------------------------------------------

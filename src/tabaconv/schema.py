@@ -7,8 +7,9 @@ always built on the training split only.
 
 The CSV is streamed once into compact per-column arrays (`read_columns`);
 splitting, schema inference, grouping and windowing all run on those.
-The row functions (`read_csv`, `users_in_order`, `group_rows_by_user` and
-`make_windows` on rows) feed their rows through the same block encoder.
+The row functions (`read_csv`, `users_in_order` and `group_rows_by_user`
+on a list of rows) feed their rows through the same block encoder, and
+`group_rows_by_user` returns the same GroupedColumns for rows as for a log.
 
 Token id conventions: 0 = PAD, 1 = MASK, real values start at 2; values
 unseen during schema building map to id 2 at encode time.
@@ -188,9 +189,6 @@ class FieldSpec:
         get = self.vocab.get
         return [get(v, UNK_ID) if v != "" else UNK_ID for v in values]
 
-    def encode_categorical(self, value: str) -> int:
-        return self.encode_categorical_column((value,))[0]
-
 
 @dataclass
 class FeatureSchema:
@@ -352,9 +350,17 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
 
 def load_roles(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        roles = json.load(fh)
-    if "user" not in roles or "columns" not in roles:
-        raise SchemaError("role config needs 'user' and 'columns' entries")
+        try:
+            roles = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: role config is not valid JSON: {exc}") from None
+    if not isinstance(roles, dict) or "user" not in roles or "columns" not in roles:
+        raise SchemaError(f"{path}: role config must be a JSON object with 'user' and 'columns' entries")
+    columns = roles["columns"]
+    if not isinstance(roles["user"], str) or not isinstance(columns, dict) or not all(
+            isinstance(v, str) for v in columns.values()):
+        raise SchemaError(f"{path}: role config needs a string 'user' and 'columns' mapping "
+                          f"column names to role strings")
     return roles
 
 
@@ -399,15 +405,12 @@ def _roles_layout(header: list[str], roles: dict) -> _Layout:
                    tuple(n for n, k in columns.items() if k == "continuous"))
 
 
-def _schema_layout(header: list[str], schema: FeatureSchema, features: bool = True) -> _Layout:
-    """The user and timestamp columns, plus every encoded column when `features`."""
-    coded, continuous = [schema.user_column], []
-    if features:
-        coded += [f.name for f in schema.categorical_fields]
-        coded += [schema.label_column] if schema.label_column else []
-        continuous = [f.name for f in schema.continuous_fields]
+def _schema_layout(header: list[str], schema: FeatureSchema) -> _Layout:
+    """The user and timestamp columns, plus every encoded column."""
+    coded = [schema.user_column, *(f.name for f in schema.categorical_fields)]
+    coded += [schema.label_column] if schema.label_column else []
     layout = _Layout(schema.user_column, schema.timestamp_column, tuple(dict.fromkeys(coded)),
-                     tuple(continuous))
+                     tuple(f.name for f in schema.continuous_fields))
     for name in (*layout.coded, *layout.continuous, layout.timestamp):
         if name not in header:
             raise SchemaError(f"column {name!r} of the schema not in CSV header")
@@ -623,23 +626,17 @@ def _by_user(log: CsvColumns, rows: np.ndarray) -> np.ndarray:
 
 
 def infer_schema(csv_path, roles: dict, include_users: set[str] | None = None, *,
-                 parsed: CsvColumns | tuple[list[str], list[list[str]]] | None = None) -> FeatureSchema:
+                 parsed: CsvColumns | None = None) -> FeatureSchema:
     """Build vocabularies and normalization stats from the (training) rows.
 
     `include_users` restricts the scan to a user subset so statistics never
     see validation/test rows. `parsed` is the log already read from
-    `csv_path`: the CsvColumns of `read_columns(csv_path, roles=roles)`, or
-    the `(header, rows)` of `read_csv`. Vocabularies keep first-appearance
-    order among the training rows; mean and std run over their float64
-    cells in file order; the timestamp format is the first training row's.
+    `csv_path`: the CsvColumns of `read_columns(csv_path, roles=roles)`.
+    Vocabularies keep first-appearance order among the training rows; mean
+    and std run over their float64 cells in file order; the timestamp
+    format is the first training row's.
     """
-    if parsed is None:
-        log = read_columns(csv_path, roles=roles)
-    elif isinstance(parsed, CsvColumns):
-        log = parsed
-    else:
-        header, rows = parsed
-        log = _columns_from_rows(header, rows, _roles_layout(header, roles))
+    log = read_columns(csv_path, roles=roles) if parsed is None else parsed
     columns = _validate_roles(log.header, roles)
     ts_col = log.layout.timestamp
     label_cols = [n for n, k in columns.items() if k == "label"]
@@ -727,20 +724,6 @@ class GroupedColumns:
         return zip(self.users, self.bounds[:-1], self.bounds[1:])
 
 
-class UserRows(dict):
-    """User id -> that user's rows in time order, as `group_rows_by_user` returns them.
-
-    `stamps` holds the parsed epoch seconds of all those rows as one int64
-    array, users in the mapping's order, so `make_windows` does not parse the
-    timestamp cells again. Change the rows and `stamps` together, or pass a
-    plain dict instead.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.stamps = np.zeros(0, dtype=np.int64)
-
-
 def _group(log: CsvColumns, schema: FeatureSchema, users) -> GroupedColumns:
     """One stable lexsort of the kept rows on (user code, timestamp)."""
     rows = log.rows_of(users)
@@ -759,37 +742,13 @@ def group_rows_by_user(header: list[str], rows, schema: FeatureSchema,
                        users: set[str] | None = None):
     """Group rows per user (first-appearance order), stable-sorted by timestamp.
 
-    `rows` is a CsvColumns log, grouped into a GroupedColumns, or a list of
-    rows, grouped into a UserRows. `users` keeps only those users' rows.
+    `rows` is a CsvColumns log or a list of rows, which is encoded first;
+    either way the result is a GroupedColumns. `users` keeps only those
+    users' rows.
     """
-    if isinstance(rows, CsvColumns):
-        return _group(rows, schema, users)
-    log = _columns_from_rows(header, rows, _schema_layout(header, schema, features=False),
-                             schema.timestamp_format)
-    grouped = _group(log, schema, users)
-    out = UserRows()
-    for user, lo, hi in grouped.spans():
-        out[user] = [rows[i] for i in grouped.order[lo:hi].tolist()]
-    out.stamps = log.stamps[grouped.order]
-    return out
-
-
-def _columns_of_user_rows(schema: FeatureSchema, header: list[str],
-                          rows_by_user: dict[str, list[list[str]]]) -> GroupedColumns:
-    """A dict of each user's rows, encoded in the dict's order."""
-    stamps = rows_by_user.stamps if isinstance(rows_by_user, UserRows) else None
-    rows = list(itertools.chain.from_iterable(rows_by_user.values()))
-    if stamps is not None and len(stamps) != len(rows):
-        raise ContractError("grouped rows were changed without their timestamps")
-    layout = _schema_layout(header, schema)
-    if stamps is not None:
-        layout = _Layout(layout.user, None, layout.coded, layout.continuous)
-    log = _columns_from_rows(header, rows, layout, schema.timestamp_format)
-    if stamps is not None:
-        log.stamps = stamps
-    _raise_stamp_errors(log, np.arange(len(rows)))
-    bounds = np.cumsum([0, *map(len, rows_by_user.values())]).tolist()
-    return GroupedColumns(log, np.arange(len(rows)), list(rows_by_user), bounds)
+    if not isinstance(rows, CsvColumns):
+        rows = _columns_from_rows(header, rows, _schema_layout(header, schema), schema.timestamp_format)
+    return _group(rows, schema, users)
 
 
 # The only label cells accepted; any other encodes as -1 and is refused by the row checks.
@@ -799,7 +758,7 @@ _LABEL_CODES = {"": 0, "0": 0, "1": 1}
 def _encode(schema: FeatureSchema, grouped: GroupedColumns, float_dtype):
     """Feature arrays of the grouped rows, in their order.
 
-    Returns (cat, cont, comp, tfl, labels, ts). Raises the first
+    Returns (cat, cont, comp, tfl, labels). Raises the first
     non-numeric continuous cell among the rows, in their order.
     """
     log, order = grouped.log, grouped.order
@@ -836,19 +795,12 @@ def _encode(schema: FeatureSchema, grouped: GroupedColumns, float_dtype):
         codes = np.array([_LABEL_CODES.get(v, -1) for v in log.values[schema.label_column]],
                          dtype=np.int32)
         labels = codes[log.codes[schema.label_column][order]]
-    return cat, cont, comp, tfl, labels, ts
-
-
-def _check_time_order(ts: np.ndarray) -> None:
-    back = np.flatnonzero(ts[1:] < ts[:-1])
-    if back.size:
-        raise ContractError(f"rows not sorted by timestamp at offset {int(back[0]) + 1}")
+    return cat, cont, comp, tfl, labels
 
 
 def _check_user_rows(schema: FeatureSchema, grouped: GroupedColumns, user: str, lo: int, hi: int,
-                     cont: np.ndarray, labels: np.ndarray | None, ts: np.ndarray) -> None:
-    """One user's encoded rows: time order, finite continuous values, labels 0, 1 or empty."""
-    _check_time_order(ts[lo:hi])
+                     cont: np.ndarray, labels: np.ndarray | None) -> None:
+    """One user's encoded rows: finite continuous values, labels 0, 1 or empty."""
     finite = np.isfinite(cont[lo:hi])
     if not finite.all():
         row, col = (int(i[0]) for i in np.nonzero(~finite))
@@ -868,31 +820,22 @@ def _check_user_rows(schema: FeatureSchema, grouped: GroupedColumns, user: str, 
             )
 
 
-def encode_user_rows(schema: FeatureSchema, header: list[str], rows: list[list[str]], float_dtype=np.float32):
-    """Encode one user's sorted rows into dense feature arrays."""
-    user = rows[0][header.index(schema.user_column)] if rows else ""
-    grouped = _columns_of_user_rows(schema, header, {user: rows})
-    cat, cont, comp, tfl, labels, ts = _encode(schema, grouped, float_dtype)
-    _check_user_rows(schema, grouped, user, 0, len(rows), cont, labels, ts)
-    return cat, cont, comp, tfl, labels
-
-
 def window_count(n_rows: int, window: int, stride: int) -> int:
     return max(0, (n_rows - window) // stride + 1)
 
 
-def make_windows(schema: FeatureSchema, header: list[str], rows_by_user,
+def make_windows(schema: FeatureSchema, header: list[str], grouped: GroupedColumns,
                  window: int = 10, stride: int = 5, mode: str = "pretrain",
                  float_dtype=np.float32) -> list[WindowSample]:
     """Slide fixed-length windows over each user's rows.
 
-    `rows_by_user` is the GroupedColumns of `group_rows_by_user` on a
-    CsvColumns log, or a dict of each user's rows in time order. Windows
-    start at offsets 0, stride, 2*stride, ...; incomplete tails are
-    dropped. Pretrain mode strips labels entirely; downstream mode labels a
-    window 1 iff any of its rows is labeled 1. All users' rows are encoded
-    together; each user's rows are then checked, and each window's arrays
-    are read-only views into the encoded ones.
+    `grouped` is what `group_rows_by_user` returns; `header` is not read
+    again, as the grouped log carries its own. Windows start at offsets 0,
+    stride, 2*stride, ...; incomplete tails are dropped. Pretrain mode
+    strips labels entirely; downstream mode labels a window 1 iff any of
+    its rows is labeled 1. All users' rows are encoded together; each
+    user's rows are then checked, and each window's arrays are read-only
+    views into the encoded ones.
     """
     if mode not in ("pretrain", "downstream"):
         raise ContractError(f"unknown windowing mode {mode!r}")
@@ -900,16 +843,15 @@ def make_windows(schema: FeatureSchema, header: list[str], rows_by_user,
         raise ContractError(f"window and stride must be >= 1, got {window}/{stride}")
     if mode == "downstream" and schema.label_column is None:
         raise ContractError("downstream windowing needs a label column")
-    if isinstance(rows_by_user, GroupedColumns):
-        grouped = rows_by_user
-    else:
-        grouped = _columns_of_user_rows(schema, header, rows_by_user)
-    cat, cont, comp, tfl, labels, ts = _encode(schema, grouped, float_dtype)
+    if not isinstance(grouped, GroupedColumns):
+        raise ContractError(f"make_windows takes the GroupedColumns of group_rows_by_user, "
+                            f"got {type(grouped).__name__}")
+    cat, cont, comp, tfl, labels = _encode(schema, grouped, float_dtype)
     for features in (cat, cont, comp, tfl):
         features.flags.writeable = False  # windows are views, and overlapping ones share rows
     samples: list[WindowSample] = []
     for user, lo, hi in grouped.spans():
-        _check_user_rows(schema, grouped, user, lo, hi, cont, labels, ts)
+        _check_user_rows(schema, grouped, user, lo, hi, cont, labels)
         # a copy, not the parsed cell: one live cell keeps the allocator arena of the
         # parsed rows around it (about a megabyte) from being returned once they are freed
         user_id = user.encode().decode()

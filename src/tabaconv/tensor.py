@@ -80,41 +80,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return shift(self, float(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, scale(other, -1.0))
-        return shift(self, -float(other))
-
-    def sum(self):
-        return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
-
-    def relu(self):
-        return relu(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
     def backward(self) -> None:
         """Reverse-mode sweep seeded with gradient 1; loss must be scalar.
 
@@ -153,14 +118,6 @@ class Tensor:
                 node._backward = None
                 node._parents = ()
                 node.grad = None
-
-
-def tensor(data) -> Tensor:
-    return Tensor(data)
-
-
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
@@ -941,6 +898,11 @@ def grad_check(build_loss, params: dict, h: float = 1e-5, tol: float = 1e-4,
     denominator. Meant to run under `use_dtype("float64")`; float32 noise
     swamps the 1e-4 tolerance.
     """
+    for name, value in (("h", h), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"grad_check: {name} (--{name}) must be finite and positive, got {value}")
+    if max_coords < 1:
+        raise ConfigError(f"grad_check: max_coords (--max-coords) must be at least 1, got {max_coords}")
     loss = build_loss(params)
     if not np.isfinite(loss.data).all():
         raise NumericError("grad_check: loss is non-finite at the unperturbed point")

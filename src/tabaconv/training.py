@@ -63,8 +63,10 @@ class TrainConfig:
             raise ConfigError(f"seed (--seed) must be non-negative, got {self.seed}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError(f"batch_size/epochs must be positive, got {self.batch_size}/{self.epochs}")
-        if self.learning_rate <= 0 or self.eps <= 0:
-            raise ConfigError("learning_rate and eps must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning rate (--lr) must be finite and positive, got {self.learning_rate}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError(f"betas must be in [0,1), got {self.beta1}/{self.beta2}")
         if self.mode not in ("pretrain", "finetune", "scratch"):

@@ -145,6 +145,35 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err and f"got {value}" in err
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_two_before_any_input_is_read(
+            self, pipeline, tmp_path, monkeypatch, capsys, command, value):
+        from tabaconv import cli
+
+        reads = []
+        for reader in ("read_columns", "load_checkpoint"):
+            monkeypatch.setattr(cli, reader, lambda *args, **kwargs: reads.append(args))
+        argv = [command, "--data", str(pipeline["data"] / "transactions.csv"),
+                "--out", str(tmp_path / "p"), "--lr", value, "--epochs", "1"]
+        if command == "finetune":
+            argv += ["--ckpt", str(pipeline["pre"] / "ckpt.bin")]
+        assert main(argv) == 2
+        assert reads == [] and not (tmp_path / "p" / "ckpt.bin").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--lr" in err and value in err
+
+    @pytest.mark.parametrize("text", ['"user columns"', '{"user": "user_id", "columns": 5}',
+                                      '{"user": 3, "columns": {}}', '{"user": "user_id", "columns": {"ts": 1}}',
+                                      '["user", "columns"]', '{"user": '])
+    def test_malformed_roles_exit_two_naming_the_file(self, pipeline, tmp_path, capsys, text):
+        roles = tmp_path / "roles.json"
+        roles.write_text(text)
+        assert main(["pretrain", "--data", str(pipeline["data"] / "transactions.csv"),
+                     "--roles", str(roles), "--out", str(tmp_path / "p"), "--epochs", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(roles) in err and "Traceback" not in err
+
     def test_paper_defaults(self):
         from tabaconv.cli import _PRETRAIN_DEFAULTS
 
@@ -234,6 +263,58 @@ class TestGradcheck:
     def test_impossible_tolerance_fails_with_one(self, capsys):
         assert main(["gradcheck", "--max-coords", "4", "--tol", "1e-12"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value", [("--h", "0"), ("--h", "-1e-5"), ("--h", "nan"),
+                                            ("--tol", "0"), ("--tol", "inf"),
+                                            ("--max-coords", "0"), ("--max-coords", "-1")])
+    def test_bad_argument_exits_two_before_any_loss_is_built(self, monkeypatch, capsys, flag, value):
+        from tabaconv import cli
+
+        built = []
+        monkeypatch.setattr(cli, "build_gradcheck_problem",
+                            lambda seed: (lambda p: built.append(p), {}))
+        assert main(["gradcheck", f"{flag}={value}"]) == 2  # "=" lets argparse take "-1e-5"
+        assert built == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and "PASS" not in err
+
+
+class TestNoWindows:
+    """A split that yields no window of --window rows is refused, not trained or scored on."""
+
+    def test_pretrain(self, pipeline, tmp_path, capsys):
+        assert main(["pretrain", "--data", str(pipeline["data"] / "transactions.csv"),
+                     "--out", str(tmp_path / "p"), "--window", "41"]) == 2
+        err = capsys.readouterr().err
+        assert "train split yields no window" in err and "--window 41" in err
+        assert not (tmp_path / "p" / "ckpt.bin").exists()
+
+    def test_finetune(self, pipeline, tmp_path, capsys):
+        assert main(["finetune", "--ckpt", str(pipeline["pre"] / "ckpt.bin"),
+                     "--data", str(pipeline["data"] / "transactions.csv"), "--split", "all",
+                     "--out", str(tmp_path / "f"), "--window", "41"]) == 2
+        err = capsys.readouterr().err
+        assert "all split yields no window" in err and "--window 41" in err
+        assert not (tmp_path / "f" / "ckpt.bin").exists()
+
+    def test_evaluate(self, classifier, tmp_path, capsys):
+        assert main(["evaluate", "--ckpt", str(classifier["fin"] / "ckpt.bin"),
+                     "--data", str(classifier["data"] / "transactions.csv"),
+                     "--out", str(tmp_path / "e"), "--window", "31"]) == 2
+        err = capsys.readouterr().err
+        assert "test split yields no window" in err and "--window 31" in err
+        assert not (tmp_path / "e" / "metrics.jsonl").exists()
+
+    def test_an_empty_val_split_is_allowed(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["gen", "--users", "4", "--rows", "12", "--out", str(data)]) == 0  # 3/0/1 users
+        common = ["--data", str(data / "transactions.csv"), "--window", "5", "--epochs", "1"]
+        assert main(["pretrain", *common, "--out", str(tmp_path / "p"), "--d-model", "8",
+                     "--heads", "2"]) == 0
+        assert main(["finetune", *common, "--ckpt", str(tmp_path / "p" / "ckpt.bin"),
+                     "--out", str(tmp_path / "f")]) == 0
+        record = json.loads((tmp_path / "f" / "metrics.jsonl").read_text())
+        assert not any(k.startswith("val_") for k in record)
 
 
 @pytest.fixture(scope="module")

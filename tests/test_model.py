@@ -1,5 +1,6 @@
 """Tests for the encoder network and its sub-blocks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from tabaconv.model import (
     Batch,
     ModelConfig,
     aaconv_layer,
-    classify_head,
     classify_logits,
     embed_inputs,
     encoder_forward,
@@ -22,7 +22,6 @@ from tabaconv.model import (
     mha,
     positional_encoding,
     pretrain_heads,
-    timestamp_embedding,
     trainable_names,
 )
 from tabaconv.tensor import Tensor, grad_check, use_dtype
@@ -104,43 +103,51 @@ class TestModelConfig:
             ModelConfig(kernel_size=4)
 
 
+def with_time(batch, components=None, floats=None):
+    """`batch` with other timestamp inputs and every other input the same."""
+    return dataclasses.replace(batch, ts_components=batch.ts_components if components is None else components,
+                               ts_floats=batch.ts_floats if floats is None else floats)
+
+
 class TestTimestampEmbedding:
+    """The timestamp stream of embed_inputs: batches that differ only in their timestamp inputs."""
+
     def test_deterministic(self, env):
         batch = env["batch"]
-        e1, r1 = timestamp_embedding(batch.ts_components, batch.ts_floats, env["params"], TINY)
-        e2, r2 = timestamp_embedding(batch.ts_components, batch.ts_floats, env["params"], TINY)
+        e1, r1 = embed_inputs(batch, env["params"], TINY, env["schema"])
+        e2, r2 = embed_inputs(with_time(batch), env["params"], TINY, env["schema"])
         np.testing.assert_array_equal(e1.data, e2.data)
         np.testing.assert_array_equal(r1.data, r2.data)
 
     def test_zero_floats_zero_biases_contribute_nothing(self, env):
-        comp = env["batch"].ts_components[:1, :1]
-        zeros = np.zeros((1, 1, 4))
-        emb, reg = timestamp_embedding(comp, zeros, env["params"], TINY)
-        # biases are zero-initialized, so the shallow branch is exactly 0
-        lookup_sum = sum(env["params"][f"time.comp.{n}"].data[comp[0, 0, i]]
-                         for i, n in enumerate(
-                             ("year", "month", "day", "weekday", "week", "hour", "minute", "second")))
-        np.testing.assert_allclose(emb.data[0, 0], lookup_sum, rtol=1e-6)
+        batch = with_time(env["batch"], floats=np.zeros_like(env["batch"].ts_floats))
+        emb, reg = embed_inputs(batch, env["params"], TINY, env["schema"])
+        # biases are zero-initialized, so the shallow branch is exactly 0, as with zero weights
+        silent = {k: Tensor(np.zeros_like(v.data)) if k.startswith("time.net.") else v
+                  for k, v in env["params"].items()}
+        np.testing.assert_array_equal(emb.data, embed_inputs(batch, silent, TINY, env["schema"])[0].data)
         assert float(reg.data) == 0.0
 
-    def test_second_delta_is_table_delta(self, env):
-        params = env["params"]
-        comp = env["batch"].ts_components[:1, :1].copy()
-        floats = env["batch"].ts_floats[:1, :1]
-        comp2 = comp.copy()
-        comp[0, 0, 7] = 10
-        comp2[0, 0, 7] = 42
-        e1, _ = timestamp_embedding(comp, floats, params, TINY)
-        e2, _ = timestamp_embedding(comp2, floats, params, TINY)
-        table = params["time.comp.second"].data
-        np.testing.assert_allclose(e2.data - e1.data, (table[42] - table[10])[None, None, :], rtol=1e-5, atol=1e-7)
+    def test_component_delta_is_table_delta(self, env):
+        params, batch = env["params"], env["batch"]
+        comp, comp2 = batch.ts_components.copy(), batch.ts_components.copy()
+        comp[0, 0, 7], comp2[0, 0, 7] = 10, 42
+        comp[0, 0, 1], comp2[0, 0, 1] = 3, 11
+        e1, _ = embed_inputs(with_time(batch, components=comp), params, TINY, env["schema"])
+        e2, _ = embed_inputs(with_time(batch, components=comp2), params, TINY, env["schema"])
+        second, month = params["time.comp.second"].data, params["time.comp.month"].data
+        diff = e2.data - e1.data
+        np.testing.assert_allclose(diff[0, 0], second[42] - second[10] + month[11] - month[3],
+                                   rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(diff[0, 1:], 0.0)
+        np.testing.assert_array_equal(diff[1:], 0.0)
 
     def test_activity_penalty_scales_with_lambda(self, env):
         batch = env["batch"]
         cfg_big = ModelConfig(d_model=16, n_heads=2, n_blocks=1, ffn_mult=2, dropout=0.0,
                               activity_reg_lambda=1.0)
-        _, reg1 = timestamp_embedding(batch.ts_components, batch.ts_floats, env["params"], TINY)
-        _, reg2 = timestamp_embedding(batch.ts_components, batch.ts_floats, env["params"], cfg_big)
+        _, reg1 = embed_inputs(batch, env["params"], TINY, env["schema"])
+        _, reg2 = embed_inputs(batch, env["params"], cfg_big, env["schema"])
         assert float(reg2.data) == pytest.approx(float(reg1.data) / TINY.activity_reg_lambda, rel=1e-6)
 
 
@@ -393,14 +400,14 @@ class TestHeads:
     def test_zero_classifier_gives_half(self):
         params = {"clf.w": Tensor(np.zeros((16, 1))), "clf.b": Tensor(np.zeros(1))}
         h = Tensor(np.random.default_rng(0).normal(size=(4, 8, 16)))
-        probs = classify_head(h, params)
-        np.testing.assert_allclose(probs.data, np.full(4, 0.5), atol=1e-7)
+        probs = tt.sigmoid(classify_logits(h, params).data)
+        np.testing.assert_allclose(probs, np.full(4, 0.5), atol=1e-7)
 
     def test_probability_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(1)
         params = {"clf.w": Tensor(rng.normal(size=(16, 1)) * 2), "clf.b": Tensor(rng.normal(size=1))}
         h = Tensor(rng.normal(size=(8, 5, 16)))
-        probs = classify_head(h, params).data
+        probs = tt.sigmoid(classify_logits(h, params).data)
         assert ((probs > 0) & (probs < 1)).all()
 
     def test_mean_pool_permutation_invariance(self):

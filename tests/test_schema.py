@@ -37,6 +37,15 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
+def windows_of(schema, header, rows, *args):
+    """make_windows on a list of rows, grouped by group_rows_by_user."""
+    return make_windows(schema, header, sc.group_rows_by_user(header, rows, schema), *args)
+
+
+def flat(rows_by_user):
+    return [row for rows in rows_by_user.values() for row in rows]
+
+
 BASIC_HEADER = ["uid", "when", "shop", "amount", "fraud"]
 BASIC_ROLES = {
     "user": "uid",
@@ -69,8 +78,7 @@ class TestInferSchema:
     def test_unseen_value_maps_to_first_slot(self, basic_csv):
         schema = infer_schema(basic_csv, BASIC_ROLES)
         shop = schema.categorical_fields[0]
-        assert shop.encode_categorical("zzz") == 2
-        assert shop.encode_categorical("") == 2
+        assert shop.encode_categorical_column(["zzz", ""]) == [2, 2]
 
     def test_population_std(self, tmp_path):
         rows = [["u1", str(100 + i), "a", v, "0"] for i, v in enumerate(["10", "20", "30"])]
@@ -231,7 +239,7 @@ class TestWindows:
     def test_samples_carry_no_instance_dict(self, tmp_path):
         path, schema = self.schema_for(tmp_path, self.make_rows(12))
         header, rows = sc.read_csv(path)
-        sample = make_windows(schema, header, {"u1": rows}, 10, 2, "downstream")[0]
+        sample = windows_of(schema, header, rows, 10, 2, "downstream")[0]
         assert not hasattr(sample, "__dict__")
         with pytest.raises(AttributeError):
             sample.extra = 1
@@ -240,7 +248,7 @@ class TestWindows:
         path, schema = self.schema_for(tmp_path, self.make_rows(15))
         header, rows = sc.read_csv(path)
         for n, window, stride, expected in [(10, 10, 5, 1), (15, 10, 5, 2), (9, 10, 5, 0)]:
-            got = make_windows(schema, header, {"u1": rows[:n]}, window, stride, "pretrain")
+            got = windows_of(schema, header, rows[:n], window, stride, "pretrain")
             assert len(got) == expected == window_count(n, window, stride)
 
     def test_formula_matches_enumeration_exhaustively(self):
@@ -257,7 +265,7 @@ class TestWindows:
     def test_offsets_and_labels(self, tmp_path):
         path, schema = self.schema_for(tmp_path, self.make_rows(15))
         header, rows = sc.read_csv(path)
-        wins = make_windows(schema, header, {"u1": rows}, 10, 5, "downstream")
+        wins = windows_of(schema, header, rows, 10, 5, "downstream")
         assert len(wins) == 2
         # row 2 is fraudulent: inside [0,10) but not [5,15)
         assert wins[0].label == 1 and wins[1].label == 0
@@ -265,18 +273,8 @@ class TestWindows:
     def test_pretrain_mode_strips_labels(self, tmp_path):
         path, schema = self.schema_for(tmp_path, self.make_rows(12))
         header, rows = sc.read_csv(path)
-        wins = make_windows(schema, header, {"u1": rows}, 10, 5, "pretrain")
+        wins = windows_of(schema, header, rows, 10, 5, "pretrain")
         assert all(w.label is None for w in wins)
-
-    def test_unsorted_rows_rejected(self, tmp_path):
-        rows = self.make_rows(12)
-        rows[3], rows[4] = rows[4], rows[3]
-        path = tmp_path / "w.csv"
-        write_csv(path, BASIC_HEADER, rows)
-        schema = infer_schema(path, BASIC_ROLES)
-        header, raw = sc.read_csv(path)
-        with pytest.raises(ContractError, match="sorted"):
-            make_windows(schema, header, {"u1": raw}, 5, 5, "pretrain")
 
     @pytest.mark.parametrize("cell", ["inf", "nan"])
     def test_non_finite_encoded_value_rejected(self, tmp_path, cell):
@@ -284,12 +282,12 @@ class TestWindows:
         header, rows = sc.read_csv(path)
         rows[7][3] = cell  # e.g. an evaluate CSV the schema never saw
         with pytest.raises(SchemaError, match=r"user 'u1'.*'amount' at row 7"):
-            make_windows(schema, header, {"u1": rows}, 5, 5, "downstream")
+            windows_of(schema, header, rows, 5, 5, "downstream")
 
     def test_window_shapes(self, tmp_path):
         path, schema = self.schema_for(tmp_path, self.make_rows(10))
         header, rows = sc.read_csv(path)
-        w = make_windows(schema, header, {"u1": rows}, 10, 5, "pretrain")[0]
+        w = windows_of(schema, header, rows, 10, 5, "pretrain")[0]
         assert w.cat_tokens.shape == (10, 1)
         assert w.cont_values.shape == (10, 1)
         assert w.ts_components.shape == (10, 8)
@@ -305,7 +303,7 @@ class TestEncoding:
         shop = schema.categorical_fields[0]
         decode = {v: k for k, v in shop.vocab.items()}
         for value in shop.vocab:
-            assert decode[shop.encode_categorical(value)] == value
+            assert decode[shop.encode_categorical_column([value])[0]] == value
 
     def test_zscore_statistics_on_training_split(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -319,9 +317,9 @@ class TestEncoding:
         write_csv(path, BASIC_HEADER, rows)
         schema = infer_schema(path, BASIC_ROLES)
         header, raw = sc.read_csv(path)
-        grouped = sc.group_rows_by_user(header, raw, schema)
-        encoded = [sc.encode_user_rows(schema, header, r, np.float64)[1] for r in grouped.values()]
-        values = np.concatenate(encoded).ravel()
+        windows = windows_of(schema, header, raw, 200, 200, "pretrain", np.float64)
+        values = np.concatenate([w.cont_values for w in windows]).ravel()
+        assert values.size == 800
         assert abs(values.mean()) < 1e-6
         assert abs(values.std() - 1.0) < 1e-6
 
@@ -341,7 +339,8 @@ class TestEncoding:
         write_csv(path, BASIC_HEADER, rows)
         schema = infer_schema(path, BASIC_ROLES)
         header, raw = sc.read_csv(path)
-        cat, cont, *_ = sc.encode_user_rows(schema, header, raw, np.float64)
+        (window,) = windows_of(schema, header, raw, 3, 3, "pretrain", np.float64)
+        cat, cont = window.cat_tokens, window.cont_values
         assert cat[1, 0] == sc.UNK_ID
         assert cont[1, 0] == 0.0  # the training mean in z-space
 
@@ -530,7 +529,7 @@ class TestColumnwiseWindows:
     def test_equals_per_row_reference(self, log, block, window, stride, mode, float_dtype):
         schema, rows_by_user = log
         with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", block):
-            got = make_windows(schema, BASIC_HEADER, rows_by_user, window, stride, mode, float_dtype)
+            got = windows_of(schema, BASIC_HEADER, flat(rows_by_user), window, stride, mode, float_dtype)
         assert_windows_bitwise_equal(got, reference_windows(
             schema, BASIC_HEADER, rows_by_user, window, stride, mode, float_dtype))
 
@@ -538,18 +537,17 @@ class TestColumnwiseWindows:
     @given(user_logs(), st.randoms(use_true_random=False))
     def test_grouped_log_windows_equal_reference(self, log, rnd):
         """Shuffled rows regrouped: users in first-appearance order, each stable-sorted by time,
-        and windows made from the grouping's parsed timestamps equal the per-row reference."""
+        and windows made from the grouping equal the per-row reference."""
         schema, rows_by_user = log
-        flat = [r for rows in rows_by_user.values() for r in rows]
-        rnd.shuffle(flat)
+        rows = flat(rows_by_user)
+        rnd.shuffle(rows)
         expected = {}
-        for row in flat:
+        for row in rows:
             expected.setdefault(row[0], []).append(row)
-        for rows in expected.values():
-            rows.sort(key=lambda r: int(r[1]))
-        grouped = sc.group_rows_by_user(BASIC_HEADER, flat, schema)
-        assert list(grouped.items()) == list(expected.items())
-        assert grouped.stamps.tolist() == [int(r[1]) for rows in expected.values() for r in rows]
+        for user_rows in expected.values():
+            user_rows.sort(key=lambda r: int(r[1]))
+        grouped = sc.group_rows_by_user(BASIC_HEADER, rows, schema)
+        assert grouped.users == list(expected)
         for mode in ("pretrain", "downstream"):
             with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", 3):
                 got = make_windows(schema, BASIC_HEADER, grouped, 3, 2, mode)
@@ -569,7 +567,7 @@ class TestColumnwiseWindows:
                  "" if i % 97 == 0 else f"{rng.normal(20, 8):.6f}", str(int(rng.random() < 0.05))]
                 for i, ts in enumerate(stamps)]
         schema = make_schema(0, 2 * 10**9)
-        got = make_windows(schema, BASIC_HEADER, rows_by_user, 10, 7, mode, float_dtype)
+        got = windows_of(schema, BASIC_HEADER, flat(rows_by_user), 10, 7, mode, float_dtype)
         assert_windows_bitwise_equal(got, reference_windows(
             schema, BASIC_HEADER, rows_by_user, 10, 7, mode, float_dtype))
 
@@ -587,7 +585,7 @@ class TestEncodeErrors:
         rows_by_user = self.rows_by_user()
         rows_by_user["u1"][5][1] = stamp
         with pytest.raises(ValueError, match="unsupported year"):
-            make_windows(make_schema(1000, 1500), BASIC_HEADER, rows_by_user, 3, 3, "downstream")
+            windows_of(make_schema(1000, 1500), BASIC_HEADER, flat(rows_by_user), 3, 3, "downstream")
 
     @pytest.mark.parametrize("stamp", ["123456789012345678901", str(sc._TS_MIN - 1)])
     def test_unsupported_timestamp_is_value_error_when_grouping(self, stamp):
@@ -596,25 +594,11 @@ class TestEncodeErrors:
         with pytest.raises(ValueError, match="unsupported year"):
             sc.group_rows_by_user(BASIC_HEADER, rows, make_schema(1000, 1500))
 
-    def test_grouped_rows_changed_without_their_timestamps_refused(self):
-        rows = [row for rows in self.rows_by_user().values() for row in rows]
-        grouped = sc.group_rows_by_user(BASIC_HEADER, rows, make_schema(1000, 1500))
-        grouped["u1"] = grouped["u1"][:4]
-        with pytest.raises(ContractError, match="changed without their timestamps"):
-            make_windows(make_schema(1000, 1500), BASIC_HEADER, grouped, 3, 3, "pretrain")
-
-    def test_unsorted_rows_report_the_in_user_offset(self):
-        rows_by_user = self.rows_by_user()
-        rows_by_user["u2"][3][1], rows_by_user["u2"][4][1] = "1400", "1300"
-        with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", 4):
-            with pytest.raises(ContractError, match="sorted by timestamp at offset 4$"):
-                make_windows(make_schema(1000, 1500), BASIC_HEADER, rows_by_user, 3, 3, "pretrain")
-
     def test_non_numeric_continuous_cell_is_value_error(self):
         rows_by_user = self.rows_by_user()
         rows_by_user["u1"][2][3] = "12abc"
         with pytest.raises(ValueError, match="12abc"):
-            make_windows(make_schema(1000, 1500), BASIC_HEADER, rows_by_user, 3, 3, "pretrain")
+            windows_of(make_schema(1000, 1500), BASIC_HEADER, flat(rows_by_user), 3, 3, "pretrain")
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
     def test_non_finite_cell_names_user_and_row(self, cell):
@@ -622,7 +606,7 @@ class TestEncodeErrors:
         rows_by_user["u2"][4][3] = cell
         with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", 5):
             with pytest.raises(SchemaError, match=r"user 'u2'.*'amount' at row 4 "):
-                make_windows(make_schema(1000, 1500), BASIC_HEADER, rows_by_user, 3, 3, "pretrain")
+                windows_of(make_schema(1000, 1500), BASIC_HEADER, flat(rows_by_user), 3, 3, "pretrain")
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +703,6 @@ class TestStreamedIngest:
                     "downstream", np.float32))
             header, raw = sc.read_csv(path)
             assert sc.users_in_order(header, raw, "uid") == users
-            assert infer_schema(path, BASIC_ROLES, include_users=train, parsed=(header, raw)) == schema
             row_windows = make_windows(schema, header, sc.group_rows_by_user(header, raw, schema),
                                        window, stride, "downstream")
             assert_windows_bitwise_equal(row_windows, [
@@ -784,7 +767,7 @@ class TestStreamedIngest:
                 streamed = str(exc)
             header, raw = sc.read_csv(path)
             try:
-                schema = infer_schema(path, BASIC_ROLES, parsed=(header, raw))
+                schema = infer_schema(path, BASIC_ROLES)
                 make_windows(schema, header, sc.group_rows_by_user(header, raw, schema), 2, 1)
             except SchemaError as exc:
                 row = str(exc)
@@ -805,3 +788,34 @@ class TestStreamedIngest:
             schema, BASIC_HEADER, reference_groups(rows, {"u9"}), 2, 2, "pretrain", np.float32))
         with pytest.raises(SchemaError, match="unparseable timestamp"):
             infer_schema(path, BASIC_ROLES)
+
+
+class TestOneGroupedLog:
+    """Rows held in memory and a streamed log group into the same GroupedColumns."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(csv_logs(), st.sampled_from([None, "train"]))
+    def test_rows_group_as_the_streamed_log(self, rows, split):
+        users = list(dict.fromkeys(r[0] for r in rows))
+        kept = None if split is None else set(split_users(users)[0]) or None
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a constant training column is demoted with a warning
+            path = write_log(tmp, rows)
+            schema = infer_schema(path, BASIC_ROLES)
+            header, raw = sc.read_csv(path)
+            from_rows = sc.group_rows_by_user(header, raw, schema, users=kept)
+            log = sc.read_columns(path, schema=schema)
+            streamed = sc.group_rows_by_user(log.header, log, schema, users=kept)
+        assert isinstance(from_rows, sc.GroupedColumns)
+        assert from_rows.users == streamed.users
+        assert from_rows.bounds == streamed.bounds
+        assert from_rows.order.tolist() == streamed.order.tolist()
+        for mode in ("pretrain", "downstream"):
+            assert_windows_bitwise_equal(make_windows(schema, header, from_rows, 2, 1, mode), [
+                (w.cat_tokens, w.cont_values, w.ts_components, w.ts_floats, w.user_id, w.label)
+                for w in make_windows(schema, log.header, streamed, 2, 1, mode)])
+
+    @pytest.mark.parametrize("rows_by_user", [{}, {"u1": [["u1", "1000", "a", "1", "0"]]}])
+    def test_make_windows_refuses_a_dict_of_rows(self, rows_by_user):
+        with pytest.raises(ContractError, match="GroupedColumns.*got dict"):
+            make_windows(make_schema(1000, 1500), BASIC_HEADER, rows_by_user, 1, 1, "pretrain")
