@@ -38,7 +38,7 @@ from .model import ModelConfig
 from .schema import (
     CsvColumns,
     FeatureSchema,
-    WindowSample,
+    Windows,
     group_rows_by_user,
     infer_schema,
     load_roles,
@@ -60,9 +60,11 @@ from .training import (
     save_checkpoint,
 )
 
-# glibc <malloc.h> parameter: bytes kept mapped above the top of the heap when it is trimmed
+# glibc <malloc.h> parameters: bytes kept mapped above the top of the heap when it is trimmed,
+# and the most malloc arenas threads may spread over
 _M_TOP_PAD = -2
 _HEAP_TOP_PAD = 16 << 20
+_M_ARENA_MAX = -8
 
 _CONFIG_ERRORS = (ConfigError, SchemaError, ContractError, IntegrityError,
                   UnsupportedVersionError, FileNotFoundError, ValueError, KeyError)
@@ -72,7 +74,10 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"{path}: config file is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config file must hold a JSON object")
     return cfg
@@ -138,28 +143,29 @@ def _split_user_sets(log: CsvColumns, splits: list[str]) -> list[set[str]]:
 
 
 def _windows_for_users(log: CsvColumns, schema: FeatureSchema, user_sets: list[set[str]],
-                       window: int, stride: int, mode: str) -> list[list[WindowSample]]:
+                       window: int, stride: int, mode: str) -> list[Windows]:
     """Windows of each disjoint user set, encoded together in one pass over their rows."""
     grouped = group_rows_by_user(log.header, log, schema, users=set().union(*user_sets))
-    samples = make_windows(schema, log.header, grouped, window=window, stride=stride, mode=mode)
-    return [[s for s in samples if s.user_id in users] for users in user_sets]
+    windows = make_windows(schema, log.header, grouped, window=window, stride=stride, mode=mode)
+    in_set = [np.array([u in users for u in windows.user_names], dtype=bool) for users in user_sets]
+    return [windows[user_in_set[windows.user_codes]] for user_in_set in in_set]
 
 
 def _read_windows(path: Path, schema: FeatureSchema, splits: list[str], window: int, stride: int,
-                  mode: str) -> list[list[WindowSample]]:
+                  mode: str) -> list[Windows]:
     """Windows of each named user split from one streamed read of `path`."""
     log = read_columns(path, schema=schema)
     return _windows_for_users(log, schema, _split_user_sets(log, splits), window, stride, mode)
 
 
-def _require_windows(samples: list[WindowSample], split: str, window: int) -> None:
+def _require_windows(samples: Windows, split: str, window: int) -> None:
     if not samples:
         raise ConfigError(f"the {split} split yields no window: none of its users has "
                           f"--window {window} rows")
 
 
 def _pretrain_windows(path: Path, roles: dict, split: str, window: int,
-                      stride: int) -> tuple[FeatureSchema, list[WindowSample]]:
+                      stride: int) -> tuple[FeatureSchema, Windows]:
     """The schema of a user split and its pretraining windows, from one streamed read of `path`."""
     log = read_columns(path, roles=roles)
     user_sets = _split_user_sets(log, [split])
@@ -211,9 +217,7 @@ def cmd_pretrain(args) -> int:
     if cfg["data"] is None:
         raise ConfigError("--data is required")
     if cfg["p_field"] == 0 and cfg["p_row"] == 0:
-        print("warning: p_field=0 and p_row=0 leave the reconstruction loss without targets",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("--p-field 0 and --p-row 0 leave the reconstruction loss without targets")
     if cfg["mask_seed"] is None:
         cfg["mask_seed"] = cfg["seed"]
     mcfg = _model_config(cfg)
@@ -270,7 +274,7 @@ def cmd_finetune(args) -> int:
     samples, *val = _read_windows(Path(cfg["data"]), schema, splits, cfg["window"],
                                   cfg["stride"], "downstream")
     _require_windows(samples, cfg["split"], cfg["window"])
-    val_samples = val[0] if val else []
+    val_samples = val[0] if val else None
     tuned, records = finetune(ckpt, samples, schema, tcfg, val_samples=val_samples)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -443,13 +447,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _pad_heap_top() -> None:
-    """Keep 16 MiB mapped above the heap top, through glibc `mallopt`; a no-op without it.
+    """Keep 16 MiB mapped above the heap top and every thread on one malloc arena,
+    through glibc `mallopt`; a no-op without it.
 
     A training step frees its activations at the top of the heap. With
     glibc's default pad they are trimmed off after every step and the next
     forward faults them back in: tens of thousands of minor page faults per
     pretraining epoch, a count that shifts with the heap layout. Results do
     not change. A 4 MiB pad did not remove the faults; 64 MiB removed no more.
+
+    The scoring threads of `predict_proba` would each get an arena of their
+    own, whose pages add to the peak RSS; with one arena they reuse the
+    main heap's freed blocks.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -458,6 +467,7 @@ def _pad_heap_top() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,7 @@
 """CSV ingestion: typed field schemas, timestamp decomposition, windowing.
 
 A CSV of per-user, time-ordered event rows is turned into fixed-length
-window samples of categorical token ids, z-scored continuous values and
+windows of categorical token ids, z-scored continuous values and
 calendar/time features. Vocabularies and normalization statistics are
 always built on the training split only.
 
@@ -10,6 +10,12 @@ splitting, schema inference, grouping and windowing all run on those.
 The row functions (`read_csv`, `users_in_order` and `group_rows_by_user`
 on a list of rows) feed their rows through the same block encoder, and
 `group_rows_by_user` returns the same GroupedColumns for rows as for a log.
+`make_windows` returns the windows as columns (`Windows`): the encoded
+row arrays once, plus each window's start row, label and user. A batch is
+one take per row array; a single window is a `WindowSample` of views.
+
+`FeatureSchema.load` refuses, with a SchemaError naming the file and the
+key, any file that is not the JSON `FeatureSchema.save` writes.
 
 Token id conventions: 0 = PAD, 1 = MASK, real values start at 2; values
 unseen during schema building map to id 2 at encode time.
@@ -23,7 +29,7 @@ import itertools
 import json
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -252,9 +258,14 @@ class FeatureSchema:
         return json.dumps(payload, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "FeatureSchema":
-        payload = json.loads(text)
-        if payload.get("version", 0) > SCHEMA_VERSION:
+    def from_json(cls, text: str, source: str = "schema") -> "FeatureSchema":
+        """The schema `to_json` wrote; SchemaError naming `source` and the key for any other JSON."""
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise SchemaError(f"{source}: schema is not valid JSON: {exc}") from None
+        _check_schema_payload(payload, source)
+        if payload["version"] > SCHEMA_VERSION:
             raise UnsupportedVersionError(
                 f"schema version {payload['version']} is newer than supported {SCHEMA_VERSION}"
             )
@@ -290,7 +301,54 @@ class FeatureSchema:
     @classmethod
     def load(cls, path) -> "FeatureSchema":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}: schema is not UTF-8 text: {exc}") from None
+        return cls.from_json(text, source=str(path))
+
+
+# The JSON type of each top-level key and each field entry key that `to_json` writes.
+_SCHEMA_KEY_TYPES = (("version", int), ("user_column", str), ("timestamp_column", str),
+                     ("label_column", (str, type(None))), ("t_min", int), ("t_max", int),
+                     ("timestamp_format", str), ("fields", list))
+_FIELD_KEY_TYPES = (("name", str), ("kind", str), ("vocab", (list, type(None))),
+                    ("mean", (int, float, type(None))), ("std", (int, float, type(None))))
+
+
+def _check_keys(obj: dict, key_types, where: str) -> None:
+    """SchemaError unless `obj` holds every key with a value of its JSON type; no key takes a bool."""
+    for key, kind in key_types:
+        if key not in obj:
+            raise SchemaError(f"{where}: missing key {key!r}")
+        value = obj[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise SchemaError(f"{where}: key {key!r} has the wrong type: {json.dumps(value)}")
+
+
+def _check_schema_payload(payload, source: str) -> None:
+    """SchemaError naming `source` and the key unless `payload` has the structure `to_json` writes."""
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{source}: schema must be a JSON object, got {type(payload).__name__}")
+    _check_keys(payload, _SCHEMA_KEY_TYPES, source)
+    if payload["timestamp_format"] not in ("epoch", "iso8601"):
+        raise SchemaError(f"{source}: key 'timestamp_format' must be 'epoch' or 'iso8601', "
+                          f"got {payload['timestamp_format']!r}")
+    for i, f in enumerate(payload["fields"]):
+        where = f"{source}: fields[{i}]"
+        if not isinstance(f, dict):
+            raise SchemaError(f"{where} must be a JSON object, got {json.dumps(f)}")
+        _check_keys(f, _FIELD_KEY_TYPES, where)
+        if f["kind"] not in KINDS:
+            raise SchemaError(f"{where}: key 'kind' must be one of {list(KINDS)}, got {f['kind']!r}")
+        if f["vocab"] is not None and not all(
+                isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                and isinstance(e[1], int) and not isinstance(e[1], bool) for e in f["vocab"]):
+            raise SchemaError(f"{where}: key 'vocab' must hold [value, token id] pairs")
+        if f["kind"] == "categorical" and f["vocab"] is None:
+            raise SchemaError(f"{where}: key 'vocab' is null for a categorical field")
+        if f["kind"] == "continuous" and (f["mean"] is None or f["std"] is None):
+            raise SchemaError(f"{where}: keys 'mean' and 'std' must be numbers for a continuous field")
 
 
 @dataclass(slots=True)
@@ -307,6 +365,51 @@ class WindowSample:
     @property
     def window(self) -> int:
         return self.cat_tokens.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """A set of fixed-length windows over encoded rows, held as columns.
+
+    Window i is rows `starts[i] : starts[i] + window` of the read-only row
+    arrays `cat` [N, C_cat], `cont` [N, C_cont], `comp` [N, 8] and `tfl`
+    [N, 4], which every subset of one `make_windows` result shares.
+    `labels[i]` is its label (None for the whole set in pretrain mode) and
+    `user_names[user_codes[i]]` its user.
+
+    `len` counts windows; an int index gives a WindowSample of read-only
+    views, and so does iteration; a slice, an index array or a boolean mask
+    gives another Windows over the same rows.
+    """
+
+    cat: np.ndarray
+    cont: np.ndarray
+    comp: np.ndarray
+    tfl: np.ndarray
+    starts: np.ndarray  # [n] int64 first row of each window
+    window: int
+    labels: np.ndarray | None  # [n] int64, 0 or 1
+    user_codes: np.ndarray  # [n] int64 into user_names
+    user_names: list[str]
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self._sample(key)
+        return replace(self, starts=self.starts[key], user_codes=self.user_codes[key],
+                       labels=None if self.labels is None else self.labels[key])
+
+    def __iter__(self):
+        return map(self._sample, range(len(self)))
+
+    def _sample(self, i) -> WindowSample:
+        start = int(self.starts[i])
+        rows = slice(start, start + self.window)
+        return WindowSample(self.cat[rows], self.cont[rows], self.comp[rows], self.tfl[rows],
+                            self.user_names[self.user_codes[i]],
+                            None if self.labels is None else int(self.labels[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +593,7 @@ class CsvColumns:
             known = len(lookup)
             for v in dict.fromkeys(col):  # the block's distinct cells, in first-appearance order
                 lookup.setdefault(v, len(lookup))
-            codes = np.array(list(map(lookup.__getitem__, col)), dtype=np.int32)
+            codes = np.fromiter(map(lookup.__getitem__, col), dtype=np.int32, count=len(col))
             self._parts[name].append(codes)
             if name == lay.user and lay.timestamp is not None and len(lookup) > known:
                 new = np.flatnonzero(codes >= known)
@@ -499,7 +602,8 @@ class CsvColumns:
         for name in lay.continuous:
             col = cells[self._index[name]]
             try:  # no empty and no bad cell
-                values, empty = np.array(list(map(float, col))), np.zeros(len(col), dtype=bool)
+                values = np.fromiter(map(float, col), dtype=np.float64, count=len(col))
+                empty = np.zeros(len(col), dtype=bool)
             except ValueError:
                 values = np.array(_parse_cells(col, _float_cell, self.errors[name], start, np.nan))
                 empty = np.array([v == "" for v in col], dtype=bool)
@@ -826,7 +930,7 @@ def window_count(n_rows: int, window: int, stride: int) -> int:
 
 def make_windows(schema: FeatureSchema, header: list[str], grouped: GroupedColumns,
                  window: int = 10, stride: int = 5, mode: str = "pretrain",
-                 float_dtype=np.float32) -> list[WindowSample]:
+                 float_dtype=np.float32) -> Windows:
     """Slide fixed-length windows over each user's rows.
 
     `grouped` is what `group_rows_by_user` returns; `header` is not read
@@ -834,8 +938,8 @@ def make_windows(schema: FeatureSchema, header: list[str], grouped: GroupedColum
     stride, 2*stride, ...; incomplete tails are dropped. Pretrain mode
     strips labels entirely; downstream mode labels a window 1 iff any of
     its rows is labeled 1. All users' rows are encoded together; each
-    user's rows are then checked, and each window's arrays are read-only
-    views into the encoded ones.
+    user's rows are then checked, and the windows are their start rows in
+    the encoded, read-only row arrays.
     """
     if mode not in ("pretrain", "downstream"):
         raise ContractError(f"unknown windowing mode {mode!r}")
@@ -848,29 +952,21 @@ def make_windows(schema: FeatureSchema, header: list[str], grouped: GroupedColum
                             f"got {type(grouped).__name__}")
     cat, cont, comp, tfl, labels = _encode(schema, grouped, float_dtype)
     for features in (cat, cont, comp, tfl):
-        features.flags.writeable = False  # windows are views, and overlapping ones share rows
-    samples: list[WindowSample] = []
+        features.flags.writeable = False  # overlapping windows share rows
+    per_user = []
     for user, lo, hi in grouped.spans():
         _check_user_rows(schema, grouped, user, lo, hi, cont, labels)
-        # a copy, not the parsed cell: one live cell keeps the allocator arena of the
-        # parsed rows around it (about a megabyte) from being returned once they are freed
-        user_id = user.encode().decode()
-        for start in range(lo, hi - window + 1, stride):
-            end = start + window
-            label = None
-            if mode == "downstream":
-                label = int(labels[start:end].any())
-            samples.append(
-                WindowSample(
-                    cat_tokens=cat[start:end],
-                    cont_values=cont[start:end],
-                    ts_components=comp[start:end],
-                    ts_floats=tfl[start:end],
-                    user_id=user_id,
-                    label=label,
-                )
-            )
-    return samples
+        per_user.append(np.arange(lo, hi - window + 1, stride, dtype=np.int64))
+    starts = np.concatenate([np.zeros(0, dtype=np.int64), *per_user])
+    window_labels = None
+    if mode == "downstream":  # any labeled row in the window, from a running count
+        seen = np.concatenate(([0], np.cumsum(labels != 0)))
+        window_labels = (seen[starts + window] > seen[starts]).astype(np.int64)
+    # copies, not the parsed cells: one live cell keeps the allocator arena of the
+    # parsed rows around it (about a megabyte) from being returned once they are freed
+    names = [user.encode().decode() for user in grouped.users]
+    user_codes = np.repeat(np.arange(len(names), dtype=np.int64), [len(s) for s in per_user])
+    return Windows(cat, cont, comp, tfl, starts, window, window_labels, user_codes, names)
 
 
 def split_users(user_ids: list[str], fractions=(0.8, 0.1, 0.1)) -> tuple[list[str], list[str], list[str]]:

@@ -14,7 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +42,7 @@ from .model import (
     init_params,
     trainable_names,
 )
-from .schema import MASK_ID, FeatureSchema, WindowSample
+from .schema import MASK_ID, FeatureSchema, Windows
 from .tensor import Tensor
 
 
@@ -78,21 +80,19 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def stack_batch(samples: list[WindowSample]) -> Batch:
-    """Plain forward batch (no masking); labels kept when every sample has one."""
-    labels = None
-    if samples and samples[0].label is not None:
-        labels = np.asarray([s.label for s in samples], dtype=np.float64)
+def stack_batch(windows: Windows) -> Batch:
+    """Plain forward batch (no masking) of the windows, one take per row array; labels kept if any."""
+    rows = windows.starts[:, None] + np.arange(windows.window)  # [B, T] rows of each window
     return Batch(
-        cat=np.stack([s.cat_tokens for s in samples]),
-        cont=np.stack([s.cont_values for s in samples]),
-        ts_components=np.stack([s.ts_components for s in samples]),
-        ts_floats=np.stack([s.ts_floats for s in samples]),
-        labels=labels,
+        cat=np.take(windows.cat, rows, axis=0),
+        cont=np.take(windows.cont, rows, axis=0),
+        ts_components=np.take(windows.comp, rows, axis=0),
+        ts_floats=np.take(windows.tfl, rows, axis=0),
+        labels=None if windows.labels is None else windows.labels.astype(np.float64),
     )
 
 
-def masked_batch(samples: list[WindowSample], schema: FeatureSchema, cfg: MaskConfig,
+def masked_batch(samples: Windows, schema: FeatureSchema, cfg: MaskConfig,
                  epoch: int, sample_indices: list[int]) -> Batch:
     """Stacked batch masked with each sample's plan from its derived per-epoch stream.
 
@@ -460,12 +460,12 @@ def _check_finite_loss(loss: Tensor) -> float:
 MASK_CHUNK_WINDOWS = 256
 
 
-def pretrain(samples: list[WindowSample], schema: FeatureSchema, mcfg: ModelConfig,
+def pretrain(samples: Windows, schema: FeatureSchema, mcfg: ModelConfig,
              tcfg: TrainConfig, mask_cfg: MaskConfig) -> tuple[Checkpoint, list[dict]]:
     """Reconstruction pretraining; returns the final checkpoint and per-epoch records."""
     if schema.n_mask_columns == 0:
         raise ConfigError("schema has no categorical or continuous fields to reconstruct")
-    if any(s.label is not None for s in samples):
+    if samples.labels is not None:
         raise ContractError("pretraining dataset must not carry labels")
     params = init_params(schema, mcfg, seed=tcfg.seed, head="pretrain")
     state = AdamState.for_params(params, list(params))
@@ -484,9 +484,9 @@ def pretrain(samples: list[WindowSample], schema: FeatureSchema, mcfg: ModelConf
             idx = order[start : start + tcfg.batch_size]
             at = start % chunk
             if at == 0:  # the masks of the next `chunk` windows in order, drawn at once
-                masks = field_masks(samples[idx[0]].window, schema, mask_cfg, epoch,
+                masks = field_masks(samples.window, schema, mask_cfg, epoch,
                                     order[start : start + chunk])
-            batch = _apply_field_masks(stack_batch([samples[i] for i in idx]),
+            batch = _apply_field_masks(stack_batch(samples[idx]),
                                        masks[at : at + len(idx)], schema)
             preds, reg = forward_mdm(batch, params, mcfg, schema, dropout_rng=drop_rng)
             loss = mdm_loss(preds, batch, reg, schema, tcfg.ce_weight, tcfg.mse_weight)
@@ -516,8 +516,8 @@ def pretrain(samples: list[WindowSample], schema: FeatureSchema, mcfg: ModelConf
     return ckpt, records
 
 
-def finetune(ckpt: Checkpoint, samples: list[WindowSample], schema: FeatureSchema,
-             tcfg: TrainConfig, val_samples: list[WindowSample] = ()) -> tuple[Checkpoint, list[dict]]:
+def finetune(ckpt: Checkpoint, samples: Windows, schema: FeatureSchema,
+             tcfg: TrainConfig, val_samples: Windows | None = None) -> tuple[Checkpoint, list[dict]]:
     """Binary classification training; `tcfg.mode` picks finetune vs scratch.
 
     finetune: start from the checkpoint's encoder+embeddings, freeze every
@@ -528,7 +528,7 @@ def finetune(ckpt: Checkpoint, samples: list[WindowSample], schema: FeatureSchem
     """
     if ckpt.schema_digest != schema.digest():
         raise ConfigError("checkpoint schema digest does not match the dataset schema")
-    if any(s.label is None for s in [*samples, *val_samples]):
+    if samples.labels is None or (val_samples is not None and val_samples.labels is None):
         raise ContractError("finetuning dataset must be labeled")
     mcfg = ckpt.model_config
     head_rng_seed = tcfg.seed
@@ -556,7 +556,7 @@ def finetune(ckpt: Checkpoint, samples: list[WindowSample], schema: FeatureSchem
         norms: list[float] = []
         for start in range(0, n, tcfg.batch_size):
             idx = order[start : start + tcfg.batch_size]
-            batch = stack_batch([samples[i] for i in idx])
+            batch = stack_batch(samples[idx])
             logits = forward_classify(batch, params, mcfg, schema, dropout_rng=drop_rng)
             loss = bce_loss(logits, batch.labels)
             loss_sum += _check_finite_loss(loss)
@@ -582,41 +582,57 @@ def finetune(ckpt: Checkpoint, samples: list[WindowSample], schema: FeatureSchem
     return out, records
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def predict_proba(params: dict[str, Tensor], mcfg: ModelConfig, schema: FeatureSchema,
-                  samples: list[WindowSample], batch_size: int = 64) -> np.ndarray:
+                  samples: Windows, batch_size: int = 64) -> np.ndarray:
     """Deterministic forward pass (dropout off) returning fraud probabilities.
 
     The forward runs on frozen leaves that share the parameters' arrays, so
     it records no autodiff graph even while the parameters are trainable.
+    Batches are scored on a thread pool of one worker per usable CPU (never
+    more than batches); each batch is scored alone and the results are
+    joined in order, so the probabilities do not depend on the worker count.
     """
     frozen = {name: Tensor(p.data) for name, p in params.items()}
-    probs = []
-    for start in range(0, len(samples), batch_size):
+
+    def score(start: int) -> np.ndarray:
         batch = stack_batch(samples[start : start + batch_size])
-        logits = forward_classify(batch, frozen, mcfg, schema, dropout_rng=None)
-        probs.append(tt.sigmoid(logits.data))
-    return np.concatenate(probs) if probs else np.zeros(0)
+        return tt.sigmoid(forward_classify(batch, frozen, mcfg, schema, dropout_rng=None).data)
+
+    starts = range(0, len(samples), batch_size)
+    if not starts:
+        return np.zeros(0)
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
+        return np.concatenate(list(pool.map(score, starts)))
 
 
 def _classification_scores(params: dict[str, Tensor], mcfg: ModelConfig, schema: FeatureSchema,
-                           samples: list[WindowSample], batch_size: int = 64,
+                           samples: Windows, batch_size: int = 64,
                            threshold: float = 0.5) -> dict:
     """F1, precision, recall, AUROC and the predicted-positive rate on labeled windows."""
-    probs = predict_proba(params, mcfg, schema, samples, batch_size)
-    labels = np.asarray([s.label for s in samples], dtype=np.int64)
+    probs, labels = predict_proba(params, mcfg, schema, samples, batch_size), samples.labels
     preds = (probs >= threshold).astype(int)
     precision, recall, f1 = precision_recall_f1(preds, labels)
     return {"f1": f1, "precision": precision, "recall": recall, "auroc": auroc(probs, labels),
             "predicted_positive_rate": float(preds.mean()) if preds.size else 0.0}
 
 
-def evaluate(ckpt: Checkpoint, samples: list[WindowSample], schema: FeatureSchema,
+def evaluate(ckpt: Checkpoint, samples: Windows, schema: FeatureSchema,
              batch_size: int = 64, threshold: float = 0.5) -> dict:
     """F1/precision/recall/AUROC of the checkpointed classifier on labeled windows."""
     if ckpt.schema_digest != schema.digest():
         raise ConfigError("checkpoint schema digest does not match the dataset schema")
     if "clf.w" not in ckpt.params:
         raise ConfigError("checkpoint has no classifier head; finetune first")
+    if samples.labels is None:
+        raise ContractError("evaluation windows must be labeled")
     scores = _classification_scores(ckpt.tensors(trainable=set()), ckpt.model_config, schema,
                                     samples, batch_size, threshold)
-    return {**scores, "n": len(samples), "positives": sum(s.label for s in samples)}
+    return {**scores, "n": len(samples), "positives": int(samples.labels.sum())}

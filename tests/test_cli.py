@@ -91,6 +91,8 @@ class TestPretrain:
         rc = main(["pretrain", "--data", str(pipeline["data"] / "transactions.csv"),
                    "--out", str(tmp_path / "p"), "--p-field", "0", "--p-row", "0"])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --p-field 0 and --p-row 0 leave the reconstruction loss")
 
     def test_missing_data_exits_two(self, tmp_path):
         rc = main(["pretrain", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "p")])
@@ -331,6 +333,112 @@ def classifier(tmp_path_factory):
     return {"data": data, "fin": root / "fin"}
 
 
+class TestMalformedJson:
+    """A schema or config file that is not what the program writes exits 2 naming the file and key."""
+
+    def evaluate_with_schema(self, classifier, path):
+        return main(["evaluate", "--ckpt", str(classifier["fin"] / "ckpt.bin"), "--schema", str(path),
+                     "--data", str(classifier["data"] / "transactions.csv"), "--window", "5"])
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda s: [s], "schema must be a JSON object, got list"),
+        (lambda s: {**s, "fields": 5}, "key 'fields' has the wrong type: 5"),
+        (lambda s: {**s, "version": "1"}, "key 'version' has the wrong type: \"1\""),
+        (lambda s: {**s, "version": True}, "key 'version' has the wrong type: true"),
+        (lambda s: {k: v for k, v in s.items() if k != "fields"}, "missing key 'fields'"),
+        (lambda s: {**s, "fields": [5]}, "fields[0] must be a JSON object, got 5"),
+        (lambda s: {**s, "fields": [{**s["fields"][0], "kind": "colour"}]}, "fields[0]: key 'kind'"),
+        (lambda s: {**s, "fields": [{k: v for k, v in s["fields"][0].items() if k != "std"}]},
+         "fields[0]: missing key 'std'"),
+        (lambda s: {**s, "fields": [{"name": "m", "kind": "categorical", "vocab": [["a", "2"]],
+                                     "mean": None, "std": None}]}, "fields[0]: key 'vocab'"),
+        (lambda s: {**s, "fields": [{"name": "m", "kind": "continuous", "vocab": None,
+                                     "mean": None, "std": 1.0}]}, "fields[0]: keys 'mean' and 'std'"),
+        (lambda s: {**s, "timestamp_format": "unix"}, "key 'timestamp_format'"),
+    ], ids=["list", "fields_number", "version_string", "version_bool", "no_fields", "field_number",
+            "unknown_kind", "field_without_std", "vocab_string_id", "continuous_without_mean",
+            "unknown_timestamp_format"])
+    def test_bad_schema_exits_two(self, classifier, tmp_path, capsys, edit, message):
+        schema = json.loads((classifier["fin"] / "schema.json").read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(schema)))
+        assert self.evaluate_with_schema(classifier, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cut", [0, 1, 40])
+    def test_truncated_schema_exits_two(self, classifier, tmp_path, capsys, cut):
+        text = (classifier["fin"] / "schema.json").read_text()
+        bad = tmp_path / "bad.json"
+        bad.write_text(text[:cut])
+        assert self.evaluate_with_schema(classifier, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: schema is not valid JSON")
+
+    def test_schema_not_utf8_exits_two(self, classifier, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"version": "\xff"}')
+        assert self.evaluate_with_schema(classifier, bad) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: schema is not UTF-8")
+
+    def test_good_schema_still_loads(self, classifier, tmp_path, capsys):
+        copy = tmp_path / "schema.json"
+        copy.write_text((classifier["fin"] / "schema.json").read_text())
+        assert self.evaluate_with_schema(classifier, copy) == 0
+
+    @pytest.mark.parametrize("text", ["{not json", "", b"\xff\xfe"])
+    def test_config_not_json_exits_two(self, classifier, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+        rc = main(["evaluate", "--config", str(cfg), "--ckpt", str(classifier["fin"] / "ckpt.bin"),
+                   "--data", str(classifier["data"] / "transactions.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: config file is not valid JSON") and "Traceback" not in err
+
+
+# Runs one command in a child, on one allowed CPU when argv[1] is "1"; prints the allowed CPU
+# count, the largest scoring pool opened and the threads alive once the command returned.
+PINNED_COMMAND = """
+import os, sys, threading
+from tabaconv import cli, training
+
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+pools = [0]
+
+class Recording(training.ThreadPoolExecutor):
+    def __init__(self, max_workers):
+        pools.append(max_workers)
+        super().__init__(max_workers)
+
+training.ThreadPoolExecutor = Recording
+rc = cli.main(sys.argv[2:])
+print(len(os.sched_getaffinity(0)), max(pools), threading.active_count())
+sys.exit(rc)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_evaluate_is_byte_identical_on_one_cpu_and_on_all(classifier, tmp_path):
+    outputs = []
+    for cpus in ("1", "all"):
+        out = tmp_path / cpus
+        proc = subprocess.run(
+            [sys.executable, "-c", PINNED_COMMAND, cpus, "evaluate", "--ckpt",
+             str(classifier["fin"] / "ckpt.bin"), "--data", str(classifier["data"] / "transactions.csv"),
+             "--split", "all", "--window", "5", "--stride", "1", "--out", str(out)],
+            env=subprocess_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        allowed, pool, alive = map(int, proc.stdout.split()[-3:])
+        assert "n=156" in proc.stdout  # 6 users x 26 windows: three batches of 64
+        assert pool == min(allowed, 3) and alive == 1
+        if cpus == "1":
+            assert allowed == 1
+        outputs.append((out / "metrics.jsonl").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 class TestEvaluateBadCells:
     """`evaluate` on a log with one bad cell exits 2 with a one-line error."""
 
@@ -482,7 +590,7 @@ class TestHeapTopPad:
         lines = proc.stdout.splitlines()
         after_import, after_main = lines[0], lines[-1]
         assert after_import == "[]"
-        assert after_main == f"[(-2, {16 << 20})]"  # M_TOP_PAD, 16 MiB
+        assert after_main == f"[(-2, {16 << 20}), (-8, 1)]"  # M_TOP_PAD 16 MiB, M_ARENA_MAX 1
 
     @staticmethod
     def library_without_mallopt(name):

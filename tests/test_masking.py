@@ -5,7 +5,7 @@ import pytest
 
 from tabaconv.errors import ConfigError, ContractError
 from tabaconv.masking import MaskConfig, apply_mask, field_masks, rng_for_sample, sample_mask_plan
-from tabaconv.schema import MASK_ID, FeatureSchema, FieldSpec, WindowSample
+from tabaconv.schema import MASK_ID, FeatureSchema, FieldSpec, WindowSample, Windows
 from tabaconv.training import masked_batch
 
 
@@ -27,6 +27,15 @@ def toy_sample(t_len=10, n_cat=4, n_cont=6, seed=0):
         ts_floats=rng.random((t_len, 4)).astype(np.float32),
         user_id="u0",
     )
+
+
+def toy_windows(samples):
+    """The samples as one Windows: their rows end to end, one window each."""
+    t_len = samples[0].window
+    rows = [np.concatenate([getattr(s, name) for s in samples])
+            for name in ("cat_tokens", "cont_values", "ts_components", "ts_floats")]
+    return Windows(*rows, starts=np.arange(len(samples)) * t_len, window=t_len, labels=None,
+                   user_codes=np.zeros(len(samples), dtype=np.int64), user_names=["u0"])
 
 
 class TestSampling:
@@ -142,7 +151,8 @@ class TestApply:
         # differ from them exactly where the masks are set
         schema = toy_schema()
         samples = [toy_sample(seed=s) for s in range(3)]
-        batch = masked_batch(samples, schema, MaskConfig(seed=3), epoch=0, sample_indices=[0, 1, 2])
+        batch = masked_batch(toy_windows(samples), schema, MaskConfig(seed=3), epoch=0,
+                             sample_indices=[0, 1, 2])
         cat = np.stack([s.cat_tokens for s in samples])
         cont = np.stack([s.cont_values for s in samples])
         assert batch.cat_mask.any() and not batch.cat_mask.all()
@@ -158,7 +168,7 @@ class TestApply:
         samples = [toy_sample(seed=s) for s in range(6)]
         indices = [5, 0, 17, 3, 3, 40]
         cfg = MaskConfig(p_field=p_field, p_row=p_row, seed=7)
-        batch = masked_batch(samples, schema, cfg, epoch=2, sample_indices=indices)
+        batch = masked_batch(toy_windows(samples), schema, cfg, epoch=2, sample_indices=indices)
         plans = [sample_mask_plan(s.window, schema, cfg, rng_for_sample(cfg.seed, 2, i))
                  for s, i in zip(samples, indices)]
         masked = [apply_mask(s, plan, schema) for s, plan in zip(samples, plans)]
@@ -213,7 +223,7 @@ class TestApply:
 
     def test_masked_batch_rejects_indices_of_another_length(self):
         with pytest.raises(ContractError, match="field masks"):
-            masked_batch([toy_sample(), toy_sample()], toy_schema(), MaskConfig(), 0, [0])
+            masked_batch(toy_windows([toy_sample(), toy_sample()]), toy_schema(), MaskConfig(), 0, [0])
 
     def test_shape_mismatch_rejected(self):
         schema = toy_schema()

@@ -819,3 +819,157 @@ class TestOneGroupedLog:
     def test_make_windows_refuses_a_dict_of_rows(self, rows_by_user):
         with pytest.raises(ContractError, match="GroupedColumns.*got dict"):
             make_windows(make_schema(1000, 1500), BASIC_HEADER, rows_by_user, 1, 1, "pretrain")
+
+
+# ---------------------------------------------------------------------------
+# columnar windows: the gather against the list of views it replaced
+# ---------------------------------------------------------------------------
+
+
+def stacked_views(expected):
+    """A batch as the list path built it: np.stack over each window's views."""
+    return [np.stack([w[i] for w in expected]) for i in range(4)]
+
+
+def assert_gather_equals_stacked_views(windows, expected):
+    from tabaconv.training import stack_batch
+
+    batch = stack_batch(windows)
+    got = (batch.cat, batch.cont, batch.ts_components, batch.ts_floats)
+    if not expected:
+        assert len(windows) == 0 and all(a.shape[0] == 0 for a in got)
+        return
+    for a, b in zip(got, stacked_views(expected)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    labels = [w[5] for w in expected]
+    if labels[0] is None:
+        assert batch.labels is None
+    else:
+        assert batch.labels.dtype == np.float64 and batch.labels.tolist() == labels
+
+
+class TestColumnarWindows:
+    @settings(deadline=None, max_examples=150)
+    @given(user_logs(), st.integers(1, 8), st.integers(1, 6), st.integers(1, 9),
+           st.sampled_from(["pretrain", "downstream"]), st.sampled_from([np.float32, np.float64]),
+           st.randoms(use_true_random=False))
+    def test_gather_equals_stacked_views(self, log, block, window, stride, mode, float_dtype, rnd):
+        # users hold 0-12 rows, so some are shorter than the window; strides reach past it
+        schema, rows_by_user = log
+        with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", block):
+            windows = windows_of(schema, BASIC_HEADER, flat(rows_by_user), window, stride, mode, float_dtype)
+        expected = reference_windows(schema, BASIC_HEADER, rows_by_user, window, stride, mode, float_dtype)
+        assert_gather_equals_stacked_views(windows, expected)
+        pick = list(range(len(expected)))
+        rnd.shuffle(pick)
+        pick = pick[: len(pick) // 2 + 1]
+        assert_gather_equals_stacked_views(windows[np.array(pick, dtype=np.int64)],
+                                           [expected[i] for i in pick])
+
+    @pytest.mark.parametrize("mode,float_dtype,stride", [("pretrain", np.float64, 7),
+                                                         ("downstream", np.float32, 13)])
+    def test_gather_on_users_straddling_a_block_boundary(self, mode, float_dtype, stride):
+        rng = np.random.default_rng(23)
+        per_user = 1500  # u1 covers rows 1500-2999 and u2 rows 3000-4499
+        assert sc._ENCODE_BLOCK_ROWS < 3 * per_user and sc._ENCODE_BLOCK_ROWS % per_user
+        rows_by_user = {}
+        for u in range(3):
+            stamps = np.sort(rng.integers(0, 2 * 10**9, per_user))
+            rows_by_user[f"u{u}"] = [
+                [f"u{u}", str(ts), str(rng.choice(["a", "b", "c", "", "zz"])),
+                 "" if i % 89 == 0 else f"{rng.normal(20, 8):.6f}", str(int(rng.random() < 0.05))]
+                for i, ts in enumerate(stamps)]
+        schema = make_schema(0, 2 * 10**9)
+        windows = windows_of(schema, BASIC_HEADER, flat(rows_by_user), 10, stride, mode, float_dtype)
+        expected = reference_windows(schema, BASIC_HEADER, rows_by_user, 10, stride, mode, float_dtype)
+        for lo in range(0, len(expected), 64):  # the batches predict_proba scores
+            assert_gather_equals_stacked_views(windows[lo : lo + 64], expected[lo : lo + 64])
+
+    @settings(deadline=None, max_examples=60)
+    @given(user_logs(), st.integers(1, 4), st.integers(1, 5),
+           st.sampled_from(["pretrain", "downstream"]))
+    def test_len_index_slice_and_iteration_behave_as_the_list(self, log, window, stride, mode):
+        schema, rows_by_user = log
+        windows = windows_of(schema, BASIC_HEADER, flat(rows_by_user), window, stride, mode, np.float32)
+        expected = reference_windows(schema, BASIC_HEADER, rows_by_user, window, stride, mode, np.float32)
+        n = len(expected)
+        assert len(windows) == n and bool(windows) == bool(expected)
+        assert_windows_bitwise_equal(list(windows), expected)
+        for key in (slice(None), slice(1, 3), slice(None, None, -1), slice(5, 2), slice(-3, None),
+                    slice(0, n, 2), slice(n, n + 4)):
+            part = windows[key]
+            assert isinstance(part, sc.Windows)
+            assert_windows_bitwise_equal(part, expected[key])
+        for i in range(-n, n):
+            assert_windows_bitwise_equal([windows[i]], [expected[i]])
+            assert windows[i].window == window
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                windows[i]
+
+    @settings(deadline=None, max_examples=60)
+    @given(user_logs(), st.data())
+    def test_user_set_split_equals_filtering_the_list(self, log, data):
+        from tabaconv import cli
+
+        schema, rows_by_user = log
+        users = list(rows_by_user)
+        sets = [set(), set()]
+        for u in users:  # each user in one set or in neither
+            side = data.draw(st.integers(0, 2))
+            if side < 2:
+                sets[side].add(u)
+        rows = flat(rows_by_user)
+        columns = sc._columns_from_rows(BASIC_HEADER, rows, sc._schema_layout(BASIC_HEADER, schema),
+                                        schema.timestamp_format)
+        for mode in ("pretrain", "downstream"):
+            got = cli._windows_for_users(columns, schema, sets, 2, 1, mode)
+            kept = {u: r for u, r in rows_by_user.items() if u in sets[0] | sets[1]}
+            expected = reference_windows(schema, BASIC_HEADER, kept, 2, 1, mode, np.float32)
+            for part, users_of in zip(got, sets):
+                assert_windows_bitwise_equal(part, [w for w in expected if w[4] in users_of])
+
+    def test_row_arrays_are_read_only_and_shared(self, tmp_path):
+        rows = [["u1", str(1000 + 100 * i), "a", str(i), "0"] for i in range(12)]
+        path = tmp_path / "w.csv"
+        write_csv(path, BASIC_HEADER, rows)
+        schema = infer_schema(path, BASIC_ROLES)
+        windows = windows_of(schema, BASIC_HEADER, rows, 4, 2, "downstream")
+        part = windows[1:3]
+        assert all(getattr(part, name) is getattr(windows, name) for name in ("cat", "cont", "comp", "tfl"))
+        with pytest.raises(ValueError):
+            windows.cont[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            windows[0].cat_tokens[0, 0] = 1
+
+
+class TestCellEncoders:
+    """The block encoder's arrays equal the list-built arrays it used to make."""
+
+    def test_codes_and_floats_equal_list_built_arrays(self, tmp_path):
+        amounts = ["1.5", "-0.0", "0", "1e308", "-1e-320", "inf", "-inf", "nan", " 7 ", "1_000", "3"]
+        shops = ["b", "a", "b", "", "c", "a", "zz", "b", "", "a", "c"]
+        rows = [["u0" if i % 3 else "u1", str(1000 + i), shop, amount, "0"]
+                for i, (shop, amount) in enumerate(zip(shops, amounts))]
+        path = tmp_path / "cells.csv"
+        write_csv(path, BASIC_HEADER, rows)
+        for block in (1, 4, 64):
+            with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", block):
+                log = sc.read_columns(path, roles=BASIC_ROLES)
+            ref_floats = np.array(list(map(float, amounts)))
+            assert log.floats["amount"].tobytes() == ref_floats.tobytes()
+            for name, col in (("shop", shops), ("uid", [r[0] for r in rows])):
+                lookup = {v: i for i, v in enumerate(dict.fromkeys(col))}
+                ref_codes = np.array(list(map(lookup.__getitem__, col)), dtype=np.int32)
+                assert log.codes[name].dtype == np.int32
+                assert log.codes[name].tobytes() == ref_codes.tobytes()
+
+    def test_a_bad_float_cell_falls_back_to_the_cell_parser(self, tmp_path):
+        rows = [["u0", str(1000 + i), "a", cell, "0"] for i, cell in enumerate(["1", "x", "", "2.5"])]
+        path = tmp_path / "cells.csv"
+        write_csv(path, BASIC_HEADER, rows)
+        log = sc.read_columns(path, roles=BASIC_ROLES)
+        np.testing.assert_array_equal(log.floats["amount"], [1.0, np.nan, np.nan, 2.5])
+        assert log.empty["amount"].tolist() == [False, False, True, False]
+        assert list(log.errors["amount"]) == [1]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -436,7 +437,7 @@ def trained(tiny_env):
 
 class TestPretrainLoop:
     def test_zero_samples_gives_step_zero_checkpoint(self, tiny_env):
-        ckpt, records = pretrain([], tiny_env["schema"], TINY,
+        ckpt, records = pretrain(tiny_env["pretrain_samples"][:0], tiny_env["schema"], TINY,
                                  TrainConfig(epochs=1, seed=0), MaskConfig(seed=0))
         assert ckpt.step == 0
         assert len(records) == 1
@@ -501,7 +502,7 @@ class TestPretrainLoop:
         drop_rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 202, 0]))
         for start in range(0, len(samples), tcfg.batch_size):
             idx = order[start : start + tcfg.batch_size]
-            batch = masked_batch([samples[i] for i in idx], schema, mask_cfg, 0, [int(i) for i in idx])
+            batch = masked_batch(samples[idx], schema, mask_cfg, 0, [int(i) for i in idx])
             preds, reg = forward_mdm(batch, params, mcfg, schema, dropout_rng=drop_rng)
             loss = mdm_loss(preds, batch, reg, schema)
             state.zero_grad()
@@ -735,3 +736,89 @@ class TestPredictProba:
         probs = predict_proba(params, TINY, schema, samples, batch_size=8)
         assert logits and all(not t.requires_grad and t._parents == () for t in logits)
         assert probs.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def sequential(params, schema, samples, batch_size):
+        return np.concatenate([
+            sigmoid(forward_classify(stack_batch(samples[i : i + batch_size]), params, TINY, schema).data)
+            for i in range(0, len(samples), batch_size)])
+
+    @staticmethod
+    def record_pools(monkeypatch):
+        """The max_workers of every pool predict_proba opens."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        from tabaconv import training
+
+        workers = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(training, "ThreadPoolExecutor", Recording)
+        return workers
+
+    @pytest.mark.parametrize("cpus,batch_size,pool", [(1, 8, 1), (2, 8, 2), (2, 64, 1), (5, 8, 3)])
+    def test_equal_for_every_cpu_count(self, tiny_env, monkeypatch, cpus, batch_size, pool):
+        import threading
+
+        schema, samples = tiny_env["schema"], tiny_env["downstream_samples"]
+        assert len(samples) == 20  # three batches of 8, one of 64
+        params = init_params(schema, TINY, seed=4, head="classify")
+        expected = self.sequential(params, schema, samples, batch_size)
+        workers = self.record_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        running = threading.active_count()
+        probs = predict_proba(params, TINY, schema, samples, batch_size=batch_size)
+        assert probs.dtype == expected.dtype and probs.tobytes() == expected.tobytes()
+        assert workers == [pool]  # one per CPU, never more than batches
+        assert threading.active_count() == running
+
+    def test_more_workers_than_cores_with_frequent_switches(self, tiny_env, monkeypatch):
+        import sys
+
+        schema, samples = tiny_env["schema"], tiny_env["downstream_samples"]
+        params = init_params(schema, TINY, seed=5, head="classify")
+        expected = self.sequential(params, schema, samples, 2)
+        workers = self.record_pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                probs = predict_proba(params, TINY, schema, samples, batch_size=2)
+                assert probs.tobytes() == expected.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert workers == [8] * 5
+
+    def test_cpu_count_without_affinity(self, tiny_env, monkeypatch):
+        schema, samples = tiny_env["schema"], tiny_env["downstream_samples"]
+        params = init_params(schema, TINY, seed=4, head="classify")
+        workers = self.record_pools(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        probs = predict_proba(params, TINY, schema, samples, batch_size=8)
+        assert probs.tobytes() == self.sequential(params, schema, samples, 8).tobytes()
+        assert workers == [2]
+
+    def test_no_windows_opens_no_pool(self, tiny_env, monkeypatch):
+        schema, samples = tiny_env["schema"], tiny_env["downstream_samples"]
+        workers = self.record_pools(monkeypatch)
+        probs = predict_proba(init_params(schema, TINY, seed=4, head="classify"), TINY, schema,
+                              samples[:0])
+        assert probs.shape == (0,) and workers == []
+
+    def test_a_failing_batch_raises_in_the_caller(self, tiny_env, monkeypatch):
+        from tabaconv import training
+
+        def failing(batch, *args, **kwargs):
+            raise NumericError("batch failed")
+
+        monkeypatch.setattr(training, "forward_classify", failing)
+        schema, samples = tiny_env["schema"], tiny_env["downstream_samples"]
+        with pytest.raises(NumericError, match="batch failed"):
+            predict_proba(init_params(schema, TINY, seed=4, head="classify"), TINY, schema, samples,
+                          batch_size=8)
