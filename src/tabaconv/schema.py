@@ -593,7 +593,7 @@ class CsvColumns:
             known = len(lookup)
             for v in dict.fromkeys(col):  # the block's distinct cells, in first-appearance order
                 lookup.setdefault(v, len(lookup))
-            codes = np.fromiter(map(lookup.__getitem__, col), dtype=np.int32, count=len(col))
+            codes = np.array(list(map(lookup.__getitem__, col)), dtype=np.int32)
             self._parts[name].append(codes)
             if name == lay.user and lay.timestamp is not None and len(lookup) > known:
                 new = np.flatnonzero(codes >= known)
@@ -602,8 +602,7 @@ class CsvColumns:
         for name in lay.continuous:
             col = cells[self._index[name]]
             try:  # no empty and no bad cell
-                values = np.fromiter(map(float, col), dtype=np.float64, count=len(col))
-                empty = np.zeros(len(col), dtype=bool)
+                values, empty = np.array(list(map(float, col))), np.zeros(len(col), dtype=bool)
             except ValueError:
                 values = np.array(_parse_cells(col, _float_cell, self.errors[name], start, np.nan))
                 empty = np.array([v == "" for v in col], dtype=bool)

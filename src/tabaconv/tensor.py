@@ -560,20 +560,6 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return out
 
 
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """`x.max(axis=-1, keepdims=True)` as a running maximum over the last axis's slices.
-
-    A reduction over a short last axis costs about 0.1 us per row; T - 1
-    whole-block `np.maximum` calls do not. NaN propagates as in `max`. Where
-    a row's maximum is a zero, its sign may differ from `max`'s; `x - row max`
-    and its exp do not tell the two apart.
-    """
-    out = x[..., :1].copy()
-    for j in range(1, x.shape[-1]):
-        np.maximum(out, x[..., j : j + 1], out=out)
-    return out
-
-
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wmix: Tensor, heads: int) -> Tensor:
     """Bidirectional multi-head self-attention as one node, [B, T, d] -> [B, T, A].
 
@@ -602,7 +588,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wmix: Tensor, heads
     q, k, v = qkv
     scores = np.matmul(q, k.swapaxes(-1, -2))
     scores *= scale_by
-    e = np.exp(scores - _row_max(scores))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)  # [B, H, T, T]
     merged = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(-1, width)  # [B*T, A]
     parents = (x, wq, wk, wv, wmix)
@@ -705,10 +691,9 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 def embedding_sum(tables: list[Tensor], ids: np.ndarray) -> Tensor:
     """sum_k tables[k][ids[..., k]] as one node; tables [V_k, d], ids [..., K] integers.
 
-    The K looked-up rows are gathered from one float64 row-stack of the
-    tables, summed into zeros in table order and rounded once to the table
-    dtype. Backward is a segment sum done as one one-hot GEMM over the same
-    row stack, split back into per-table gradients.
+    The K looked-up rows are summed in float64 and rounded once to the table
+    dtype. Backward is a segment sum done as one one-hot GEMM over the
+    row-stacked tables, split back into per-table gradients.
     """
     ids = np.asarray(ids)
     if ids.ndim < 1 or ids.shape[-1] != len(tables):
@@ -718,17 +703,17 @@ def embedding_sum(tables: list[Tensor], ids: np.ndarray) -> Tensor:
         raise ShapeError(f"embedding_sum: tables {[t.data.shape for t in tables]} differ in width")
     sizes = [t.data.shape[0] for t in tables]
     _check_ids("embedding_sum", ids, sizes)
-    ends = np.cumsum(sizes)
-    rows = ids.reshape(-1, len(tables)) + (ends - sizes)  # row of each id in the row-stacked tables
-    stacked = np.concatenate([t.data for t in tables], dtype=np.float64)
-    summed = np.zeros((len(rows), width))
-    for k in range(len(tables)):
-        summed += stacked[rows[:, k]]
+    flat = ids.reshape(-1, len(tables))
+    summed = np.zeros((len(flat), width))
+    for k, t in enumerate(tables):
+        summed += t.data[flat[:, k]]
     out = Tensor(summed.astype(tables[0].data.dtype).reshape(ids.shape[:-1] + (width,)),
                  requires_grad=any(t.requires_grad for t in tables), parents=tuple(tables))
 
     def backward():
         g = out.grad.reshape(-1, width)
+        ends = np.cumsum(sizes)
+        rows = flat + (ends - sizes)  # row of each id in the row-stacked tables
         onehot = np.zeros((int(ends[-1]), len(rows)), dtype=g.dtype)
         onehot[rows, np.arange(len(rows))[:, None]] = 1.0  # a row's K ids hit K distinct tables
         grad = onehot @ g

@@ -582,6 +582,11 @@ def finetune(ckpt: Checkpoint, samples: Windows, schema: FeatureSchema,
     return out, records
 
 
+# Most threads `predict_proba` scores on. Two workers on two CPUs were measured (with one
+# BLAS thread and with OpenBLAS's default); wider pools are unmeasured, so they are not used.
+MAX_SCORING_WORKERS = 2
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -596,9 +601,10 @@ def predict_proba(params: dict[str, Tensor], mcfg: ModelConfig, schema: FeatureS
 
     The forward runs on frozen leaves that share the parameters' arrays, so
     it records no autodiff graph even while the parameters are trainable.
-    Batches are scored on a thread pool of one worker per usable CPU (never
-    more than batches); each batch is scored alone and the results are
-    joined in order, so the probabilities do not depend on the worker count.
+    Batches are scored on a thread pool of one worker per usable CPU, at most
+    `MAX_SCORING_WORKERS` and never more than batches; each batch is scored
+    alone and the results are joined in order, so the probabilities do not
+    depend on the worker count.
     """
     frozen = {name: Tensor(p.data) for name, p in params.items()}
 
@@ -609,7 +615,8 @@ def predict_proba(params: dict[str, Tensor], mcfg: ModelConfig, schema: FeatureS
     starts = range(0, len(samples), batch_size)
     if not starts:
         return np.zeros(0)
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
+    workers = min(_usable_cpus(), MAX_SCORING_WORKERS, len(starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(score, starts)))
 
 

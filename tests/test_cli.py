@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from tabaconv.cli import main
+from tabaconv.training import MAX_SCORING_WORKERS
 
 
 def run(argv):
@@ -432,7 +433,7 @@ def test_evaluate_is_byte_identical_on_one_cpu_and_on_all(classifier, tmp_path):
         assert proc.returncode == 0, proc.stderr
         allowed, pool, alive = map(int, proc.stdout.split()[-3:])
         assert "n=156" in proc.stdout  # 6 users x 26 windows: three batches of 64
-        assert pool == min(allowed, 3) and alive == 1
+        assert pool == min(allowed, MAX_SCORING_WORKERS, 3) and alive == 1
         if cpus == "1":
             assert allowed == 1
         outputs.append((out / "metrics.jsonl").read_bytes())

@@ -942,34 +942,3 @@ class TestColumnarWindows:
             windows.cont[0, 0] = 1.0
         with pytest.raises(ValueError):
             windows[0].cat_tokens[0, 0] = 1
-
-
-class TestCellEncoders:
-    """The block encoder's arrays equal the list-built arrays it used to make."""
-
-    def test_codes_and_floats_equal_list_built_arrays(self, tmp_path):
-        amounts = ["1.5", "-0.0", "0", "1e308", "-1e-320", "inf", "-inf", "nan", " 7 ", "1_000", "3"]
-        shops = ["b", "a", "b", "", "c", "a", "zz", "b", "", "a", "c"]
-        rows = [["u0" if i % 3 else "u1", str(1000 + i), shop, amount, "0"]
-                for i, (shop, amount) in enumerate(zip(shops, amounts))]
-        path = tmp_path / "cells.csv"
-        write_csv(path, BASIC_HEADER, rows)
-        for block in (1, 4, 64):
-            with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", block):
-                log = sc.read_columns(path, roles=BASIC_ROLES)
-            ref_floats = np.array(list(map(float, amounts)))
-            assert log.floats["amount"].tobytes() == ref_floats.tobytes()
-            for name, col in (("shop", shops), ("uid", [r[0] for r in rows])):
-                lookup = {v: i for i, v in enumerate(dict.fromkeys(col))}
-                ref_codes = np.array(list(map(lookup.__getitem__, col)), dtype=np.int32)
-                assert log.codes[name].dtype == np.int32
-                assert log.codes[name].tobytes() == ref_codes.tobytes()
-
-    def test_a_bad_float_cell_falls_back_to_the_cell_parser(self, tmp_path):
-        rows = [["u0", str(1000 + i), "a", cell, "0"] for i, cell in enumerate(["1", "x", "", "2.5"])]
-        path = tmp_path / "cells.csv"
-        write_csv(path, BASIC_HEADER, rows)
-        log = sc.read_columns(path, roles=BASIC_ROLES)
-        np.testing.assert_array_equal(log.floats["amount"], [1.0, np.nan, np.nan, 2.5])
-        assert log.empty["amount"].tolist() == [False, False, True, False]
-        assert list(log.errors["amount"]) == [1]

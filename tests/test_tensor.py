@@ -472,52 +472,6 @@ class TestEmbeddingSum:
             tt.embedding_sum([Tensor(np.zeros((3, 2)))], np.zeros((1, 2), dtype=int))
 
 
-def embedding_sum_reference(tables, ids):
-    """`embedding_sum` as first written: each table's rows gathered in its own dtype and
-    added into float64 zeros in table order; backward a one-hot GEMM over the row stack."""
-    width = tables[0].shape[1]
-    flat = ids.reshape(-1, len(tables))
-    summed = np.zeros((len(flat), width))
-    for k, t in enumerate(tables):
-        summed += t[flat[:, k]]
-    sizes = [t.shape[0] for t in tables]
-    ends = np.cumsum(sizes)
-    rows = flat + (ends - sizes)
-
-    def backward(g):
-        g = g.reshape(-1, width)
-        onehot = np.zeros((int(ends[-1]), len(rows)), dtype=g.dtype)
-        onehot[rows, np.arange(len(rows))[:, None]] = 1.0
-        grad = onehot @ g
-        return [grad[end - size : end] for end, size in zip(ends, sizes)]
-
-    return summed.astype(tables[0].dtype).reshape(ids.shape[:-1] + (width,)), backward
-
-
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_embedding_sum_bitwise_equals_its_first_formula(dtype):
-    rng = np.random.default_rng(91)
-    with use_dtype(dtype):
-        sizes = (3, 5, 1, 7)
-        # magnitudes 1e-8 to 1e8 make the order of the float64 adds visible; -0.0 rows sum to 0.0
-        tables = [Tensor(rng.normal(size=(v, 6)) * 10.0 ** rng.integers(-8, 9, size=(v, 1)),
-                         requires_grad=True) for v in sizes]
-        for t in tables:
-            t.data[0, :3] = -0.0
-        ids = np.stack([rng.integers(0, v, size=(4, 9)) for v in sizes], axis=-1).astype(np.int32)
-        ids[0, 0] = 0  # every lookup of this row hits a -0.0
-        out = tt.embedding_sum(tables, ids)
-        ref, ref_backward = embedding_sum_reference([t.data for t in tables], ids)
-        assert out.data.dtype == ref.dtype == np.dtype(dtype)
-        assert out.data.tobytes() == ref.tobytes()
-        assert not np.signbit(out.data[0, 0, :3]).any()
-        g = rng.normal(size=out.shape).astype(dtype)
-        out.grad = g
-        out._backward()
-        for t, want in zip(tables, ref_backward(g)):
-            assert t.grad.dtype == want.dtype and t.grad.tobytes() == want.tobytes()
-
-
 def _per_field_cross_entropy(logits, targets, mask):
     """Reference: one gather_bt + cross_entropy_sum per field with a masked cell, chained by add."""
     total = None
@@ -748,66 +702,6 @@ def test_attention_matches_node_by_node_composition(shape, width, heads):
             results.append([out.data] + [leaf.grad for leaf in leaves])
     for got, ref in zip(*results):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-
-ROW_MAX_CASES = np.array([
-    [1.0, 3.0, 3.0, 2.0],                   # tied maximum
-    [-0.0, 0.0, -0.0, 0.0],                 # zeros of both signs, either one first
-    [0.0, -0.0, 0.0, -0.0],
-    [-0.0, -0.0, -0.0, -0.0],
-    [np.inf, 1.0, 2.0, np.inf],
-    [-np.inf, -np.inf, -np.inf, -np.inf],
-    [-np.inf, np.inf, 0.0, 1.0],
-    [1.0, np.nan, 2.0, 3.0],
-    [np.nan, 1.0, 2.0, 3.0],
-    [1.0, 2.0, 3.0, np.nan],
-    [np.nan, np.nan, np.nan, np.nan],
-    [5.0, 5.0, 5.0, 5.0],
-    [-7.5, -7.25, -8.0, -7.25],
-])
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_row_max_equals_max_and_shifts_bitwise_alike(dtype):
-    rng = np.random.default_rng(5)
-    blocks = [ROW_MAX_CASES.astype(dtype),
-              rng.normal(size=(64, 4, 10, 10)).round(1).astype(dtype),  # ties in most rows
-              rng.normal(size=(3, 1)).astype(dtype)]  # a one-column row
-    for x in blocks:
-        got, ref = tt._row_max(x), x.max(axis=-1, keepdims=True)
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        np.testing.assert_array_equal(got, ref)  # NaN where max gives NaN
-        with np.errstate(invalid="ignore"):
-            assert np.exp(x - got).tobytes() == np.exp(x - ref).tobytes()
-
-
-def attention_forward_reference(x, wq, wk, wv, wmix, heads):
-    """`tt.attention`'s forward as first written, with the row maximum taken by `max`."""
-    batch, t_len, d = x.shape
-    width = wq.shape[-1]
-    dk = width // heads
-    qkv = (x.reshape(-1, d) @ np.concatenate([wq, wk, wv], axis=1)).reshape(
-        batch, t_len, 3, heads, dk).transpose(2, 0, 3, 1, 4)
-    q, k, v = qkv
-    scores = np.matmul(q, k.swapaxes(-1, -2))
-    scores *= 1.0 / math.sqrt(dk)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
-    merged = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(-1, width)
-    return (merged @ wmix).reshape(batch, t_len, width)
-
-
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("shape,width,heads", [((64, 10, 64), 32, 4), ((3, 1, 4), 4, 1)])
-def test_attention_forward_bitwise_equals_its_first_formula(dtype, shape, width, heads):
-    rng = np.random.default_rng(sum(shape))
-    with use_dtype(dtype):
-        x = rng.normal(size=shape).astype(dtype)
-        ws = [rng.normal(size=(shape[-1], width)).astype(dtype) for _ in range(3)]
-        ws.append(rng.normal(size=(width, width)).astype(dtype))
-        out = tt.attention(Tensor(x), *map(Tensor, ws), heads=heads)
-        ref = attention_forward_reference(x, *ws, heads=heads)
-    assert out.data.dtype == ref.dtype and out.data.tobytes() == ref.tobytes()
 
 
 def test_attention_rejects_a_width_the_heads_do_not_split():

@@ -760,7 +760,7 @@ class TestPredictProba:
         monkeypatch.setattr(training, "ThreadPoolExecutor", Recording)
         return workers
 
-    @pytest.mark.parametrize("cpus,batch_size,pool", [(1, 8, 1), (2, 8, 2), (2, 64, 1), (5, 8, 3)])
+    @pytest.mark.parametrize("cpus,batch_size,pool", [(1, 8, 1), (2, 8, 2), (2, 64, 1), (5, 8, 2)])
     def test_equal_for_every_cpu_count(self, tiny_env, monkeypatch, cpus, batch_size, pool):
         import threading
 
@@ -773,17 +773,20 @@ class TestPredictProba:
         running = threading.active_count()
         probs = predict_proba(params, TINY, schema, samples, batch_size=batch_size)
         assert probs.dtype == expected.dtype and probs.tobytes() == expected.tobytes()
-        assert workers == [pool]  # one per CPU, never more than batches
+        assert workers == [pool]  # one per CPU, at most two, never more than batches
         assert threading.active_count() == running
 
     def test_more_workers_than_cores_with_frequent_switches(self, tiny_env, monkeypatch):
         import sys
+
+        from tabaconv import training
 
         schema, samples = tiny_env["schema"], tiny_env["downstream_samples"]
         params = init_params(schema, TINY, seed=5, head="classify")
         expected = self.sequential(params, schema, samples, 2)
         workers = self.record_pools(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(training, "MAX_SCORING_WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -799,10 +802,10 @@ class TestPredictProba:
         params = init_params(schema, TINY, seed=4, head="classify")
         workers = self.record_pools(monkeypatch)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         probs = predict_proba(params, TINY, schema, samples, batch_size=8)
         assert probs.tobytes() == self.sequential(params, schema, samples, 8).tobytes()
-        assert workers == [2]
+        assert workers == [1]
 
     def test_no_windows_opens_no_pool(self, tiny_env, monkeypatch):
         schema, samples = tiny_env["schema"], tiny_env["downstream_samples"]
