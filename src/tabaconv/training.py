@@ -582,9 +582,13 @@ def finetune(ckpt: Checkpoint, samples: Windows, schema: FeatureSchema,
     return out, records
 
 
-# Most threads `predict_proba` scores on. Two workers on two CPUs were measured (with one
-# BLAS thread and with OpenBLAS's default); wider pools are unmeasured, so they are not used.
+# Most threads `predict_proba` scores on: the only pool width measured (two CPUs).
 MAX_SCORING_WORKERS = 2
+# OpenBLAS takes its thread count from the first of these that is set, else runs one thread
+# per CPU. Scoring threads help only over a one-thread BLAS: on two CPUs, `predict_proba` over
+# 9500 windows took 0.67-0.74 s in one thread, 0.47-0.48 s on two workers over a one-thread
+# BLAS and 0.97-1.07 s on two workers over OpenBLAS's default threads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _usable_cpus() -> int:
@@ -595,16 +599,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _scoring_workers(batches: int) -> int:
+    """Threads to score `batches` batches on: one per usable CPU, at most `MAX_SCORING_WORKERS`
+    and never more than batches, or one unless BLAS is set to run one thread."""
+    blas = next((os.environ[v] for v in BLAS_THREAD_VARS if os.environ.get(v)), None)
+    if blas is None or blas.strip() != "1":
+        return 1
+    return min(_usable_cpus(), MAX_SCORING_WORKERS, batches)
+
+
 def predict_proba(params: dict[str, Tensor], mcfg: ModelConfig, schema: FeatureSchema,
                   samples: Windows, batch_size: int = 64) -> np.ndarray:
     """Deterministic forward pass (dropout off) returning fraud probabilities.
 
     The forward runs on frozen leaves that share the parameters' arrays, so
     it records no autodiff graph even while the parameters are trainable.
-    Batches are scored on a thread pool of one worker per usable CPU, at most
-    `MAX_SCORING_WORKERS` and never more than batches; each batch is scored
-    alone and the results are joined in order, so the probabilities do not
-    depend on the worker count.
+    With more than one `_scoring_workers`, batches are scored on a thread
+    pool; each batch is scored alone and the results are joined in order,
+    so the probabilities do not depend on the worker count.
     """
     frozen = {name: Tensor(p.data) for name, p in params.items()}
 
@@ -613,11 +625,13 @@ def predict_proba(params: dict[str, Tensor], mcfg: ModelConfig, schema: FeatureS
         return tt.sigmoid(forward_classify(batch, frozen, mcfg, schema, dropout_rng=None).data)
 
     starts = range(0, len(samples), batch_size)
-    if not starts:
-        return np.zeros(0)
-    workers = min(_usable_cpus(), MAX_SCORING_WORKERS, len(starts))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(score, starts)))
+    workers = _scoring_workers(len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            probs = list(pool.map(score, starts))
+    else:
+        probs = [score(start) for start in starts]
+    return np.concatenate(probs) if probs else np.zeros(0)
 
 
 def _classification_scores(params: dict[str, Tensor], mcfg: ModelConfig, schema: FeatureSchema,

@@ -760,7 +760,17 @@ class TestPredictProba:
         monkeypatch.setattr(training, "ThreadPoolExecutor", Recording)
         return workers
 
-    @pytest.mark.parametrize("cpus,batch_size,pool", [(1, 8, 1), (2, 8, 2), (2, 64, 1), (5, 8, 2)])
+    @staticmethod
+    def set_blas_threads(monkeypatch, **values):
+        """The BLAS thread variables, exactly as given."""
+        from tabaconv.training import BLAS_THREAD_VARS
+
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in values.items():
+            monkeypatch.setenv(var, value)
+
+    @pytest.mark.parametrize("cpus,batch_size,pool", [(1, 8, 0), (2, 8, 2), (2, 64, 0), (5, 8, 2)])
     def test_equal_for_every_cpu_count(self, tiny_env, monkeypatch, cpus, batch_size, pool):
         import threading
 
@@ -769,11 +779,13 @@ class TestPredictProba:
         params = init_params(schema, TINY, seed=4, head="classify")
         expected = self.sequential(params, schema, samples, batch_size)
         workers = self.record_pools(monkeypatch)
+        self.set_blas_threads(monkeypatch, OPENBLAS_NUM_THREADS="1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         running = threading.active_count()
         probs = predict_proba(params, TINY, schema, samples, batch_size=batch_size)
         assert probs.dtype == expected.dtype and probs.tobytes() == expected.tobytes()
-        assert workers == [pool]  # one per CPU, at most two, never more than batches
+        # one worker per CPU, at most two, never more than batches; one worker opens no pool
+        assert workers == ([pool] if pool else [])
         assert threading.active_count() == running
 
     def test_more_workers_than_cores_with_frequent_switches(self, tiny_env, monkeypatch):
@@ -785,6 +797,7 @@ class TestPredictProba:
         params = init_params(schema, TINY, seed=5, head="classify")
         expected = self.sequential(params, schema, samples, 2)
         workers = self.record_pools(monkeypatch)
+        self.set_blas_threads(monkeypatch, OMP_NUM_THREADS="1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setattr(training, "MAX_SCORING_WORKERS", 8)
         interval = sys.getswitchinterval()
@@ -801,11 +814,33 @@ class TestPredictProba:
         schema, samples = tiny_env["schema"], tiny_env["downstream_samples"]
         params = init_params(schema, TINY, seed=4, head="classify")
         workers = self.record_pools(monkeypatch)
+        self.set_blas_threads(monkeypatch, OPENBLAS_NUM_THREADS="1")
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        for cpus, pool in ((1, []), (2, [2])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            probs = predict_proba(params, TINY, schema, samples, batch_size=8)
+            assert probs.tobytes() == self.sequential(params, schema, samples, 8).tobytes()
+            assert workers == pool
+            workers.clear()
+
+    @pytest.mark.parametrize("blas,pool", [
+        ({}, []),  # OpenBLAS's default: one thread per CPU
+        ({"OPENBLAS_NUM_THREADS": "2"}, []),
+        ({"OPENBLAS_NUM_THREADS": "1"}, [2]),
+        ({"GOTO_NUM_THREADS": "1"}, [2]),
+        ({"OMP_NUM_THREADS": "1"}, [2]),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, []),  # the first one set counts
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, [2]),
+    ])
+    def test_pool_only_over_a_one_thread_blas(self, tiny_env, monkeypatch, blas, pool):
+        schema, samples = tiny_env["schema"], tiny_env["downstream_samples"]
+        params = init_params(schema, TINY, seed=4, head="classify")
+        workers = self.record_pools(monkeypatch)
+        self.set_blas_threads(monkeypatch, **blas)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         probs = predict_proba(params, TINY, schema, samples, batch_size=8)
         assert probs.tobytes() == self.sequential(params, schema, samples, 8).tobytes()
-        assert workers == [1]
+        assert workers == pool
 
     def test_no_windows_opens_no_pool(self, tiny_env, monkeypatch):
         schema, samples = tiny_env["schema"], tiny_env["downstream_samples"]
@@ -821,6 +856,8 @@ class TestPredictProba:
             raise NumericError("batch failed")
 
         monkeypatch.setattr(training, "forward_classify", failing)
+        self.set_blas_threads(monkeypatch, OPENBLAS_NUM_THREADS="1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         schema, samples = tiny_env["schema"], tiny_env["downstream_samples"]
         with pytest.raises(NumericError, match="batch failed"):
             predict_proba(init_params(schema, TINY, seed=4, head="classify"), TINY, schema, samples,
