@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .masking import MaskConfig
-from .model import ModelConfig
+from .model import ModelConfig, param_specs
 from .schema import (
     CsvColumns,
     FeatureSchema,
@@ -66,8 +66,9 @@ _M_TOP_PAD = -2
 _HEAP_TOP_PAD = 16 << 20
 _M_ARENA_MAX = -8
 
+# Errors of the input a command was given; any other exception is a bug and escapes with a traceback
 _CONFIG_ERRORS = (ConfigError, SchemaError, ContractError, IntegrityError,
-                  UnsupportedVersionError, FileNotFoundError, ValueError, KeyError)
+                  UnsupportedVersionError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -259,6 +260,12 @@ def _load_ckpt_and_schema(cfg: dict) -> tuple[Checkpoint, FeatureSchema]:
             f"schema digest mismatch: checkpoint {ckpt.schema_digest[:12]}... vs "
             f"{schema_path} {schema.digest()[:12]}..."
         )
+    # a re-signed file can hold any parameters; they must be exactly those its model is built from
+    head = "classify" if "clf.w" in ckpt.params else "pretrain"
+    expected = {name: shape for name, (shape, _) in param_specs(schema, ckpt.model_config, head).items()}
+    if {name: a.shape for name, a in ckpt.params.items()} != expected:
+        raise IntegrityError(f"{ckpt_path}: parameters do not match the {head} model of its "
+                             f"model_config and schema")
     return ckpt, schema
 
 

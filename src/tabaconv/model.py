@@ -115,73 +115,79 @@ class Batch:
 # ---------------------------------------------------------------------------
 
 
-def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int = 0,
-                head: str = "pretrain") -> dict[str, Tensor]:
-    """Seeded parameter dict; uniform(+-1/sqrt(fan_in)) weights, zero biases.
+def param_specs(schema: FeatureSchema, cfg: ModelConfig,
+                head: str = "pretrain") -> dict[str, tuple[tuple[int, ...], int | str]]:
+    """Name -> (shape, init) of every parameter, in the order `init_params` draws them.
 
-    head: "pretrain" adds per-field reconstruction heads, "classify" adds the
-    binary classifier, "none" adds neither.
+    init is the fan-in of a uniform(+-1/sqrt(fan_in)) draw, or "zeros" or
+    "ones". head: "pretrain" adds per-field reconstruction heads, "classify"
+    adds the binary classifier, "none" adds neither.
     """
     if head not in ("pretrain", "classify", "none"):
         raise ConfigError(f"unknown head kind {head!r}")
-    rng = np.random.default_rng(seed)
     d = cfg.d_model
-    params: dict[str, Tensor] = {}
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape), requires_grad=True)
-
+    specs: dict[str, tuple[tuple[int, ...], int | str]] = {}
     for f in schema.categorical_fields:
-        params[f"embed.cat.{f.name}"] = uniform((f.vocab_size(), d), d)
+        specs[f"embed.cat.{f.name}"] = ((f.vocab_size(), d), d)
     for f in schema.continuous_fields:
-        params[f"embed.cont.{f.name}.w"] = uniform((d,), 1)
-        params[f"embed.cont.{f.name}.b"] = zeros((d,))
+        specs[f"embed.cont.{f.name}.w"] = ((d,), 1)
+        specs[f"embed.cont.{f.name}.b"] = ((d,), "zeros")
 
     sizes = schema.component_sizes()
     for name in TS_COMPONENT_NAMES:
-        params[f"time.comp.{name}"] = uniform((sizes[name], d), d)
-    params["time.net.w1"] = uniform((4, d), 4)
-    params["time.net.b1"] = zeros((d,))
-    params["time.net.w2"] = uniform((d, d), d)
-    params["time.net.b2"] = zeros((d,))
+        specs[f"time.comp.{name}"] = ((sizes[name], d), d)
+    specs["time.net.w1"] = ((4, d), 4)
+    specs["time.net.b1"] = ((d,), "zeros")
+    specs["time.net.w2"] = ((d, d), d)
+    specs["time.net.b2"] = ((d,), "zeros")
 
     for i in range(cfg.n_blocks):
         p = f"block{i}"
-        params[f"{p}.conv.w"] = uniform((cfg.kernel_size, d, cfg.conv_channels), cfg.kernel_size * d)
-        params[f"{p}.conv.b"] = zeros((cfg.conv_channels,))
-        params[f"{p}.attn.wq"] = uniform((d, cfg.attn_channels), d)
-        params[f"{p}.attn.wk"] = uniform((d, cfg.attn_channels), d)
-        params[f"{p}.attn.wv"] = uniform((d, cfg.attn_channels), d)
-        params[f"{p}.attn.wmix"] = uniform((cfg.attn_channels, cfg.attn_channels), cfg.attn_channels)
-        params[f"{p}.mix.w"] = uniform((1, d, d), d)
-        params[f"{p}.mix.b"] = zeros((d,))
-        params[f"{p}.ln1.g"] = ones((d,))
-        params[f"{p}.ln1.b"] = zeros((d,))
+        specs[f"{p}.conv.w"] = ((cfg.kernel_size, d, cfg.conv_channels), cfg.kernel_size * d)
+        specs[f"{p}.conv.b"] = ((cfg.conv_channels,), "zeros")
+        specs[f"{p}.attn.wq"] = ((d, cfg.attn_channels), d)
+        specs[f"{p}.attn.wk"] = ((d, cfg.attn_channels), d)
+        specs[f"{p}.attn.wv"] = ((d, cfg.attn_channels), d)
+        specs[f"{p}.attn.wmix"] = ((cfg.attn_channels, cfg.attn_channels), cfg.attn_channels)
+        specs[f"{p}.mix.w"] = ((1, d, d), d)
+        specs[f"{p}.mix.b"] = ((d,), "zeros")
+        specs[f"{p}.ln1.g"] = ((d,), "ones")
+        specs[f"{p}.ln1.b"] = ((d,), "zeros")
         hidden = cfg.ffn_mult * d
-        params[f"{p}.ffn.w1"] = uniform((d, hidden), d)
-        params[f"{p}.ffn.b1"] = zeros((hidden,))
-        params[f"{p}.ffn.w2"] = uniform((hidden, d), hidden)
-        params[f"{p}.ffn.b2"] = zeros((d,))
-        params[f"{p}.ln2.g"] = ones((d,))
-        params[f"{p}.ln2.b"] = zeros((d,))
+        specs[f"{p}.ffn.w1"] = ((d, hidden), d)
+        specs[f"{p}.ffn.b1"] = ((hidden,), "zeros")
+        specs[f"{p}.ffn.w2"] = ((hidden, d), hidden)
+        specs[f"{p}.ffn.b2"] = ((d,), "zeros")
+        specs[f"{p}.ln2.g"] = ((d,), "ones")
+        specs[f"{p}.ln2.b"] = ((d,), "zeros")
 
     if head == "pretrain":
         for f in schema.categorical_fields:
-            params[f"head.cat.{f.name}.w"] = uniform((d, f.vocab_size()), d)
-            params[f"head.cat.{f.name}.b"] = zeros((f.vocab_size(),))
+            specs[f"head.cat.{f.name}.w"] = ((d, f.vocab_size()), d)
+            specs[f"head.cat.{f.name}.b"] = ((f.vocab_size(),), "zeros")
         for f in schema.continuous_fields:
-            params[f"head.cont.{f.name}.w"] = uniform((d, 1), d)
-            params[f"head.cont.{f.name}.b"] = zeros((1,))
+            specs[f"head.cont.{f.name}.w"] = ((d, 1), d)
+            specs[f"head.cont.{f.name}.b"] = ((1,), "zeros")
     elif head == "classify":
-        params["clf.w"] = uniform((d, 1), d)
-        params["clf.b"] = zeros((1,))
+        specs["clf.w"] = ((d, 1), d)
+        specs["clf.b"] = ((1,), "zeros")
+    return specs
+
+
+def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int = 0,
+                head: str = "pretrain") -> dict[str, Tensor]:
+    """Seeded parameter dict of `param_specs`; uniform(+-1/sqrt(fan_in)) weights, zero biases."""
+    rng = np.random.default_rng(seed)
+    params: dict[str, Tensor] = {}
+    for name, (shape, init) in param_specs(schema, cfg, head).items():
+        if init == "zeros":
+            data = np.zeros(shape)
+        elif init == "ones":
+            data = np.ones(shape)
+        else:
+            bound = 1.0 / math.sqrt(init)
+            data = rng.uniform(-bound, bound, size=shape)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 

@@ -99,7 +99,7 @@ _TS_MAX = _days_from_civil(10000, 1, 1) * 86400 - 1
 def _require_supported(ts: int) -> None:
     if not _TS_MIN <= ts <= _TS_MAX:
         year = _civil_from_days(ts // 86400)[0]
-        raise ValueError(f"timestamp {ts} falls in unsupported year {year}")
+        raise SchemaError(f"timestamp {ts} falls in unsupported year {year}")
 
 
 def _calendar(ts):
@@ -151,7 +151,7 @@ def parse_iso8601(value: str) -> int:
     """UTC ISO-8601 (seconds precision) to epoch seconds."""
     m = _ISO_RE.match(value.strip())
     if m is None:
-        raise ValueError(f"not an ISO-8601 UTC timestamp: {value!r}")
+        raise SchemaError(f"not an ISO-8601 UTC timestamp: {value!r}")
     year, month, day, hour, minute, second = (int(g) for g in m.groups())
     return _days_from_civil(year, month, day) * 86400 + hour * 3600 + minute * 60 + second
 
@@ -161,7 +161,7 @@ def detect_timestamp_format(value: str) -> str:
         return "epoch"
     if _ISO_RE.match(value.strip()):
         return "iso8601"
-    raise ValueError(f"unrecognized timestamp format: {value!r}")
+    raise SchemaError(f"unrecognized timestamp format: {value!r}")
 
 
 def parse_timestamp(value: str, fmt: str) -> int:
@@ -331,6 +331,9 @@ def _check_schema_payload(payload, source: str) -> None:
     if not isinstance(payload, dict):
         raise SchemaError(f"{source}: schema must be a JSON object, got {type(payload).__name__}")
     _check_keys(payload, _SCHEMA_KEY_TYPES, source)
+    if not _TS_MIN <= payload["t_min"] <= payload["t_max"] <= _TS_MAX:
+        raise SchemaError(f"{source}: keys 't_min' <= 't_max' must be epoch seconds in years 1-9999, "
+                          f"got {payload['t_min']} and {payload['t_max']}")
     if payload["timestamp_format"] not in ("epoch", "iso8601"):
         raise SchemaError(f"{source}: key 'timestamp_format' must be 'epoch' or 'iso8601', "
                           f"got {payload['timestamp_format']!r}")
@@ -425,23 +428,27 @@ _ENCODE_BLOCK_ROWS = 4096
 def _csv_blocks(path):
     """Yield the header, then the data rows in blocks of `_ENCODE_BLOCK_ROWS`.
 
-    UTF-8, RFC 4180 quoting. A row whose width differs from the header's is
-    a SchemaError, raised when its block is read.
+    UTF-8, RFC 4180 quoting. A row whose width differs from the header's, or
+    bytes that are not UTF-8, are a SchemaError, raised when their block is read.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty CSV")
-        yield header
-        width, start = len(header), 0
-        while block := list(itertools.islice(reader, _ENCODE_BLOCK_ROWS)):
-            if set(map(len, block)) != {width}:
-                i = next(i for i, row in enumerate(block) if len(row) != width)
-                raise SchemaError(f"{path}: row {start + i} has {len(block[i])} cells, header has {width}")
-            yield block
-            start += len(block)
-            del block  # not alive while the next one is read
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty CSV")
+            yield header
+            width, start = len(header), 0
+            while block := list(itertools.islice(reader, _ENCODE_BLOCK_ROWS)):
+                if set(map(len, block)) != {width}:
+                    i = next(i for i, row in enumerate(block) if len(row) != width)
+                    raise SchemaError(f"{path}: row {start + i} has {len(block[i])} cells, "
+                                      f"header has {width}")
+                yield block
+                start += len(block)
+                del block  # not alive while the next one is read
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: CSV is not UTF-8 text: {exc}") from None
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -455,7 +462,7 @@ def load_roles(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             roles = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise SchemaError(f"{path}: role config is not valid JSON: {exc}") from None
     if not isinstance(roles, dict) or "user" not in roles or "columns" not in roles:
         raise SchemaError(f"{path}: role config must be a JSON object with 'user' and 'columns' entries")
@@ -615,7 +622,7 @@ class CsvColumns:
         if self.timestamp_format is None:  # a guess; infer_schema detects the real one
             try:
                 self.timestamp_format = detect_timestamp_format(cells[0])
-            except ValueError:
+            except SchemaError:
                 self.timestamp_format = "epoch"
         fmt = self.timestamp_format
         try:  # int() strips whitespace as parse_timestamp does; only its messages differ
@@ -626,7 +633,7 @@ class CsvColumns:
             for i, t in enumerate(stamps):
                 try:
                     _require_supported(t)
-                except ValueError as exc:
+                except SchemaError as exc:
                     self.unsupported[start + i] = str(exc)
                     stamps[i] = 0
         self._parts[self.layout.timestamp].append(np.array(stamps, dtype=np.int64))
@@ -747,10 +754,7 @@ def infer_schema(csv_path, roles: dict, include_users: set[str] | None = None, *
     rows = log.rows_of(include_users)
     if not rows.size:
         raise SchemaError("no rows available for schema inference")
-    try:
-        ts_fmt = detect_timestamp_format(log.first_stamps[log.codes[log.layout.user][rows[0]]])
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    ts_fmt = detect_timestamp_format(log.first_stamps[log.codes[log.layout.user][rows[0]]])
     if ts_fmt != log.timestamp_format:
         log.reparse_timestamps(ts_fmt)
     bad = _positions(log.stamp_errors, rows)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -60,6 +61,17 @@ class SynthConfig:
             raise ConfigError(f"label_noise must be in [0,1], got {self.label_noise}")
         if self.n_users < 1 or self.rows_per_user < 1:
             raise ConfigError("n_users and rows_per_user must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed (--seed) must be non-negative, got {self.seed}")
+        for name, flag in (("n_merchants", "--merchants"), ("n_categories", "--categories"),
+                           ("n_cities", "--cities")):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} ({flag}) must be at least 1, got {getattr(self, name)}")
+        if not math.isfinite(self.amount_mu):
+            raise ConfigError(f"amount_mu (--amount-mu) must be finite, got {self.amount_mu}")
+        if not (math.isfinite(self.amount_sigma) and self.amount_sigma >= 0):
+            raise ConfigError(f"amount_sigma (--amount-sigma) must be finite and non-negative, "
+                              f"got {self.amount_sigma}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -30,8 +30,9 @@ from .errors import (
     ShapeError,
     UnsupportedVersionError,
 )
-# apply_mask and f1_binary stay importable from this module, where callers look them up
-from .masking import MaskConfig, apply_mask, field_masks, rng_for_sample, sample_mask_plan  # noqa: F401
+# re-exported for callers that look them up here: the benchmark tracer wraps apply_mask and
+# sample_mask_plan, and the tests import f1_binary
+from .masking import MaskConfig, apply_mask, field_masks, sample_mask_plan  # noqa: F401
 from .metrics import auroc, f1_binary, precision_recall_f1  # noqa: F401
 from .model import (
     Batch,
@@ -46,19 +47,20 @@ from .schema import MASK_ID, FeatureSchema, Windows
 from .tensor import Tensor
 
 
+# Adam's moment decays and denominator term, and the global gradient norm each step is clipped to
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+GRAD_CLIP = 1.0
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 32
     epochs: int = 5
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     mode: str = "pretrain"  # pretrain | finetune | scratch
-    grad_clip: float = 1.0
-    ce_weight: float = 1.0
-    mse_weight: float = 1.0
 
     def __post_init__(self):
         if self.seed < 0:
@@ -67,10 +69,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size/epochs must be positive, got {self.batch_size}/{self.epochs}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning rate (--lr) must be finite and positive, got {self.learning_rate}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError(f"betas must be in [0,1), got {self.beta1}/{self.beta2}")
         if self.mode not in ("pretrain", "finetune", "scratch"):
             raise ConfigError(f"unknown mode {self.mode!r}")
 
@@ -147,8 +145,7 @@ def _head_columns(preds: dict[str, Tensor], schema: FeatureSchema) -> tuple[Tens
     return fused, spans, hi
 
 
-def mdm_loss(preds: dict[str, Tensor], batch: Batch, reg: Tensor, schema: FeatureSchema,
-             ce_weight: float = 1.0, mse_weight: float = 1.0) -> Tensor:
+def mdm_loss(preds: dict[str, Tensor], batch: Batch, reg: Tensor, schema: FeatureSchema) -> Tensor:
     """Masked-cell reconstruction loss; a kind with zero masked cells contributes 0."""
     total = reg
     n_cat = int(batch.cat_mask.sum()) if batch.cat_mask is not None else 0
@@ -158,10 +155,10 @@ def mdm_loss(preds: dict[str, Tensor], batch: Batch, reg: Tensor, schema: Featur
     fused, spans, cont_start = _head_columns(preds, schema)
     if n_cat:
         ce_sum = tt.masked_cross_entropy_sum(fused, spans, batch.cat_targets, batch.cat_mask)
-        total = tt.add(total, tt.scale(ce_sum, ce_weight / n_cat))
+        total = tt.add(total, tt.scale(ce_sum, 1.0 / n_cat))
     if n_cont:
         se_sum = tt.masked_squared_error_sum(fused, cont_start, batch.cont_targets, batch.cont_mask)
-        total = tt.add(total, tt.scale(se_sum, mse_weight / n_cont))
+        total = tt.add(total, tt.scale(se_sum, 1.0 / n_cont))
     return total
 
 
@@ -197,7 +194,7 @@ def bce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
 class AdamState:
     """Adam over one flat buffer that holds every trainable parameter.
 
-    `for_params` moves the named parameters' values into `data` and gives
+    The constructor moves the named parameters' values into `data` and gives
     each one a `grad` view into a flat gradient buffer, so zeroing, the clip
     scaling, the non-finite check and the update are whole-buffer ops. Each
     slice holds one parameter, in name order. A tensor whose `data` or
@@ -231,10 +228,6 @@ class AdamState:
         self.grad_views = self._views(self.grad)
         self.sync()  # moves the values in, and keeps any gradient that exists already
 
-    @classmethod
-    def for_params(cls, params: dict[str, Tensor], names: list[str]) -> "AdamState":
-        return cls(params, names)
-
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         return [flat[lo:hi].reshape(p.data.shape) for p, (lo, hi) in zip(self.tensors, self.bounds)]
 
@@ -264,8 +257,8 @@ def _same_shape(name: str, what: str, arr: np.ndarray, view: np.ndarray) -> np.n
     return arr
 
 
-def clip_global_norm(state: AdamState, max_norm: float) -> float:
-    """Scale the gradient buffer to at most `max_norm` (when positive); returns the norm before.
+def clip_global_norm(state: AdamState) -> float:
+    """Scale the gradient buffer to a global norm of at most GRAD_CLIP; returns the norm before.
 
     The whole buffer is squared in float64 at once; each parameter's slice of
     the squares is summed on its own and the sums added in name order, which
@@ -278,8 +271,8 @@ def clip_global_norm(state: AdamState, max_norm: float) -> float:
     for lo, hi in state.bounds:
         total += float(squares[lo:hi].sum())
     norm = math.sqrt(total)
-    if max_norm > 0 and norm > max_norm:
-        state.grad *= max_norm / norm
+    if norm > GRAD_CLIP:
+        state.grad *= GRAD_CLIP / norm
     return norm
 
 
@@ -292,17 +285,17 @@ def adam_step(state: AdamState, cfg: TrainConfig) -> None:
                    if not np.isfinite(g[lo:hi]).all())
         raise NumericError(f"non-finite gradient for parameter {bad!r}")
     state.t += 1
-    c1 = 1.0 - cfg.beta1 ** state.t
-    c2 = 1.0 - cfg.beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     m, v, tmp, update = state.m, state.v, *state.scratch
-    m *= cfg.beta1
-    m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
-    v *= cfg.beta2
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    v *= ADAM_BETA2
     np.multiply(g, g, out=tmp)
-    v += np.multiply(tmp, 1.0 - cfg.beta2, out=tmp)
+    v += np.multiply(tmp, 1.0 - ADAM_BETA2, out=tmp)
     # update = lr * (m / c1) / (sqrt(v / c2) + eps), one operation at a time
     np.sqrt(np.divide(v, c2, out=tmp), out=tmp)
-    tmp += cfg.eps
+    tmp += ADAM_EPS
     np.divide(m, c1, out=update)
     update /= tmp
     update *= cfg.learning_rate
@@ -328,12 +321,8 @@ class Checkpoint:
 
     def tensors(self, trainable: set[str] | None = None) -> dict[str, Tensor]:
         """Materialize parameters; non-trainable names become frozen leaves."""
-        out = {}
-        for name, arr in self.params.items():
-            requires = True if trainable is None else name in trainable
-            t = Tensor(arr.copy(), requires_grad=requires)
-            out[name] = t
-        return out
+        return {name: Tensor(arr.copy(), requires_grad=trainable is None or name in trainable)
+                for name, arr in self.params.items()}
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -437,20 +426,37 @@ def load_checkpoint(path) -> Checkpoint:
 # ---------------------------------------------------------------------------
 
 
-def _grad_norm_stats(norms: list[float], max_norm: float) -> dict:
+def _grad_norm_stats(norms: list[float]) -> dict:
     """Per-epoch summary of the pre-clip global gradient norms; zeros for an epoch with no step."""
-    if not norms:
-        return {"grad_norm_mean": 0.0, "grad_norm_max": 0.0, "clipped_frac": 0.0}
-    clipped = sum(max_norm > 0 and norm > max_norm for norm in norms)
-    return {"grad_norm_mean": sum(norms) / len(norms), "grad_norm_max": max(norms),
-            "clipped_frac": clipped / len(norms)}
+    steps = max(len(norms), 1)
+    return {"grad_norm_mean": sum(norms) / steps, "grad_norm_max": max(norms, default=0.0),
+            "clipped_frac": sum(norm > GRAD_CLIP for norm in norms) / steps}
 
 
-def _check_finite_loss(loss: Tensor) -> float:
+def _epoch_streams(seed: int, salt: int, epoch: int, n: int) -> tuple[np.ndarray, np.random.Generator]:
+    """The epoch's order of `n` windows (stream `salt`) and dropout stream (`salt + 101`, idle at rate 0)."""
+    order = np.random.default_rng(np.random.SeedSequence([seed, salt, epoch])).permutation(n)
+    return order, np.random.default_rng(np.random.SeedSequence([seed, salt + 101, epoch]))
+
+
+def _step(state: AdamState, loss: Tensor, tcfg: TrainConfig, norms: list[float]) -> float:
+    """One optimizer step on a finite `loss`; appends the pre-clip gradient norm, returns the loss."""
     value = float(loss.data)
     if not math.isfinite(value):
         raise NumericError(f"training loss is non-finite: {value}")
+    state.zero_grad()
+    loss.backward()
+    norms.append(clip_global_norm(state))
+    adam_step(state, tcfg)
     return value
+
+
+def _checkpoint(mcfg: ModelConfig, schema: FeatureSchema, params: dict[str, Tensor],
+                state: AdamState, rng_info: dict) -> Checkpoint:
+    """A copy of the trained parameters; its step counts the Adam updates."""
+    return Checkpoint(model_config=mcfg, schema_digest=schema.digest(),
+                      params={name: p.data.copy() for name, p in params.items()},
+                      step=state.t, rng_info=rng_info)
 
 
 # Windows whose masks `pretrain` draws in one `field_masks` call, rounded down to whole batches
@@ -468,15 +474,12 @@ def pretrain(samples: Windows, schema: FeatureSchema, mcfg: ModelConfig,
     if samples.labels is not None:
         raise ContractError("pretraining dataset must not carry labels")
     params = init_params(schema, mcfg, seed=tcfg.seed, head="pretrain")
-    state = AdamState.for_params(params, list(params))
+    state = AdamState(params, list(params))
     records: list[dict] = []
-    step = 0
     n = len(samples)
     chunk = tcfg.batch_size * max(1, MASK_CHUNK_WINDOWS // tcfg.batch_size)
     for epoch in range(tcfg.epochs):
-        order = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 101, epoch])).permutation(n)
-        drop_rng = (np.random.default_rng(np.random.SeedSequence([tcfg.seed, 202, epoch]))
-                    if mcfg.dropout > 0 else None)
+        order, drop_rng = _epoch_streams(tcfg.seed, 101, epoch, n)  # 101 and 202
         loss_sum = 0.0
         stats = {"cat_total": 0, "cat_correct": 0, "cont_total": 0, "cont_sse": 0.0}
         norms: list[float] = []
@@ -489,31 +492,19 @@ def pretrain(samples: Windows, schema: FeatureSchema, mcfg: ModelConfig,
             batch = _apply_field_masks(stack_batch(samples[idx]),
                                        masks[at : at + len(idx)], schema)
             preds, reg = forward_mdm(batch, params, mcfg, schema, dropout_rng=drop_rng)
-            loss = mdm_loss(preds, batch, reg, schema, tcfg.ce_weight, tcfg.mse_weight)
-            loss_sum += _check_finite_loss(loss)
-            state.zero_grad()
-            loss.backward()
-            norms.append(clip_global_norm(state, tcfg.grad_clip))
-            adam_step(state, tcfg)
+            loss_sum += _step(state, mdm_loss(preds, batch, reg, schema), tcfg, norms)
             bs = mdm_batch_stats(preds, batch, schema)
             for k in stats:
                 stats[k] += bs[k]
-            step += 1
         records.append({
             "epoch": epoch,
             "loss": loss_sum / max(len(norms), 1),
             "masked_cat_acc": stats["cat_correct"] / max(stats["cat_total"], 1),
             "masked_cont_mse": stats["cont_sse"] / max(stats["cont_total"], 1),
-            **_grad_norm_stats(norms, tcfg.grad_clip),
+            **_grad_norm_stats(norms),
         })
-    ckpt = Checkpoint(
-        model_config=mcfg,
-        schema_digest=schema.digest(),
-        params={n_: p.data.copy() for n_, p in params.items()},
-        step=step,
-        rng_info={"seed": tcfg.seed, "mask_seed": mask_cfg.seed, "epochs": tcfg.epochs},
-    )
-    return ckpt, records
+    rng_info = {"seed": tcfg.seed, "mask_seed": mask_cfg.seed, "epochs": tcfg.epochs}
+    return _checkpoint(mcfg, schema, params, state, rng_info), records
 
 
 def finetune(ckpt: Checkpoint, samples: Windows, schema: FeatureSchema,
@@ -530,56 +521,34 @@ def finetune(ckpt: Checkpoint, samples: Windows, schema: FeatureSchema,
         raise ConfigError("checkpoint schema digest does not match the dataset schema")
     if samples.labels is None or (val_samples is not None and val_samples.labels is None):
         raise ContractError("finetuning dataset must be labeled")
-    mcfg = ckpt.model_config
-    head_rng_seed = tcfg.seed
-    if tcfg.mode == "scratch":
-        params = init_params(schema, mcfg, seed=head_rng_seed, head="classify")
-    elif tcfg.mode == "finetune":
-        params = {n_: Tensor(a.copy()) for n_, a in ckpt.params.items() if not n_.startswith("head.")}
-        fresh = init_params(schema, mcfg, seed=head_rng_seed, head="classify")
-        params["clf.w"] = fresh["clf.w"]
-        params["clf.b"] = fresh["clf.b"]
-    else:
+    if tcfg.mode not in ("finetune", "scratch"):
         raise ConfigError(f"finetune() cannot run with mode {tcfg.mode!r}")
+    mcfg = ckpt.model_config
+    fresh = init_params(schema, mcfg, seed=tcfg.seed, head="classify")
+    base = ckpt.tensors(trainable=set()) if tcfg.mode == "finetune" else fresh
+    params = {name: t for name, t in base.items() if not name.startswith("head.")}
+    params["clf.w"], params["clf.b"] = fresh["clf.w"], fresh["clf.b"]
     names = trainable_names(params, tcfg.mode)
-    for n_ in names:  # checkpoint tensors start frozen
-        params[n_].requires_grad = True
-    state = AdamState.for_params(params, names)
+    for name in names:  # checkpoint tensors start frozen
+        params[name].requires_grad = True
+    state = AdamState(params, names)
     records: list[dict] = []
-    step = 0
     n = len(samples)
     for epoch in range(tcfg.epochs):
-        order = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 303, epoch])).permutation(n)
-        drop_rng = (np.random.default_rng(np.random.SeedSequence([tcfg.seed, 404, epoch]))
-                    if mcfg.dropout > 0 else None)
+        order, drop_rng = _epoch_streams(tcfg.seed, 303, epoch, n)  # 303 and 404
         loss_sum = 0.0
         norms: list[float] = []
         for start in range(0, n, tcfg.batch_size):
-            idx = order[start : start + tcfg.batch_size]
-            batch = stack_batch(samples[idx])
+            batch = stack_batch(samples[order[start : start + tcfg.batch_size]])
             logits = forward_classify(batch, params, mcfg, schema, dropout_rng=drop_rng)
-            loss = bce_loss(logits, batch.labels)
-            loss_sum += _check_finite_loss(loss)
-            state.zero_grad()
-            loss.backward()
-            norms.append(clip_global_norm(state, tcfg.grad_clip))
-            adam_step(state, tcfg)
-            step += 1
-        record = {"epoch": epoch, "loss": loss_sum / max(len(norms), 1),
-                  **_grad_norm_stats(norms, tcfg.grad_clip)}
+            loss_sum += _step(state, bce_loss(logits, batch.labels), tcfg, norms)
+        record = {"epoch": epoch, "loss": loss_sum / max(len(norms), 1), **_grad_norm_stats(norms)}
         if val_samples:
             scores = _classification_scores(params, mcfg, schema, val_samples)
             record.update({f"val_{k}": v for k, v in scores.items()})
         records.append(record)
-    out = Checkpoint(
-        model_config=mcfg,
-        schema_digest=schema.digest(),
-        params={n_: p.data.copy() for n_, p in params.items()},
-        step=step,
-        rng_info={"seed": tcfg.seed, "mode": tcfg.mode, "epochs": tcfg.epochs,
-                  "base_step": ckpt.step},
-    )
-    return out, records
+    rng_info = {"seed": tcfg.seed, "mode": tcfg.mode, "epochs": tcfg.epochs, "base_step": ckpt.step}
+    return _checkpoint(mcfg, schema, params, state, rng_info), records
 
 
 # Most threads `predict_proba` scores on: the only pool width measured (two CPUs).
@@ -635,18 +604,16 @@ def predict_proba(params: dict[str, Tensor], mcfg: ModelConfig, schema: FeatureS
 
 
 def _classification_scores(params: dict[str, Tensor], mcfg: ModelConfig, schema: FeatureSchema,
-                           samples: Windows, batch_size: int = 64,
-                           threshold: float = 0.5) -> dict:
-    """F1, precision, recall, AUROC and the predicted-positive rate on labeled windows."""
-    probs, labels = predict_proba(params, mcfg, schema, samples, batch_size), samples.labels
-    preds = (probs >= threshold).astype(int)
+                           samples: Windows) -> dict:
+    """F1, precision, recall, AUROC and predicted-positive rate (positive: p >= 0.5) on labeled windows."""
+    probs, labels = predict_proba(params, mcfg, schema, samples), samples.labels
+    preds = (probs >= 0.5).astype(int)
     precision, recall, f1 = precision_recall_f1(preds, labels)
     return {"f1": f1, "precision": precision, "recall": recall, "auroc": auroc(probs, labels),
             "predicted_positive_rate": float(preds.mean()) if preds.size else 0.0}
 
 
-def evaluate(ckpt: Checkpoint, samples: Windows, schema: FeatureSchema,
-             batch_size: int = 64, threshold: float = 0.5) -> dict:
+def evaluate(ckpt: Checkpoint, samples: Windows, schema: FeatureSchema) -> dict:
     """F1/precision/recall/AUROC of the checkpointed classifier on labeled windows."""
     if ckpt.schema_digest != schema.digest():
         raise ConfigError("checkpoint schema digest does not match the dataset schema")
@@ -654,6 +621,5 @@ def evaluate(ckpt: Checkpoint, samples: Windows, schema: FeatureSchema,
         raise ConfigError("checkpoint has no classifier head; finetune first")
     if samples.labels is None:
         raise ContractError("evaluation windows must be labeled")
-    scores = _classification_scores(ckpt.tensors(trainable=set()), ckpt.model_config, schema,
-                                    samples, batch_size, threshold)
+    scores = _classification_scores(ckpt.tensors(trainable=set()), ckpt.model_config, schema, samples)
     return {**scores, "n": len(samples), "positives": int(samples.labels.sum())}

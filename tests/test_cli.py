@@ -3,10 +3,12 @@
 import ctypes
 import hashlib
 import json
+import math
 import os
 import platform
 import re
 import resource
+import struct
 import subprocess
 import sys
 import types
@@ -51,6 +53,17 @@ class TestGen:
         rc = run(["gen", "--users", "3", "--rows", "10", "--fraud-rate", "1.5",
                   "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--merchants", "0"), ("--categories", "0"), ("--cities", "0"), ("--amount-sigma", "-1"),
+        ("--amount-sigma", "inf"), ("--amount-mu", "nan"), ("--seed", "-1"),
+    ])
+    def test_bad_generator_setting_exits_two_naming_the_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert run(["gen", "--users", "3", "--rows", "10", flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"({flag})" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_same_flags_produce_identical_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -485,6 +498,68 @@ def test_numeric_failure_exits_three(pipeline, monkeypatch, capsys):
                "--out", str(pipeline["root"] / "nan_run")])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ValueError("internal"), KeyError("internal")])
+def test_internal_error_escapes_main(pipeline, monkeypatch, error):
+    """A bug is not an input error: it is not turned into exit 2."""
+    from tabaconv import cli
+
+    def explode(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "pretrain", explode)
+    with pytest.raises(type(error), match="internal"):
+        main(["pretrain", "--data", str(pipeline["data"] / "transactions.csv"),
+              "--out", str(pipeline["root"] / "bug_run")])
+
+
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--roles", "{dir}"],
+    ["pretrain", "--config", "{dir}"],
+    ["evaluate", "--ckpt", "{dir}"],
+    ["evaluate", "--ckpt", "{ckpt}", "--schema", "{dir}"],
+], ids=["roles", "config", "ckpt", "schema"])
+def test_directory_as_input_file_exits_two_naming_it(pipeline, tmp_path, capsys, argv):
+    fill = {"dir": str(tmp_path), "ckpt": str(pipeline["pre"] / "ckpt.bin")}
+    rc = main([arg.format(**fill) for arg in argv]
+              + ["--data", str(pipeline["data"] / "transactions.csv"), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", ["drop_first", "transpose_first"])
+def test_resigned_checkpoint_with_other_parameters_exits_two(pipeline, tmp_path, capsys, edit):
+    """A valid trailer does not make the parameters those of the checkpoint's own model."""
+    blob = (pipeline["pre"] / "ckpt.bin").read_bytes()
+    (meta_len,) = struct.unpack_from("<I", blob, 9)
+    meta = json.loads(blob[13 : 13 + meta_len])
+    arrays = blob[13 + meta_len : -32]
+    _, dtype, shape = meta["params"][0]
+    if edit == "drop_first":
+        del meta["params"][0]
+        arrays = arrays[math.prod(shape) * (4 if dtype == "float32" else 8):]
+    else:
+        meta["params"][0][2] = shape[::-1]
+    raw = json.dumps(meta).encode("utf-8")
+    body = blob[:9] + struct.pack("<I", len(raw)) + raw + arrays
+    crafted = tmp_path / "ckpt.bin"
+    crafted.write_bytes(body + hashlib.sha256(body).digest())
+    rc = main(["finetune", "--ckpt", str(crafted), "--schema", str(pipeline["pre"] / "schema.json"),
+               "--data", str(pipeline["data"] / "transactions.csv"), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {crafted}: parameters do not match") and "Traceback" not in err
+
+
+def test_csv_not_utf8_exits_two_naming_it(pipeline, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes((pipeline["data"] / "transactions.csv").read_bytes().replace(b",web,", b",w\xffb,", 1))
+    rc = main(["pretrain", "--data", str(bad), "--roles", str(pipeline["data"] / "roles.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: CSV is not UTF-8 text")
 
 
 def test_config_file_overridden_by_flags(tmp_path):

@@ -173,7 +173,7 @@ class TestDecomposeTimestamp:
         assert decompose_timestamp(1584282645) == decompose_timestamp(1584282645)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError):
             decompose_timestamp(-63000000000)  # before year 1
 
     def test_against_stdlib_oracle(self):
@@ -361,6 +361,44 @@ class TestPersistence:
         with pytest.raises(UnsupportedVersionError):
             FeatureSchema.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("t_min,t_max", [(300000, 100000), (sc._TS_MIN - 1, 100000),
+                                             (100000, sc._TS_MAX + 1)],
+                             ids=["reversed", "before_year_1", "after_year_9999"])
+    def test_bad_time_range_rejected(self, basic_csv, t_min, t_max):
+        payload = json.loads(infer_schema(basic_csv, BASIC_ROLES).to_json())
+        payload.update(t_min=t_min, t_max=t_max)
+        with pytest.raises(SchemaError, match="'t_min' <= 't_max'"):
+            FeatureSchema.from_json(json.dumps(payload), source="crafted.json")
+
+
+@pytest.fixture(scope="module")
+def schema_file(tmp_path_factory):
+    root = tmp_path_factory.mktemp("schema_file")
+    rows = [["u1", "100000", "a", "10", "0"], ["u1", "200000", "b", "2.5", "1"],
+            ["u2", "150000", "c", "40", "0"], ["u2", "250000", "", "", "0"]]
+    write_csv(root / "log.csv", BASIC_HEADER, rows)
+    infer_schema(root / "log.csv", BASIC_ROLES).save(root / "schema.json")
+    return root / "schema.json"
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.data())
+def test_any_single_byte_change_of_a_schema_file_is_refused_or_round_trips(schema_file, data):
+    """A typed error, or an ordered time range and a schema that `to_json` writes and
+    `from_json` reads back unchanged."""
+    blob = bytearray(schema_file.read_bytes())
+    blob[data.draw(st.integers(0, len(blob) - 1), label="position")] = data.draw(
+        st.integers(0, 255), label="byte")
+    mutated = schema_file.with_name("mutated.json")
+    mutated.write_bytes(bytes(blob))
+    try:
+        schema = FeatureSchema.load(mutated)
+    except (SchemaError, UnsupportedVersionError):
+        return
+    assert schema.t_min <= schema.t_max
+    again = FeatureSchema.from_json(schema.to_json())
+    assert again == schema and again.to_json() == schema.to_json()
+
 
 def test_split_users_fractions():
     users = [f"u{i}" for i in range(20)]
@@ -370,7 +408,7 @@ def test_split_users_fractions():
 
 
 def test_iso_parse_rejects_offsets():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="not an ISO-8601"):
         parse_iso8601("2020-03-15T14:30:45+02:00")
 
 
@@ -497,7 +535,7 @@ class TestColumnwiseCalendar:
 
     @pytest.mark.parametrize("ts", [sc._TS_MIN - 1, sc._TS_MAX + 1, 10**19, -(10**19)])
     def test_unsupported_years_rejected(self, ts):
-        with pytest.raises(ValueError, match="unsupported year"):
+        with pytest.raises(SchemaError, match="unsupported year"):
             decompose_timestamp(ts)
 
 

@@ -8,6 +8,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabaconv.errors import (
     ConfigError,
@@ -21,6 +23,10 @@ from tabaconv.masking import MaskConfig
 from tabaconv.model import Batch, ModelConfig, forward_classify, forward_mdm, init_params, trainable_names
 from tabaconv.tensor import Tensor, sigmoid, use_dtype
 from tabaconv.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    GRAD_CLIP,
     AdamState,
     Checkpoint,
     TrainConfig,
@@ -204,7 +210,7 @@ class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         params = {"w": Tensor(np.ones(4), requires_grad=True)}
         params["w"].grad = np.zeros(4, dtype=params["w"].dtype)
-        state = AdamState.for_params(params, ["w"])
+        state = AdamState(params, ["w"])
         adam_step(state, TrainConfig())
         np.testing.assert_array_equal(params["w"].data, np.ones(4, dtype=np.float32))
 
@@ -212,7 +218,7 @@ class TestAdam:
         g = np.asarray([0.5, -2.0, 10.0, -0.01], dtype=np.float32)
         params = {"w": Tensor(np.zeros(4), requires_grad=True)}
         params["w"].grad = g.copy()
-        state = AdamState.for_params(params, ["w"])
+        state = AdamState(params, ["w"])
         cfg = TrainConfig(learning_rate=1e-3)
         adam_step(state, cfg)
         np.testing.assert_allclose(params["w"].data, -1e-3 * np.sign(g), rtol=1e-3)
@@ -223,14 +229,14 @@ class TestAdam:
                   "b": Tensor(np.ones(2), requires_grad=True)}
         params["a"].grad = g.copy()
         params["b"].grad = g.copy()
-        state = AdamState.for_params(params, ["a", "b"])
+        state = AdamState(params, ["a", "b"])
         adam_step(state, TrainConfig())
         np.testing.assert_array_equal(params["a"].data, params["b"].data)
 
     def test_non_finite_gradient_names_parameter(self):
         params = {"oddball": Tensor(np.ones(2), requires_grad=True)}
         params["oddball"].grad = np.asarray([np.nan, 1.0], dtype=np.float32)
-        state = AdamState.for_params(params, ["oddball"])
+        state = AdamState(params, ["oddball"])
         with pytest.raises(NumericError, match="oddball"):
             adam_step(state, TrainConfig())
 
@@ -243,22 +249,22 @@ def reference_clip_adam(params, names, ref, cfg):
         if g is not None:
             total += float((g.astype(np.float64) ** 2).sum())
     norm = math.sqrt(total)
-    if cfg.grad_clip > 0 and norm > cfg.grad_clip:
+    if norm > GRAD_CLIP:
         for n in names:
             if params[n].grad is not None:
-                params[n].grad *= cfg.grad_clip / norm
+                params[n].grad *= GRAD_CLIP / norm
     ref["t"] += 1
-    c1 = 1.0 - cfg.beta1 ** ref["t"]
-    c2 = 1.0 - cfg.beta2 ** ref["t"]
+    c1 = 1.0 - ADAM_BETA1 ** ref["t"]
+    c2 = 1.0 - ADAM_BETA2 ** ref["t"]
     for n in names:
         p = params[n]
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m, v = ref["m"][n], ref["v"][n]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        update = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         p.data -= (cfg.learning_rate * update).astype(p.data.dtype)
     return norm
 
@@ -275,7 +281,7 @@ class TestFlatBuffer:
             with use_dtype(dtype):
                 params = {f"p{i}": Tensor(np.zeros(int(n)), requires_grad=True)
                           for i, n in enumerate(sizes)}
-            state = AdamState.for_params(params, list(params))
+            state = AdamState(params, list(params))
             scale = 10.0 ** rng.uniform(-4, 2)
             grads = {n: (rng.normal(size=p.data.shape) * scale).astype(dtype) for n, p in params.items()}
             for n, p in params.items():
@@ -284,7 +290,7 @@ class TestFlatBuffer:
             expected = 0.0
             for g in grads.values():
                 expected += float(np.square(g, dtype=np.float64).sum())
-            assert clip_global_norm(state, 0.0) == math.sqrt(expected), trial
+            assert clip_global_norm(state) == math.sqrt(expected), trial
 
     def pair(self, tiny_env, seed=5):
         flat = init_params(tiny_env["schema"], TINY, seed=seed, head="pretrain")
@@ -292,7 +298,7 @@ class TestFlatBuffer:
         names = list(flat)
         moments = {"t": 0, "m": {n: np.zeros_like(ref[n].data) for n in names},
                    "v": {n: np.zeros_like(ref[n].data) for n in names}}
-        return flat, ref, names, AdamState.for_params(flat, names), moments
+        return flat, ref, names, AdamState(flat, names), moments
 
     def assert_same(self, flat, ref, names, step):
         for n in names:
@@ -318,10 +324,10 @@ class TestFlatBuffer:
                     g = (rng.normal(size=flat[n].data.shape) * scale).astype(dtype)
                     _accumulate(flat[n], g)
                     _accumulate(ref[n], g)
-            norm = clip_global_norm(state, cfg.grad_clip)
+            norm = clip_global_norm(state)
             adam_step(state, cfg)
             assert norm == reference_clip_adam(ref, names, moments, cfg)
-            clipped.append(norm > cfg.grad_clip)
+            clipped.append(norm > GRAD_CLIP)
             self.assert_same(flat, ref, names, step)
         assert clipped[0] and not all(clipped)
 
@@ -340,7 +346,7 @@ class TestFlatBuffer:
             value = np.full(flat[names[1]].data.shape, 0.5, dtype=np.float32)
             flat[names[1]].data = value.copy()
             ref[names[1]].data = value
-            clip_global_norm(state, cfg.grad_clip)
+            clip_global_norm(state)
             adam_step(state, cfg)
             reference_clip_adam(ref, names, moments, cfg)
             self.assert_same(flat, ref, names, step)
@@ -350,7 +356,7 @@ class TestFlatBuffer:
         flat, _, names, state, _ = self.pair(tiny_env)
         flat[names[0]].grad = np.zeros(flat[names[0]].data.size + 1, dtype=np.float32)
         with pytest.raises(ContractError, match=names[0]):
-            clip_global_norm(state, 1.0)
+            clip_global_norm(state)
 
     def test_non_finite_gradient_names_parameter_and_changes_nothing(self, tiny_env):
         flat, ref, names, state, _ = self.pair(tiny_env)
@@ -370,12 +376,12 @@ class TestFlatBuffer:
         assert frozen
         for n in names:
             params[n].requires_grad = True
-        state = AdamState.for_params(params, names)
+        state = AdamState(params, names)
         for _ in range(3):
             state.zero_grad()
             for n in names:
                 params[n].grad += 0.1
-            clip_global_norm(state, 1.0)
+            clip_global_norm(state)
             adam_step(state, TrainConfig())
         for n in frozen:
             assert params[n].grad is None and not np.shares_memory(params[n].data, state.data)
@@ -475,7 +481,7 @@ class TestPretrainLoop:
             for p in params.values():
                 p.grad = None
             before.backward()
-            state = AdamState.for_params(params, list(params))
+            state = AdamState(params, list(params))
             adam_step(state, TrainConfig(learning_rate=1e-3))
             after = loss_value()
             assert float(after.data) < float(before.data), f"seed {seed}"
@@ -497,7 +503,7 @@ class TestPretrainLoop:
         ckpt, _ = pretrain(samples, schema, mcfg, tcfg, mask_cfg)
 
         params = init_params(schema, mcfg, seed=tcfg.seed, head="pretrain")
-        state = AdamState.for_params(params, list(params))
+        state = AdamState(params, list(params))
         order = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 101, 0])).permutation(len(samples))
         drop_rng = np.random.default_rng(np.random.SeedSequence([tcfg.seed, 202, 0]))
         for start in range(0, len(samples), tcfg.batch_size):
@@ -507,7 +513,7 @@ class TestPretrainLoop:
             loss = mdm_loss(preds, batch, reg, schema)
             state.zero_grad()
             loss.backward()
-            clip_global_norm(state, tcfg.grad_clip)
+            clip_global_norm(state)
             adam_step(state, tcfg)
         assert len(samples) % tcfg.batch_size and len(samples) > 20
         assert ckpt.params.keys() == params.keys()
@@ -700,6 +706,48 @@ class TestCheckpoint:
         (tmp_path / "junk.bin").write_bytes(b"NOTCK" + b"\x00" * 64)
         with pytest.raises(IntegrityError):
             load_checkpoint(tmp_path / "junk.bin")
+
+
+@pytest.fixture(scope="module")
+def ckpt_file(trained, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt_file") / "ckpt.bin"
+    save_checkpoint(trained["ckpt"], path)
+    return path
+
+
+def refused_or_equal(path, blob, ckpt):
+    """`blob` written next to `path` raises a typed error on load, or loads `ckpt`'s arrays."""
+    mutated = path.with_name("mutated.bin")
+    mutated.write_bytes(bytes(blob))
+    try:
+        loaded = load_checkpoint(mutated)
+    except (IntegrityError, UnsupportedVersionError):
+        return
+    assert loaded.params.keys() == ckpt.params.keys()
+    for name, arr in ckpt.params.items():
+        assert loaded.params[name].dtype == arr.dtype, name
+        assert loaded.params[name].tobytes() == arr.tobytes(), name
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_any_single_byte_change_of_a_checkpoint_is_refused_or_loads_the_same(ckpt_file, trained, data):
+    blob = bytearray(ckpt_file.read_bytes())
+    # the header and metadata, anywhere, and the sha256 trailer
+    where = st.one_of(st.integers(0, 200), st.integers(0, len(blob) - 1),
+                      st.integers(len(blob) - 32, len(blob) - 1))
+    blob[data.draw(where, label="position")] = data.draw(st.integers(0, 255), label="byte")
+    refused_or_equal(ckpt_file, blob, trained["ckpt"])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_any_truncation_of_a_checkpoint_is_refused(ckpt_file, data):
+    blob = ckpt_file.read_bytes()
+    truncated = ckpt_file.with_name("truncated.bin")
+    truncated.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="length")])
+    with pytest.raises(IntegrityError):
+        load_checkpoint(truncated)
 
 
 class TestEvaluate:
