@@ -131,6 +131,16 @@ def _echo_config(out_dir: Path, command: str, resolved: dict) -> None:
                                           for k, v in resolved.items()}}, fh, indent=2)
 
 
+def _out_dir(path: str) -> Path:
+    """The run directory, created before any input is read, so one that cannot be fails at once."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise ConfigError(f"--out {out} exists and is not a directory") from None
+    return out
+
+
 def _write_metrics(out_dir: Path, records: list[dict]) -> None:
     with open(out_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
         for rec in records:
@@ -225,14 +235,13 @@ def cmd_pretrain(args) -> int:
     tcfg = TrainConfig(batch_size=cfg["batch_size"], epochs=cfg["epochs"],
                        learning_rate=cfg["lr"], seed=cfg["seed"], mode="pretrain")
     mask_cfg = MaskConfig(p_field=cfg["p_field"], p_row=cfg["p_row"], seed=cfg["mask_seed"])
+    out = _out_dir(cfg["out"])
     data = Path(cfg["data"])
     roles_path = Path(cfg["roles"]) if cfg["roles"] else data.parent / "roles.json"
     schema, samples = _pretrain_windows(data, load_roles(roles_path), cfg["split"], cfg["window"],
                                         cfg["stride"])
     _require_windows(samples, cfg["split"], cfg["window"])
     ckpt, records = pretrain(samples, schema, mcfg, tcfg, mask_cfg)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     schema.save(out / "schema.json")
     save_checkpoint(ckpt, out / "ckpt.bin")
     _write_metrics(out, records)
@@ -275,6 +284,7 @@ def cmd_finetune(args) -> int:
         raise ConfigError("--data is required")
     tcfg = TrainConfig(batch_size=cfg["batch_size"], epochs=cfg["epochs"],
                        learning_rate=cfg["lr"], seed=cfg["seed"], mode=cfg["mode"])
+    out = _out_dir(cfg["out"])
     ckpt, schema = _load_ckpt_and_schema(cfg)
     # on the train split, the val split's windows are scored after each epoch
     splits = [cfg["split"], "val"] if cfg["split"] == "train" else [cfg["split"]]
@@ -283,8 +293,6 @@ def cmd_finetune(args) -> int:
     _require_windows(samples, cfg["split"], cfg["window"])
     val_samples = val[0] if val else None
     tuned, records = finetune(ckpt, samples, schema, tcfg, val_samples=val_samples)
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     schema.save(out / "schema.json")
     save_checkpoint(tuned, out / "ckpt.bin")
     _write_metrics(out, records)
@@ -304,6 +312,7 @@ def cmd_evaluate(args) -> int:
     cfg = _resolve(args, _EVALUATE_DEFAULTS)
     if cfg["data"] is None:
         raise ConfigError("--data is required")
+    out = _out_dir(cfg["out"]) if cfg["out"] else None
     ckpt, schema = _load_ckpt_and_schema(cfg)
     (samples,) = _read_windows(Path(cfg["data"]), schema, [cfg["split"]], cfg["window"],
                                cfg["stride"], "downstream")
@@ -312,9 +321,7 @@ def cmd_evaluate(args) -> int:
     print(f"F1 {result['f1']:.4f} precision {result['precision']:.4f} "
           f"recall {result['recall']:.4f} AUROC {result['auroc']:.4f} "
           f"(n={result['n']}, positives={result['positives']})")
-    if cfg["out"]:
-        out = Path(cfg["out"])
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         _write_metrics(out, [result])
         _echo_config(out, "evaluate", cfg)
     return 0

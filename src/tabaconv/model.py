@@ -241,16 +241,16 @@ def positional_encoding(t_len: int, d_model: int) -> Tensor:
     return Tensor(pe)
 
 
-def _time_net(floats: np.ndarray, params: dict[str, Tensor], cfg: ModelConfig) -> tuple[Tensor, Tensor]:
-    """Shallow net over the time floats and its activity penalty lambda * mean(out**2)."""
+def _time_net(floats: np.ndarray, params: dict[str, Tensor]) -> Tensor:
+    """Shallow net over the time floats."""
     hidden = tt.relu(tt.linear(Tensor(floats), params["time.net.w1"], params["time.net.b1"]))
-    out = tt.linear(hidden, params["time.net.w2"], params["time.net.b2"])
-    return out, tt.scale(tt.mean_all(tt.mul(out, out)), cfg.activity_reg_lambda)
+    return tt.linear(hidden, params["time.net.w2"], params["time.net.b2"])
 
 
 def embed_inputs(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig,
-                 schema: FeatureSchema) -> tuple[Tensor, Tensor]:
-    """Sum all input streams into [B, T, d_model]; also returns the activity penalty.
+                 schema: FeatureSchema, penalty: bool = True) -> tuple[Tensor, Tensor | None]:
+    """Sum all input streams into [B, T, d_model]; also returns the time net's
+    activity penalty lambda * mean(out**2), or None without `penalty`.
 
     The calendar and categorical lookups are one `embedding_sum` node, and
     the continuous projections value * w + b are one `add_projections` node.
@@ -258,7 +258,8 @@ def embed_inputs(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig,
     tables = ([params[f"time.comp.{name}"] for name in TS_COMPONENT_NAMES]
               + [params[f"embed.cat.{f.name}"] for f in schema.categorical_fields])
     ids = np.concatenate([batch.ts_components, batch.cat], axis=-1)
-    t_out, reg = _time_net(batch.ts_floats, params, cfg)
+    t_out = _time_net(batch.ts_floats, params)
+    reg = tt.scale(tt.mean_all(tt.mul(t_out, t_out)), cfg.activity_reg_lambda) if penalty else None
     h = tt.add(tt.embedding_sum(tables, ids), t_out)
     cont = [f"embed.cont.{f.name}" for f in schema.continuous_fields]
     h = tt.add_projections(h, batch.cont, [params[f"{p}.w"] for p in cont], [params[f"{p}.b"] for p in cont])
@@ -355,6 +356,6 @@ def forward_mdm(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig,
 
 def forward_classify(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig,
                      schema: FeatureSchema, dropout_rng=None) -> Tensor:
-    h, _ = embed_inputs(batch, params, cfg, schema)
+    h, _ = embed_inputs(batch, params, cfg, schema, penalty=False)  # the penalty is pretraining's
     h = encoder_forward(h, params, cfg, dropout_rng)
     return classify_logits(h, params)

@@ -7,6 +7,12 @@ always built on the training split only.
 
 The CSV is streamed once into compact per-column arrays (`read_columns`);
 splitting, schema inference, grouping and windowing all run on those.
+The file is read `_ENCODE_BLOCK_ROWS` lines at a time. A plain block (see
+`_PlainBlock`: no quotes, no NUL, no bare CR, UTF-8, one cell per header
+column on every line, as every `gen` log is) is tokenized and its numbers
+parsed in numpy. From the first block that is not plain, csv.reader reads
+the rest of the file (`_csv_rows`), so every cell and error is the one
+csv.reader gives; both kinds of block reach the same cell encoder.
 The row functions (`read_csv`, `users_in_order` and `group_rows_by_user`
 on a list of rows) feed their rows through the same block encoder, and
 `group_rows_by_user` returns the same GroupedColumns for rows as for a log.
@@ -24,6 +30,7 @@ unseen during schema building map to id 2 at encode time.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -424,9 +431,17 @@ class Windows:
 # row) on blocks of this many rows.
 _ENCODE_BLOCK_ROWS = 4096
 
+# A first line this long or longer is left to csv.reader, as is a header that is not plain.
+_PLAIN_HEADER_BYTES = 1 << 16
 
-def _csv_blocks(path):
-    """Yield the header, then the data rows in blocks of `_ENCODE_BLOCK_ROWS`.
+_COMMA, _LF, _CR = b",\n\r"
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")  # masks of a word's first k bytes
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(16)])  # exact doubles
+
+
+def _csv_rows(path, skip: int = 0):
+    """Yield the header, then the data rows after the first `skip`, in blocks of
+    `_ENCODE_BLOCK_ROWS`, as csv.reader reads them.
 
     UTF-8, RFC 4180 quoting. A row whose width differs from the header's, or
     bytes that are not UTF-8, are a SchemaError, raised when their block is read.
@@ -438,7 +453,9 @@ def _csv_blocks(path):
             if header is None:
                 raise SchemaError(f"{path}: empty CSV")
             yield header
-            width, start = len(header), 0
+            for _ in itertools.islice(reader, skip):
+                pass
+            width, start = len(header), skip
             while block := list(itertools.islice(reader, _ENCODE_BLOCK_ROWS)):
                 if set(map(len, block)) != {width}:
                     i = next(i for i, row in enumerate(block) if len(row) != width)
@@ -451,9 +468,223 @@ def _csv_blocks(path):
             raise SchemaError(f"{path}: CSV is not UTF-8 text: {exc}") from None
 
 
+def _plain_header(line: bytes) -> list[str] | None:
+    """The cells of a first line csv.reader would split at every comma; None for any other."""
+    if len(line) >= _PLAIN_HEADER_BYTES or _PlainBlock.parse(line, line.count(b",") + 1) is None:
+        return None
+    return line.rstrip(b"\r\n").decode().split(",")  # a plain line ends in one LF or CRLF at most
+
+
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _csv_blocks(path):
+    """Yield the header, then the data rows in blocks of `_ENCODE_BLOCK_ROWS` lines.
+
+    Each block is a `_PlainBlock` while the blocks are plain: their bytes
+    are split in numpy. From the first block that is not plain (and for
+    all of a file whose header line is not), blocks are `_RowBlock`s of
+    `_csv_rows`, which reads the file again from its start and skips the
+    rows of the plain blocks. So every cell, row number and error is the
+    one csv.reader gives.
+    """
+    skip = None
+    with open(path, "rb") as fh:
+        header = _plain_header(fh.readline(_PLAIN_HEADER_BYTES))
+        if header is not None:
+            yield header
+            width, skip = len(header), 0
+            # longer than any plain line, so a line cut here makes its block not plain
+            read_line = functools.partial(fh.readline, width * (csv.field_size_limit() + 1) + 2)
+            while lines := list(itertools.islice(iter(read_line, b""), _ENCODE_BLOCK_ROWS)):
+                buf = b"".join(lines)
+                del lines
+                block = _PlainBlock.parse(buf, width)
+                del buf
+                if block is None:
+                    break
+                yield block
+                skip += block.n
+                del block  # not alive while the next one is read
+            else:
+                return
+    rows = _csv_rows(path, skip or 0)
+    header = next(rows)
+    if skip is None:
+        yield header
+    for block in rows:
+        yield _RowBlock(block)
+        del block
+
+
+class _RowBlock:
+    """The cells of rows csv.reader read, by column (the encoder's view of a block)."""
+
+    def __init__(self, rows: list[list[str]]):
+        self.n = len(rows)
+        self._columns = list(zip(*rows))
+
+    def text(self, j: int):
+        return self._columns[j]
+
+    def floats(self, j: int) -> np.ndarray:
+        return np.array(list(map(float, self._columns[j])))
+
+    def ints(self, j: int) -> list[int]:
+        return list(map(int, self._columns[j]))
+
+    def text_at(self, j: int, rows: list[int]) -> list[str]:
+        return [self._columns[j][i] for i in rows]
+
+    def distinct(self, j: int) -> tuple[list[str], np.ndarray]:
+        """Column j's distinct cells in first-appearance order, and each cell's index among them."""
+        col = self._columns[j]
+        index = {v: i for i, v in enumerate(dict.fromkeys(col))}
+        return list(index), np.array(list(map(index.__getitem__, col)), dtype=np.int32)
+
+
+class _PlainBlock:
+    """Lines that csv.reader would split at every comma, tokenized in numpy.
+
+    A block is plain when it has no `"` and no NUL byte, is UTF-8, has no CR
+    that does not end a line as CRLF, has `width - 1` commas on every line,
+    no blank line and no cell longer than csv's field size limit. Cell
+    (i, j) is `lens[i, j]` bytes of `buf` from `starts[i, j]`. Coded columns are keyed on
+    their bytes and numbers parsed from them; only distinct cells, and cells
+    that are not plain decimals, become Python objects.
+    """
+
+    def __init__(self, buf: bytes, starts: np.ndarray, lens: np.ndarray):
+        self.n = len(starts)
+        self._buf, self._starts, self._lens = buf, starts, lens
+        pad = -(-max(int(self._lens.max()), 1) // 8) * 8
+        # the 8 bytes from each offset on as a little-endian word
+        self._words = np.ndarray((len(buf) + pad - 7,), dtype="<u8", buffer=buf + bytes(pad), strides=(1,))
+
+    @classmethod
+    def parse(cls, buf: bytes, width: int) -> "_PlainBlock | None":
+        """The block of `width` cells per line in `buf`; None if it is not plain."""
+        if b'"' in buf or b"\0" in buf or not buf.isascii() and not _is_utf8(buf):
+            return None
+        arr = np.frombuffer(buf if buf.endswith(b"\n") else buf + b"\n", dtype=np.uint8)
+        is_delim = arr == _COMMA
+        is_delim |= arr == _LF
+        delims = np.flatnonzero(is_delim)
+        del is_delim
+        is_lf = arr[delims] == _LF
+        n = len(delims) // width
+        if len(delims) != n * width or np.count_nonzero(is_lf) != n or not is_lf[width - 1 :: width].all():
+            return None
+        ends = delims.reshape(n, width)
+        starts = np.empty_like(ends)
+        starts[0, 0] = 0
+        starts[1:, 0] = ends[:-1, -1] + 1
+        starts[:, 1:] = ends[:, :-1] + 1
+        last = ends[:, -1]
+        crlf = (last > 0) & (arr[last - 1] == _CR)
+        if np.count_nonzero(crlf) != np.count_nonzero(arr == _CR):  # a CR inside a line
+            return None
+        ends[:, -1] = last - crlf
+        lens = np.subtract(ends, starts, out=ends)
+        if lens.max() > csv.field_size_limit() or width == 1 and not lens.all():  # a blank line
+            return None
+        return cls(buf, starts, lens)
+
+    def _cells(self, j: int) -> np.ndarray:
+        """Column j's cells as a bytes array, NUL-padded to a multiple of 8 bytes."""
+        starts, lens = self._starts[:, j, None], self._lens[:, j, None]
+        at = 8 * np.arange(-(-max(int(lens.max()), 1) // 8))
+        words = self._words[starts + at] & _LOW_BYTES[np.clip(lens - at, 0, 8)]
+        return words.view(f"S{words.itemsize * len(at)}").ravel()
+
+    def text(self, j: int) -> list[str]:
+        return b",".join(self._cells(j).tolist()).decode().split(",")  # a cell holds no NUL to strip
+
+    def text_at(self, j: int, rows: list[int]) -> list[str]:
+        starts, lens = self._starts[rows, j].tolist(), self._lens[rows, j].tolist()
+        return [self._buf[s : s + n].decode() for s, n in zip(starts, lens)]
+
+    def distinct(self, j: int) -> tuple[list[str], np.ndarray]:
+        cells = self._cells(j)
+        keys = cells.view(np.uint64) if cells.itemsize == 8 else cells
+        index_bits = max(self.n - 1, 1).bit_length()
+        if cells.itemsize == 8 and 8 * int(self._lens[:, j].max()) + index_bits <= 64:
+            # one sort of (cell, row) packed in a word: each cell's rows in order
+            packed = np.sort(keys << index_bits | np.arange(self.n, dtype=np.uint64))
+            rows, keys = (packed & ((1 << index_bits) - 1)).astype(np.intp), packed >> index_bits
+        else:
+            rows = np.argsort(keys, kind="stable")
+            keys = keys[rows]
+        head = np.empty(self.n, dtype=bool)
+        head[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        first = rows[head]  # each distinct cell's first row
+        rank = np.empty(len(first), dtype=np.int32)
+        order = np.argsort(first)
+        rank[order] = np.arange(len(first), dtype=np.int32)
+        local = np.empty(self.n, dtype=np.int32)
+        local[rows] = rank[np.cumsum(head) - 1]
+        return self.text_at(j, first[order].tolist()), local
+
+    def floats(self, j: int) -> np.ndarray:
+        return self._numbers(j, integer=False)
+
+    def ints(self, j: int) -> np.ndarray | list[int]:
+        return self._numbers(j, integer=True)
+
+    def _numbers(self, j: int, integer: bool):
+        """Column j's cells as float() (or int()) reads them; ValueError if one is not a number.
+
+        A cell of an optional '-' and up to 15 digits (18 for an int) with,
+        for a float, at most one '.' is parsed in numpy: its digits make an
+        exact integer, which one division by an exact power of ten rounds
+        correctly, to the double float() returns. Other cells go to float()
+        or int() on their bytes, which take no Unicode digit or space that
+        float(str) does: the caller then parses the column's text.
+        """
+        cells, lens = self._cells(j), self._lens[:, j]
+        chars = np.ascontiguousarray(cells.view(np.uint8).reshape(self.n, -1).T)  # [position, row]
+        digits = chars - np.uint8(ord("0"))  # any other byte wraps to 10 or more
+        is_digit = digits < 10
+        is_dot = chars == ord(".")
+        negative = chars[0] == ord("-")
+        allowed = is_digit | (chars == 0)
+        if not integer:
+            allowed |= is_dot
+        allowed[0] |= negative
+        max_digits = 18 if integer else 15
+        n_digits = np.add.reduce(is_digit, axis=0, dtype=np.uint8)  # exact where lens is small
+        simple = (lens <= max_digits + 2) & allowed.all(axis=0) & (n_digits > 0) & (n_digits <= max_digits)
+        digits *= is_digit
+        ten = is_digit * np.uint8(9) + np.uint8(1)  # 10 at a digit, else 1
+        mantissa = digits[0].astype(np.int64 if integer else np.float64)  # exact below 2**53
+        with np.errstate(over="ignore"):  # in cells that are not simple
+            for d, t in zip(digits[1:], ten[1:]):
+                mantissa *= t
+                mantissa += d
+        if integer:
+            if not simple.all():  # may not fit an int64
+                return list(map(int, cells.tolist()))
+            return np.where(negative, -mantissa, mantissa)
+        dots = np.add.reduce(is_dot, axis=0, dtype=np.uint8)
+        simple &= dots <= 1
+        dot_at = (np.arange(len(chars)).astype(np.uint8)[:, None] * is_dot).sum(axis=0, dtype=np.uint16)
+        values = mantissa / _POWERS_OF_TEN[np.where(simple & (dots == 1), lens - 1 - dot_at, 0)]
+        np.negative(values, out=values, where=negative)
+        others = np.flatnonzero(~simple)
+        if others.size:
+            values[others] = list(map(float, cells[others].tolist()))
+        return values
+
+
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
     """Every row of a CSV as a list of cells: UTF-8, header row, RFC 4180 quoting."""
-    blocks = _csv_blocks(path)
+    blocks = _csv_rows(path)
     header = next(blocks)
     return header, [row for block in blocks for row in block]
 
@@ -585,51 +816,49 @@ class CsvColumns:
     def users(self) -> list[str]:
         return self.values[self.layout.user]
 
-    def _add(self, block: list[list[str]]) -> None:
+    def _add(self, block: "_RowBlock | _PlainBlock") -> None:
         """Encode one block of rows."""
-        if not block:
+        if not block.n:
             return
-        start, self.n_rows = self.n_rows, self.n_rows + len(block)
-        cells = list(zip(*block))
+        start, self.n_rows = self.n_rows, self.n_rows + block.n
         lay = self.layout
-        if lay.timestamp is not None:
-            stamp_cells = cells[self._index[lay.timestamp]]
         for name in lay.coded:
-            col = cells[self._index[name]]
             lookup = self._lookup[name]
             known = len(lookup)
-            for v in dict.fromkeys(col):  # the block's distinct cells, in first-appearance order
-                lookup.setdefault(v, len(lookup))
-            codes = np.array(list(map(lookup.__getitem__, col)), dtype=np.int32)
+            values, local = block.distinct(self._index[name])  # in first-appearance order
+            codes = np.array([lookup.setdefault(v, len(lookup)) for v in values], dtype=np.int32)[local]
             self._parts[name].append(codes)
             if name == lay.user and lay.timestamp is not None and len(lookup) > known:
                 new = np.flatnonzero(codes >= known)
                 first = new[np.unique(codes[new], return_index=True)[1]]  # in code order
-                self.first_stamps += [stamp_cells[i] for i in first.tolist()]
+                self.first_stamps += block.text_at(self._index[lay.timestamp], first.tolist())
         for name in lay.continuous:
-            col = cells[self._index[name]]
+            j = self._index[name]
             try:  # no empty and no bad cell
-                values, empty = np.array(list(map(float, col))), np.zeros(len(col), dtype=bool)
+                values, empty = block.floats(j), np.zeros(block.n, dtype=bool)
             except ValueError:
+                col = block.text(j)
                 values = np.array(_parse_cells(col, _float_cell, self.errors[name], start, np.nan))
                 empty = np.array([v == "" for v in col], dtype=bool)
             self._parts[name].append(values)
             self._empty_parts[name].append(empty)
         if lay.timestamp is not None:
-            self._add_stamps(stamp_cells, start)
+            self._add_stamps(block, self._index[lay.timestamp], start)
 
-    def _add_stamps(self, cells, start: int) -> None:
+    def _add_stamps(self, block: "_RowBlock | _PlainBlock", j: int, start: int) -> None:
         if self.timestamp_format is None:  # a guess; infer_schema detects the real one
             try:
-                self.timestamp_format = detect_timestamp_format(cells[0])
+                self.timestamp_format = detect_timestamp_format(block.text_at(j, [0])[0])
             except SchemaError:
                 self.timestamp_format = "epoch"
         fmt = self.timestamp_format
         try:  # int() strips whitespace as parse_timestamp does; only its messages differ
-            stamps = list(map(int, cells)) if fmt == "epoch" else list(map(parse_iso8601, cells))
+            stamps = block.ints(j) if fmt == "epoch" else list(map(parse_iso8601, block.text(j)))
         except ValueError:
-            stamps = _parse_cells(cells, lambda v: parse_timestamp(v, fmt), self.stamp_errors, start, 0)
-        if min(stamps) < _TS_MIN or max(stamps) > _TS_MAX:  # before int64 could overflow
+            stamps = _parse_cells(block.text(j), lambda v: parse_timestamp(v, fmt), self.stamp_errors, start, 0)
+        stamps = np.asarray(stamps)  # of Python ints if one does not fit an int64
+        if stamps.min() < _TS_MIN or stamps.max() > _TS_MAX:  # before int64 could overflow
+            stamps = stamps.tolist()
             for i, t in enumerate(stamps):
                 try:
                     _require_supported(t)
@@ -697,7 +926,7 @@ def _columns_from_rows(header: list[str], rows: list[list[str]], layout: _Layout
     log = CsvColumns(header, layout, timestamp_format,
                      lambda fmt: _columns_from_rows(header, rows, layout, fmt))
     for start in range(0, len(rows), _ENCODE_BLOCK_ROWS):
-        log._add(rows[start : start + _ENCODE_BLOCK_ROWS])
+        log._add(_RowBlock(rows[start : start + _ENCODE_BLOCK_ROWS]))
     return log._finish()
 
 
@@ -905,26 +1134,35 @@ def _encode(schema: FeatureSchema, grouped: GroupedColumns, float_dtype):
     return cat, cont, comp, tfl, labels
 
 
-def _check_user_rows(schema: FeatureSchema, grouped: GroupedColumns, user: str, lo: int, hi: int,
-                     cont: np.ndarray, labels: np.ndarray | None) -> None:
-    """One user's encoded rows: finite continuous values, labels 0, 1 or empty."""
-    finite = np.isfinite(cont[lo:hi])
-    if not finite.all():
-        row, col = (int(i[0]) for i in np.nonzero(~finite))
+def _check_rows(schema: FeatureSchema, grouped: GroupedColumns, cont: np.ndarray,
+                labels: np.ndarray | None) -> None:
+    """All encoded rows at once: finite continuous values, labels 0, 1 or empty.
+
+    The error names the first user, in grouped order, with a bad row: its
+    first non-finite row if it has one, else its first bad label.
+    """
+    finite = np.isfinite(cont).all(axis=1)
+    bad_value = None if finite.all() else int(np.argmin(finite))
+    bad_label = None if labels is None or labels.min(initial=0) >= 0 else int(np.argmax(labels < 0))
+    if bad_value is None and bad_label is None:
+        return
+
+    def user_of(row: int) -> int:
+        return int(np.searchsorted(grouped.bounds, row, side="right")) - 1
+
+    if bad_label is None or bad_value is not None and user_of(bad_value) <= user_of(bad_label):
+        u, col = user_of(bad_value), int(np.argmin(np.isfinite(cont[bad_value])))
         raise SchemaError(
-            f"user {user!r}: non-finite value in continuous column "
-            f"{schema.continuous_fields[col].name!r} at row {row} of the user's time-ordered rows"
+            f"user {grouped.users[u]!r}: non-finite value in continuous column "
+            f"{schema.continuous_fields[col].name!r} at row {bad_value - grouped.bounds[u]} "
+            f"of the user's time-ordered rows"
         )
-    if labels is not None:
-        bad = np.flatnonzero(labels[lo:hi] < 0)
-        if bad.size:
-            row = int(bad[0])
-            log, label = grouped.log, schema.label_column
-            value = log.values[label][log.codes[label][grouped.order[lo + row]]]
-            raise SchemaError(
-                f"user {user!r}: label {value!r} in column {label!r} at row {row} "
-                f"of the user's time-ordered rows is not 0, 1 or empty"
-            )
+    u, log, label = user_of(bad_label), grouped.log, schema.label_column
+    value = log.values[label][log.codes[label][grouped.order[bad_label]]]
+    raise SchemaError(
+        f"user {grouped.users[u]!r}: label {value!r} in column {label!r} at row "
+        f"{bad_label - grouped.bounds[u]} of the user's time-ordered rows is not 0, 1 or empty"
+    )
 
 
 def window_count(n_rows: int, window: int, stride: int) -> int:
@@ -940,9 +1178,9 @@ def make_windows(schema: FeatureSchema, header: list[str], grouped: GroupedColum
     again, as the grouped log carries its own. Windows start at offsets 0,
     stride, 2*stride, ...; incomplete tails are dropped. Pretrain mode
     strips labels entirely; downstream mode labels a window 1 iff any of
-    its rows is labeled 1. All users' rows are encoded together; each
-    user's rows are then checked, and the windows are their start rows in
-    the encoded, read-only row arrays.
+    its rows is labeled 1. All users' rows are encoded and checked
+    together, and the windows are their start rows in the encoded,
+    read-only row arrays.
     """
     if mode not in ("pretrain", "downstream"):
         raise ContractError(f"unknown windowing mode {mode!r}")
@@ -956,10 +1194,8 @@ def make_windows(schema: FeatureSchema, header: list[str], grouped: GroupedColum
     cat, cont, comp, tfl, labels = _encode(schema, grouped, float_dtype)
     for features in (cat, cont, comp, tfl):
         features.flags.writeable = False  # overlapping windows share rows
-    per_user = []
-    for user, lo, hi in grouped.spans():
-        _check_user_rows(schema, grouped, user, lo, hi, cont, labels)
-        per_user.append(np.arange(lo, hi - window + 1, stride, dtype=np.int64))
+    _check_rows(schema, grouped, cont, labels)
+    per_user = [np.arange(lo, hi - window + 1, stride, dtype=np.int64) for _, lo, hi in grouped.spans()]
     starts = np.concatenate([np.zeros(0, dtype=np.int64), *per_user])
     window_labels = None
     if mode == "downstream":  # any labeled row in the window, from a running count

@@ -105,7 +105,6 @@ def rule_label(amount: float, merchant: str, ts: int, theta: float, risky: set[s
 def generate(cfg: SynthConfig, out_dir) -> tuple[Path, Path]:
     """Write transactions.csv, roles.json and manifest.json; returns (csv, manifest)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
 
     merchants = [f"m{i:02d}" for i in range(cfg.n_merchants)]
@@ -117,33 +116,38 @@ def generate(cfg: SynthConfig, out_dir) -> tuple[Path, Path]:
     risky = set(merchants[cfg.n_merchants // 2 :])  # rarer merchants under the skew
 
     rows = []
-    for u in range(cfg.n_users):
-        user = f"u{u:04d}"
-        home_city = int(rng.integers(cfg.n_cities))
-        card = CARD_TYPES[int(rng.integers(2))]
-        ts = cfg.start_ts + int(rng.uniform(0, 30 * 86400))
-        cum_spend = 0.0
-        for _ in range(cfg.rows_per_user):
-            gap = 1 + int(rng.exponential(6 * 3600.0))
-            ts += gap
-            m_idx = int(merchant_cdf.searchsorted(rng.random(), side="right"))
-            merchant = merchants[m_idx]
-            if rng.random() < 0.8:
-                c_idx = m_idx % cfg.n_categories
-            else:
-                c_idx = int(rng.integers(cfg.n_categories))
-            city = home_city if rng.random() < 0.9 else int(rng.integers(cfg.n_cities))
-            if rng.random() < 0.7:
-                channel = CHANNELS[m_idx % 3]
-            else:
-                channel = CHANNELS[int(rng.integers(3))]
-            card_type = card if rng.random() < 0.95 else CARD_TYPES[1 - CARD_TYPES.index(card)]
-            cat_shift = 0.4 * (c_idx / max(cfg.n_categories - 1, 1) - 0.5)
-            amount = round(float(np.exp(rng.normal(cfg.amount_mu + cat_shift, cfg.amount_sigma))), 2)
-            duration = int(np.exp(rng.normal(4.0 + (0.5 if channel == "web" else 0.0), 0.5)))
-            cum_spend = round(cum_spend + amount, 2)
-            rows.append([user, ts, merchant, f"c{c_idx:02d}", f"city{city:02d}", channel,
-                         card_type, amount, duration, round(gap / 3600.0, 4), cum_spend])
+    with np.errstate(over="ignore"):  # an amount beyond the largest float is inf, refused below
+        for u in range(cfg.n_users):
+            user = f"u{u:04d}"
+            home_city = int(rng.integers(cfg.n_cities))
+            card = CARD_TYPES[int(rng.integers(2))]
+            ts = cfg.start_ts + int(rng.uniform(0, 30 * 86400))
+            cum_spend = 0.0
+            for _ in range(cfg.rows_per_user):
+                gap = 1 + int(rng.exponential(6 * 3600.0))
+                ts += gap
+                m_idx = int(merchant_cdf.searchsorted(rng.random(), side="right"))
+                merchant = merchants[m_idx]
+                if rng.random() < 0.8:
+                    c_idx = m_idx % cfg.n_categories
+                else:
+                    c_idx = int(rng.integers(cfg.n_categories))
+                city = home_city if rng.random() < 0.9 else int(rng.integers(cfg.n_cities))
+                if rng.random() < 0.7:
+                    channel = CHANNELS[m_idx % 3]
+                else:
+                    channel = CHANNELS[int(rng.integers(3))]
+                card_type = card if rng.random() < 0.95 else CARD_TYPES[1 - CARD_TYPES.index(card)]
+                cat_shift = 0.4 * (c_idx / max(cfg.n_categories - 1, 1) - 0.5)
+                amount = round(float(np.exp(rng.normal(cfg.amount_mu + cat_shift, cfg.amount_sigma))), 2)
+                duration = int(np.exp(rng.normal(4.0 + (0.5 if channel == "web" else 0.0), 0.5)))
+                cum_spend = round(cum_spend + amount, 2)
+                rows.append([user, ts, merchant, f"c{c_idx:02d}", f"city{city:02d}", channel,
+                             card_type, amount, duration, round(gap / 3600.0, 4), cum_spend])
+            if not math.isfinite(cum_spend):
+                raise ConfigError(
+                    f"amount_mu (--amount-mu) {cfg.amount_mu} with amount_sigma (--amount-sigma) "
+                    f"{cfg.amount_sigma} draws amounts or sums of them beyond the largest float")
 
     n = len(rows)
     eligible = [i for i, r in enumerate(rows)
@@ -174,6 +178,7 @@ def generate(cfg: SynthConfig, out_dir) -> tuple[Path, Path]:
             flipped_rows.append(i)
         labels.append(label)
 
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "transactions.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -56,7 +56,7 @@ class TestGen:
 
     @pytest.mark.parametrize("flag,value", [
         ("--merchants", "0"), ("--categories", "0"), ("--cities", "0"), ("--amount-sigma", "-1"),
-        ("--amount-sigma", "inf"), ("--amount-mu", "nan"), ("--seed", "-1"),
+        ("--amount-sigma", "inf"), ("--amount-mu", "nan"), ("--seed", "-1"), ("--amount-mu", "800"),
     ])
     def test_bad_generator_setting_exits_two_naming_the_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
@@ -512,6 +512,25 @@ def test_internal_error_escapes_main(pipeline, monkeypatch, error):
     with pytest.raises(type(error), match="internal"):
         main(["pretrain", "--data", str(pipeline["data"] / "transactions.csv"),
               "--out", str(pipeline["root"] / "bug_run")])
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "evaluate"])
+@pytest.mark.parametrize("out", ["file", "file/run"])
+def test_out_that_cannot_be_a_directory_exits_two_before_any_input_is_read(
+        pipeline, tmp_path, monkeypatch, capsys, command, out):
+    from tabaconv import cli
+
+    calls = []
+    for name in ("read_columns", "load_checkpoint", "load_roles", "pretrain", "finetune", "evaluate"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    (tmp_path / "file").write_text("not a directory")
+    argv = [command, "--data", str(pipeline["data"] / "transactions.csv"), "--out", str(tmp_path / out)]
+    if command != "pretrain":
+        argv += ["--ckpt", str(pipeline["pre"] / "ckpt.bin")]
+    assert main(argv) == 2
+    assert calls == [] and (tmp_path / "file").read_text() == "not a directory"
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "file") in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,16 +1,19 @@
 """Tests for CSV ingestion, calendar decomposition and windowing."""
 
 import calendar
+import csv
 import datetime as dt
+import io
 import json
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tabaconv import schema as sc
@@ -29,8 +32,6 @@ from tabaconv.schema import (
 
 
 def write_csv(path, header, rows):
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -727,6 +728,10 @@ class TestStreamedIngest:
             warnings.simplefilter("ignore")  # a constant training column is demoted with a warning
             path = write_log(tmp, rows)
             expected_schema = reference_schema(rows, train)
+            # a cell whose z-score is beyond float32 is refused, as test_non_finite_encoded_value_rejected checks
+            amount = expected_schema.fields[3]
+            assume(amount.kind == "ignore" or all(np.isfinite(np.float32((float(r[3]) - amount.mean) / amount.std))
+                                                  for r in rows if r[3] != ""))
             with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", block):
                 schema, pretrain = cli._pretrain_windows(path, BASIC_ROLES, split, window, stride)
                 downstream = cli._read_windows(path, schema, ["all", "train"], window, stride,
@@ -980,3 +985,206 @@ class TestColumnarWindows:
             windows.cont[0, 0] = 1.0
         with pytest.raises(ValueError):
             windows[0].cat_tokens[0, 0] = 1
+
+
+# ---------------------------------------------------------------------------
+# the numpy tokenizer of plain blocks against csv.reader
+# ---------------------------------------------------------------------------
+
+COLUMN_FIELDS = ("header", "n_rows", "timestamp_format", "values", "errors", "stamp_errors",
+                 "unsupported", "first_stamps")
+
+
+def assert_columns_equal(got, expected):
+    """Every field of two CsvColumns, arrays by dtype and bytes (float bits included)."""
+    for name in COLUMN_FIELDS:
+        assert getattr(got, name) == getattr(expected, name), name
+    for name in ("codes", "floats", "empty"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.keys() == b.keys()
+        for col in a:
+            assert a[col].dtype == b[col].dtype and a[col].tobytes() == b[col].tobytes(), (name, col)
+    assert got.stamps.dtype == expected.stamps.dtype and got.stamps.tobytes() == expected.stamps.tobytes()
+
+
+def columns_or_error(read):
+    try:
+        return read(), None
+    except SchemaError as exc:
+        return None, str(exc)
+
+
+def reference_columns(path, roles=None, schema=None):
+    """The log from csv.reader rows: `read_csv`, then the row encoder."""
+    header, rows = sc.read_csv(path)
+    layout = sc._roles_layout(header, roles) if schema is None else sc._schema_layout(header, schema)
+    return sc._columns_from_rows(header, rows, layout, schema.timestamp_format if schema else None)
+
+
+def assert_reads_as_csv_reader(path, **how):
+    """read_columns equals the csv.reader reference at block sizes 1, 3 and the default,
+    or both raise a SchemaError with the same text."""
+    for block in (1, 3, sc._ENCODE_BLOCK_ROWS):
+        with mock.patch.object(sc, "_ENCODE_BLOCK_ROWS", block):
+            got, got_error = columns_or_error(lambda: sc.read_columns(path, **how))
+            expected, error = columns_or_error(lambda: reference_columns(path, **how))
+        assert got_error == error
+        if error is None:
+            assert_columns_equal(got, expected)
+
+
+def rarely(strategy, common):
+    """`common` mostly; `strategy` about one time in eight."""
+    return st.integers(0, 7).flatmap(lambda k: strategy if k == 0 else common)
+
+
+NUMBER_CELLS = st.one_of(
+    st.integers(-10**20, 10**20).map(str), st.floats(allow_nan=True).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:.2f}"),
+    st.from_regex(r"-?[0-9]{0,19}(\.[0-9]{0,19})?", fullmatch=True),
+    st.sampled_from(["", "-0", "-0.0", "+3", ".5", "5.", ".", "-", "1e5", "1_000", " 7 ", "\t8",
+                     "١٢", " 5", "\x1c1", "nan", "-inf", "1.2.3", "--1", "0x10",
+                     "9007199254740993", "123456789012345.6", "999999999999999999",
+                     "-999999999999999999", "9999999999999999999", "0.1000000000000000055511151231257827"]))
+TEXT_CELLS = rarely(
+    st.one_of(st.sampled_from(["é", "x,y", 'q"t', "l\nb", "c\rr", "n\x00l", " ", "\x85"]),
+              st.text(st.characters(codec="utf-8"), max_size=10)),
+    st.sampled_from(["a", "b", "", "ü1", "a b", " a", "12345678", "123456789", "abcdefghijklmnopq"]))
+STAMP_CELLS = st.one_of(
+    st.integers(-10**11, 10**11).map(str), rarely(NUMBER_CELLS, st.integers(0, 2 * 10**9).map(str)),
+    st.builds(iso_cell, st.integers(-10**9, 10**10), st.integers(0, 2)))
+LABEL_CELLS = st.sampled_from(["0", "1", "", "2"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV bytes with the BASIC_HEADER columns: mostly plain lines, some quoted cells, LF,
+    CRLF and bare CR line ends, blank and ragged lines, no final newline, byte changes, cuts."""
+    lines = [",".join(BASIC_HEADER)]
+    ragged, quoted = (draw(rarely(st.just(True), st.just(False))) for _ in range(2))
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(st.sampled_from(["u0", "u1", "u2", "ü", ""])), draw(STAMP_CELLS),
+               draw(TEXT_CELLS), draw(NUMBER_CELLS), draw(LABEL_CELLS)]
+        shape = draw(st.sampled_from(["blank", "short", "long", "row"]) if ragged else st.just("row"))
+        if shape == "blank":
+            row = []
+        elif shape != "row":
+            row = row[:-1] if shape == "short" else row + ["extra"]
+        quoting = draw(st.sampled_from([csv.QUOTE_ALL, csv.QUOTE_MINIMAL]) if quoted
+                       else st.just(csv.QUOTE_MINIMAL))
+        out = io.StringIO()
+        csv.writer(out, quoting=quoting, lineterminator="").writerow(row)
+        lines.append(out.getvalue())
+    ends = draw(rarely(st.just(st.sampled_from(["\r\n", "\n", "\r"])),
+                       st.sampled_from([st.just("\r\n"), st.just("\n")])))
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = bytearray(text.encode("utf-8"))
+    for _ in range(draw(rarely(st.integers(1, 2), st.just(0)))):
+        if data:
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.sampled_from(
+                [0, 0xFF, 0xC3, ord('"'), ord(","), ord("\r"), ord("\n"), ord("7"), ord(" ")]))
+    if draw(rarely(st.just(True), st.just(False))):
+        data = data[:draw(st.integers(0, len(data)))]
+    return bytes(data)
+
+
+class TestPlainBlocks:
+    @settings(deadline=None, max_examples=150)
+    @given(csv_texts(), st.sampled_from([None, "epoch", "iso8601"]))
+    def test_read_columns_equals_csv_reader(self, data, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.csv"
+            path.write_bytes(data)
+            if fmt is None:
+                assert_reads_as_csv_reader(path, roles=BASIC_ROLES)
+            else:
+                assert_reads_as_csv_reader(path, schema=replace(make_schema(0, 10**9), timestamp_format=fmt))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(NUMBER_CELLS.filter(lambda c: c.isascii() and c != "" and "\r" not in c
+                                        and "\x00" not in c and "," not in c and '"' not in c
+                                        and "\n" not in c), min_size=1, max_size=20),
+           st.sampled_from(["\n", "\r\n"]))
+    def test_numbers_are_float_and_int_of_each_cell(self, cells, end):
+        block = sc._PlainBlock.parse(end.join(cells).encode(), 1)
+        assert block is not None and block.n == len(cells)
+        for parse, read in ((float, block.floats), (int, block.ints)):
+            try:
+                expected = [parse(c.encode()) for c in cells]
+            except ValueError:
+                with pytest.raises(ValueError):
+                    read(0)
+                continue
+            got = read(0)
+            if parse is float:
+                assert np.array(expected).tobytes() == got.tobytes()
+            else:
+                assert [int(v) for v in got] == expected
+
+    @pytest.mark.parametrize("data, width", [
+        (b'a,"b\nc"\n', 2), (b"a,b\rc,d\n", 2), (b"a\x00,b\n", 2), (b"a,b,c\n", 2), (b"a,b\n\n", 2),
+        (b"a\r,b\n", 2), (b"a,\xe9\n", 2), (b"a\n\nb\n", 1), (b"\r\n", 1)])
+    def test_blocks_that_are_not_plain(self, data, width):
+        assert sc._PlainBlock.parse(data, width) is None
+
+    def test_blank_line_of_a_one_column_file(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_bytes(b"uid\r\nu1\r\n\r\nu2\r\n")
+        assert_reads_as_csv_reader(path, roles=BASIC_ROLES)
+        with pytest.raises(SchemaError, match="row 1 has 0 cells, header has 1"):
+            sc.read_columns(path, roles=BASIC_ROLES)
+
+    def test_line_ends_and_quoting_do_not_change_the_columns(self, tmp_path):
+        """One synthetic log written with CRLF (as gen writes it), LF, and every cell quoted."""
+        from tabaconv import synth
+
+        cfg = synth.SynthConfig(n_users=5, rows_per_user=30, fraud_rate=0.0, label_noise=0.05, seed=3)
+        path, _ = synth.generate(cfg, tmp_path / "crlf")
+        header, rows = sc.read_csv(path)
+        (tmp_path / "lf.csv").write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        with open(tmp_path / "quoted.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([header, *rows])
+        roles = synth.default_roles()
+        logs = [sc.read_columns(p, roles=roles) for p in (path, tmp_path / "lf.csv", tmp_path / "quoted.csv")]
+        for log in logs:
+            assert_columns_equal(log, reference_columns(path, roles=roles))
+
+
+def reference_row_error(rows_by_user, schema):
+    """The first bad row's error, one user at a time: non-finite values first, then labels."""
+    amount = schema.continuous_fields[0]
+    for user, rows in rows_by_user.items():
+        for i, row in enumerate(rows):
+            with np.errstate(over="ignore"):  # the float32 cast of a huge value is inf, as encoded
+                z = np.float32((float(row[3]) - amount.mean) / amount.std) if row[3] != "" else 0.0
+            if not np.isfinite(z):
+                return (f"user {user!r}: non-finite value in continuous column 'amount' at row {i} "
+                        f"of the user's time-ordered rows")
+        for i, row in enumerate(rows):
+            if row[4] not in ("", "0", "1"):
+                return (f"user {user!r}: label {row[4]!r} in column 'fraud' at row {i} of the "
+                        f"user's time-ordered rows is not 0, 1 or empty")
+    return None
+
+
+@settings(deadline=None, max_examples=80)
+@given(csv_logs(), st.lists(st.tuples(st.integers(0, 80), st.sampled_from(
+    [(3, "inf"), (3, "nan"), (3, "-1e300"), (4, "2"), (4, "yes")])), max_size=4))
+@example([["u0", "1500000000", "a", "", "2"], ["u0", "1500000001", "a", "", "0"]], [(1, (3, "inf"))])
+@example([["u0", "1500000000", "a", "", "2"], ["u1", "1500000001", "a", "", "0"]], [(1, (3, "inf"))])
+def test_row_checks_name_the_first_bad_user_value_first(rows, bad):
+    """Several bad cells: the first user in grouped order with one, its non-finite value before its label."""
+    rows = [[r[0], r[1], r[2], str(i), r[4]] for i, r in enumerate(rows)]
+    for at, (column, value) in bad:
+        rows[at % len(rows)][column] = value
+    schema = replace(make_schema(1_400_000_000, 1_600_000_000),
+                     timestamp_format="epoch" if rows[0][1].isdigit() else "iso8601")
+    users = set(r[0] for r in rows)
+    try:
+        windows_of(schema, BASIC_HEADER, rows, 2, 1, "downstream")
+        got = None
+    except SchemaError as exc:
+        got = str(exc)
+    assert got == reference_row_error(reference_groups(rows, users), schema)

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,16 @@ class TestGenerate:
     def test_unreachable_rate_names_achievable_range(self, tmp_path):
         with pytest.raises(ConfigError, match="achievable range"):
             generate(SynthConfig(n_users=4, rows_per_user=30, fraud_rate=0.9, seed=0), tmp_path)
+
+    @pytest.mark.parametrize("mu,sigma", [(800.0, 1.0), (708.0, 0.0), (3.0, 400.0)])
+    def test_amounts_beyond_the_largest_float_refused(self, tmp_path, mu, sigma):
+        """An exp overflow, or a cum_spend sum of finite amounts that overflows, writes nothing."""
+        cfg = SynthConfig(n_users=3, rows_per_user=20, fraud_rate=0.0, amount_mu=mu, amount_sigma=sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"\(--amount-mu\).*\(--amount-sigma\)"):
+                generate(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_roles_file_written(self, tmp_path):
         generate(SynthConfig(n_users=2, rows_per_user=5, seed=0), tmp_path)
