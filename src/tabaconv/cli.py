@@ -132,12 +132,13 @@ def _echo_config(out_dir: Path, command: str, resolved: dict) -> None:
 
 
 def _out_dir(path: str) -> Path:
-    """The run directory, created before any input is read, so one that cannot be fails at once."""
+    """The run directory, refused before any input is read if it or a parent is a file."""
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except FileExistsError:
-        raise ConfigError(f"--out {out} exists and is not a directory") from None
+    for at in (out, *out.parents):
+        if at.exists():
+            if not at.is_dir():
+                raise ConfigError(f"--out {out}: {at} exists and is not a directory")
+            break
     return out
 
 
@@ -242,6 +243,7 @@ def cmd_pretrain(args) -> int:
                                         cfg["stride"])
     _require_windows(samples, cfg["split"], cfg["window"])
     ckpt, records = pretrain(samples, schema, mcfg, tcfg, mask_cfg)
+    out.mkdir(parents=True, exist_ok=True)
     schema.save(out / "schema.json")
     save_checkpoint(ckpt, out / "ckpt.bin")
     _write_metrics(out, records)
@@ -293,6 +295,7 @@ def cmd_finetune(args) -> int:
     _require_windows(samples, cfg["split"], cfg["window"])
     val_samples = val[0] if val else None
     tuned, records = finetune(ckpt, samples, schema, tcfg, val_samples=val_samples)
+    out.mkdir(parents=True, exist_ok=True)
     schema.save(out / "schema.json")
     save_checkpoint(tuned, out / "ckpt.bin")
     _write_metrics(out, records)
@@ -322,6 +325,7 @@ def cmd_evaluate(args) -> int:
           f"recall {result['recall']:.4f} AUROC {result['auroc']:.4f} "
           f"(n={result['n']}, positives={result['positives']})")
     if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
         _write_metrics(out, [result])
         _echo_config(out, "evaluate", cfg)
     return 0

@@ -9,8 +9,8 @@ The CSV is streamed once into compact per-column arrays (`read_columns`);
 splitting, schema inference, grouping and windowing all run on those.
 The file is read `_ENCODE_BLOCK_ROWS` lines at a time. A plain block (see
 `_PlainBlock`: no quotes, no NUL, no bare CR, UTF-8, one cell per header
-column on every line, as every `gen` log is) is tokenized and its numbers
-parsed in numpy. From the first block that is not plain, csv.reader reads
+column on every line, as every `gen` log is) is tokenized in numpy. From
+the first block that is not plain, csv.reader reads
 the rest of the file (`_csv_rows`), so every cell and error is the one
 csv.reader gives; both kinds of block reach the same cell encoder.
 The row functions (`read_csv`, `users_in_order` and `group_rows_by_user`
@@ -436,7 +436,6 @@ _PLAIN_HEADER_BYTES = 1 << 16
 
 _COMMA, _LF, _CR = b",\n\r"
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")  # masks of a word's first k bytes
-_POWERS_OF_TEN = np.array([float(10**k) for k in range(16)])  # exact doubles
 
 
 def _csv_rows(path, skip: int = 0):
@@ -554,9 +553,9 @@ class _PlainBlock:
     A block is plain when it has no `"` and no NUL byte, is UTF-8, has no CR
     that does not end a line as CRLF, has `width - 1` commas on every line,
     no blank line and no cell longer than csv's field size limit. Cell
-    (i, j) is `lens[i, j]` bytes of `buf` from `starts[i, j]`. Coded columns are keyed on
-    their bytes and numbers parsed from them; only distinct cells, and cells
-    that are not plain decimals, become Python objects.
+    (i, j) is `lens[i, j]` bytes of `buf` from `starts[i, j]`. Coded columns
+    are keyed on their bytes, so only distinct cells are decoded to `str`;
+    numbers are float() and int() of each cell's bytes.
     """
 
     def __init__(self, buf: bytes, starts: np.ndarray, lens: np.ndarray):
@@ -611,15 +610,9 @@ class _PlainBlock:
 
     def distinct(self, j: int) -> tuple[list[str], np.ndarray]:
         cells = self._cells(j)
-        keys = cells.view(np.uint64) if cells.itemsize == 8 else cells
-        index_bits = max(self.n - 1, 1).bit_length()
-        if cells.itemsize == 8 and 8 * int(self._lens[:, j].max()) + index_bits <= 64:
-            # one sort of (cell, row) packed in a word: each cell's rows in order
-            packed = np.sort(keys << index_bits | np.arange(self.n, dtype=np.uint64))
-            rows, keys = (packed & ((1 << index_bits) - 1)).astype(np.intp), packed >> index_bits
-        else:
-            rows = np.argsort(keys, kind="stable")
-            keys = keys[rows]
+        keys = cells.view(np.uint64) if cells.itemsize == 8 else cells  # compared as one integer
+        rows = np.argsort(keys, kind="stable")  # each cell's rows in order
+        keys = keys[rows]
         head = np.empty(self.n, dtype=bool)
         head[0] = True
         np.not_equal(keys[1:], keys[:-1], out=head[1:])
@@ -631,55 +624,13 @@ class _PlainBlock:
         local[rows] = rank[np.cumsum(head) - 1]
         return self.text_at(j, first[order].tolist()), local
 
+    # float() and int() of bytes take no Unicode digit or space that they take
+    # in a str; on their ValueError the caller parses the column's text.
     def floats(self, j: int) -> np.ndarray:
-        return self._numbers(j, integer=False)
+        return self._cells(j).astype(np.float64)  # float() of each cell's bytes
 
-    def ints(self, j: int) -> np.ndarray | list[int]:
-        return self._numbers(j, integer=True)
-
-    def _numbers(self, j: int, integer: bool):
-        """Column j's cells as float() (or int()) reads them; ValueError if one is not a number.
-
-        A cell of an optional '-' and up to 15 digits (18 for an int) with,
-        for a float, at most one '.' is parsed in numpy: its digits make an
-        exact integer, which one division by an exact power of ten rounds
-        correctly, to the double float() returns. Other cells go to float()
-        or int() on their bytes, which take no Unicode digit or space that
-        float(str) does: the caller then parses the column's text.
-        """
-        cells, lens = self._cells(j), self._lens[:, j]
-        chars = np.ascontiguousarray(cells.view(np.uint8).reshape(self.n, -1).T)  # [position, row]
-        digits = chars - np.uint8(ord("0"))  # any other byte wraps to 10 or more
-        is_digit = digits < 10
-        is_dot = chars == ord(".")
-        negative = chars[0] == ord("-")
-        allowed = is_digit | (chars == 0)
-        if not integer:
-            allowed |= is_dot
-        allowed[0] |= negative
-        max_digits = 18 if integer else 15
-        n_digits = np.add.reduce(is_digit, axis=0, dtype=np.uint8)  # exact where lens is small
-        simple = (lens <= max_digits + 2) & allowed.all(axis=0) & (n_digits > 0) & (n_digits <= max_digits)
-        digits *= is_digit
-        ten = is_digit * np.uint8(9) + np.uint8(1)  # 10 at a digit, else 1
-        mantissa = digits[0].astype(np.int64 if integer else np.float64)  # exact below 2**53
-        with np.errstate(over="ignore"):  # in cells that are not simple
-            for d, t in zip(digits[1:], ten[1:]):
-                mantissa *= t
-                mantissa += d
-        if integer:
-            if not simple.all():  # may not fit an int64
-                return list(map(int, cells.tolist()))
-            return np.where(negative, -mantissa, mantissa)
-        dots = np.add.reduce(is_dot, axis=0, dtype=np.uint8)
-        simple &= dots <= 1
-        dot_at = (np.arange(len(chars)).astype(np.uint8)[:, None] * is_dot).sum(axis=0, dtype=np.uint16)
-        values = mantissa / _POWERS_OF_TEN[np.where(simple & (dots == 1), lens - 1 - dot_at, 0)]
-        np.negative(values, out=values, where=negative)
-        others = np.flatnonzero(~simple)
-        if others.size:
-            values[others] = list(map(float, cells[others].tolist()))
-        return values
+    def ints(self, j: int) -> list[int]:
+        return list(map(int, self._cells(j).tolist()))
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -856,9 +807,7 @@ class CsvColumns:
             stamps = block.ints(j) if fmt == "epoch" else list(map(parse_iso8601, block.text(j)))
         except ValueError:
             stamps = _parse_cells(block.text(j), lambda v: parse_timestamp(v, fmt), self.stamp_errors, start, 0)
-        stamps = np.asarray(stamps)  # of Python ints if one does not fit an int64
-        if stamps.min() < _TS_MIN or stamps.max() > _TS_MAX:  # before int64 could overflow
-            stamps = stamps.tolist()
+        if min(stamps) < _TS_MIN or max(stamps) > _TS_MAX:  # before int64 could overflow
             for i, t in enumerate(stamps):
                 try:
                     _require_supported(t)

@@ -304,6 +304,7 @@ class TestNoWindows:
         err = capsys.readouterr().err
         assert "train split yields no window" in err and "--window 41" in err
         assert not (tmp_path / "p" / "ckpt.bin").exists()
+        assert not (tmp_path / "p").exists()
 
     def test_finetune(self, pipeline, tmp_path, capsys):
         assert main(["finetune", "--ckpt", str(pipeline["pre"] / "ckpt.bin"),
@@ -312,6 +313,7 @@ class TestNoWindows:
         err = capsys.readouterr().err
         assert "all split yields no window" in err and "--window 41" in err
         assert not (tmp_path / "f" / "ckpt.bin").exists()
+        assert not (tmp_path / "f").exists()
 
     def test_evaluate(self, classifier, tmp_path, capsys):
         assert main(["evaluate", "--ckpt", str(classifier["fin"] / "ckpt.bin"),
@@ -320,6 +322,7 @@ class TestNoWindows:
         err = capsys.readouterr().err
         assert "test split yields no window" in err and "--window 31" in err
         assert not (tmp_path / "e" / "metrics.jsonl").exists()
+        assert not (tmp_path / "e").exists()
 
     def test_an_empty_val_split_is_allowed(self, tmp_path):
         data = tmp_path / "data"
@@ -546,6 +549,7 @@ def test_directory_as_input_file_exits_two_naming_it(pipeline, tmp_path, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("edit", ["drop_first", "transpose_first"])
