@@ -44,9 +44,10 @@ from .schema import (
     load_roles,
     make_windows,
     read_columns,
-    read_csv,
     split_users,
 )
+# re-exported for callers that look it up here: the benchmark tracer wraps cli.read_csv
+from .schema import read_csv  # noqa: F401
 from .tensor import use_dtype, grad_check
 from .training import (
     Checkpoint,
@@ -346,10 +347,10 @@ def build_gradcheck_problem(seed: int):
                                  n_categories=4, n_cities=4)
         csv_path, _ = synth.generate(scfg, tmp)
         roles = synth.default_roles()
-        schema = infer_schema(csv_path, roles)
-        header, rows = read_csv(csv_path)
-        grouped = group_rows_by_user(header, rows, schema)
-        samples = make_windows(schema, header, grouped, window=6, stride=6,
+        log = read_columns(csv_path, roles=roles)
+        schema = infer_schema(csv_path, roles, parsed=log)
+        grouped = group_rows_by_user(log.header, log, schema)
+        samples = make_windows(schema, log.header, grouped, window=6, stride=6,
                                mode="pretrain", float_dtype=np.float64)
     mcfg = ModelConfig(d_model=12, n_heads=2, kernel_size=3, n_blocks=1,
                        ffn_mult=2, dropout=0.0)

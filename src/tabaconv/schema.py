@@ -1060,9 +1060,11 @@ def _encode(schema: FeatureSchema, grouped: GroupedColumns, float_dtype):
         cat[:, c] = token_ids[log.codes[f.name][order]]
     cont = np.empty((n, len(cont_fields)), dtype=float_dtype)
     for c, f in enumerate(cont_fields):
-        z = (log.floats[f.name][order] - f.mean) / f.std
-        z[log.empty[f.name][order]] = 0.0  # an empty cell is the training mean
-        cont[:, c] = z
+        # a z-score beyond float_dtype encodes as inf, and _check_rows names its row
+        with np.errstate(over="ignore"):
+            z = (log.floats[f.name][order] - f.mean) / f.std
+            z[log.empty[f.name][order]] = 0.0  # an empty cell is the training mean
+            cont[:, c] = z
     ts = log.stamps[order]
     comp = np.empty((n, 8), dtype=np.int32)
     tfl = np.empty((n, 4), dtype=float_dtype)

@@ -5,6 +5,10 @@ builds the backward graph on the fly (define-by-run). Training runs in
 float32, verification (gradient checking) in float64 via `use_dtype`.
 
 Conventions:
+  * an op computes its value and every intermediate its backward rule
+    reads, defines `def backward(g)` (g is the gradient of its output), and
+    returns `Tensor(value, parents=..., backward=backward)`; the node
+    requires grad iff a parent does, and no closure refers to its own node,
   * only trailing-dimension broadcasting is supported for add/mul,
   * integer index arrays (token ids, gather positions) are passed as raw
     numpy arrays, never as Tensors,
@@ -51,14 +55,18 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
+        """A leaf takes `requires_grad`; a node with parents requires grad iff one of them does."""
         arr = np.asarray(data)
         if arr.dtype != _DEFAULT_DTYPE:
             arr = arr.astype(_DEFAULT_DTYPE)
         self.data = arr
         self.grad = None
+        parents = tuple(parents)
+        if parents:
+            requires_grad = any(p.requires_grad for p in parents)
         self.requires_grad = requires_grad
-        # nodes that do not require grad are detached leaves: no graph kept
-        self._parents = tuple(parents) if requires_grad else ()
+        # a node that does not require grad keeps no graph: no parents, no closure
+        self._parents = parents if requires_grad else ()
         self._backward = backward if requires_grad else None
 
     @property
@@ -87,9 +95,9 @@ class Tensor:
         its parent links and its own gradient once its closure has run, and
         the sweep lets go of it, so an activation and its gradient are freed
         as soon as no later closure needs them. Only leaves (nodes no op
-        made, such as parameters) keep their gradients. A closure refers to
-        its own output node, so without this every step's graph is a
-        reference cycle that only the cyclic garbage collector frees.
+        made, such as parameters) keep their gradients. No closure refers to
+        its own node, so a graph that is never swept is freed by reference
+        counting as soon as its output is dropped.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -114,7 +122,7 @@ class Tensor:
         while topo:
             node = topo.pop()
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
                 node._backward = None
                 node._parents = ()
                 node.grad = None
@@ -164,63 +172,48 @@ def _broadcast_check(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "add")
-    out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad, parents=(a, b))
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.data.shape))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.data + b.data, parents=(a, b), backward=backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "mul")
-    out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad, parents=(a, b))
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(a.data * b.data, parents=(a, b), backward=backward)
 
 
 def scale(x: Tensor, s: float) -> Tensor:
-    out = Tensor(x.data * s, requires_grad=x.requires_grad, parents=(x,))
+    def backward(g):
+        _accumulate(x, g * s)
 
-    def backward():
-        _accumulate(x, out.grad * s)
-
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(x.data * s, parents=(x,), backward=backward)
 
 
 def shift(x: Tensor, c: float) -> Tensor:
-    out = Tensor(x.data + c, requires_grad=x.requires_grad, parents=(x,))
+    def backward(g):
+        _accumulate(x, g)
 
-    def backward():
-        _accumulate(x, out.grad)
-
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(x.data + c, parents=(x,), backward=backward)
 
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); a NaN input stays NaN, so it reaches the loss instead of reading as 0."""
-    out = Tensor(np.maximum(x.data, 0), requires_grad=x.requires_grad, parents=(x,))
+    def backward(g):
+        _accumulate(x, g * (x.data > 0))
 
-    def backward():
-        _accumulate(x, out.grad * (x.data > 0))
-
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(np.maximum(x.data, 0), parents=(x,), backward=backward)
 
 
 def concat_lastdim(parts: list[Tensor]) -> Tensor:
@@ -234,42 +227,30 @@ def concat_lastdim(parts: list[Tensor]) -> Tensor:
                 "differ outside the last dimension"
             )
     widths = [p.data.shape[-1] for p in parts]
-    out = Tensor(
-        np.concatenate([p.data for p in parts], axis=-1),
-        requires_grad=any(p.requires_grad for p in parts),
-        parents=tuple(parts),
-    )
 
-    def backward():
-        g = out.grad
+    def backward(g):
         offset = 0
         for p, w in zip(parts, widths):
             _accumulate(p, g[..., offset : offset + w])
             offset += w
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=-1), parents=parts, backward=backward)
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:
     n = x.data.shape[axis]
-    out = Tensor(x.data.mean(axis=axis), requires_grad=x.requires_grad, parents=(x,))
 
-    def backward():
-        _accumulate(x, np.expand_dims(out.grad, axis).repeat(n, axis=axis) / n)
+    def backward(g):
+        _accumulate(x, np.expand_dims(g, axis).repeat(n, axis=axis) / n)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(x.data.mean(axis=axis), parents=(x,), backward=backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum(), requires_grad=x.requires_grad, parents=(x,))
+    def backward(g):
+        _accumulate(x, np.full_like(x.data, float(g)))
 
-    def backward():
-        _accumulate(x, np.full_like(x.data, float(out.grad)))
-
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(x.data.sum(), parents=(x,), backward=backward)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -293,21 +274,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul: batch dimensions disagree for {a.data.shape} and {b.data.shape}"
         ) from None
-    out = Tensor(
-        np.matmul(a.data, b.data),
-        requires_grad=a.requires_grad or b.requires_grad,
-        parents=(a, b),
-    )
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(np.matmul(a.data, b.data), parents=(a, b), backward=backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -327,11 +301,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         y += b.data
     parents = (x, w) if b is None else (x, w, b)
-    out = Tensor(y.reshape(x.data.shape[:-1] + (n,)),
-                 requires_grad=any(p.requires_grad for p in parents), parents=parents)
 
-    def backward():
-        g2 = out.grad.reshape(-1, n)
+    def backward(g):
+        g2 = g.reshape(-1, n)
         if x.requires_grad:
             # with n == 1 the GEMM is one product per element; the broadcast is bitwise equal
             gx = g2 * w.data[:, 0] if n == 1 else g2 @ w.data.T
@@ -341,8 +313,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b is not None and b.requires_grad:
             _accumulate(b, g2.sum(axis=0))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(y.reshape(x.data.shape[:-1] + (n,)), parents=parents, backward=backward)
 
 
 def concat_linear(x: Tensor, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
@@ -365,12 +336,9 @@ def concat_linear(x: Tensor, weights: list[Tensor], biases: list[Tensor]) -> Ten
     x2 = x.data.reshape(-1, k)
     y = x2 @ w_all
     y += np.concatenate([b.data for b in biases])
-    parents = (x, *weights, *biases)
-    out = Tensor(y.reshape(x.data.shape[:-1] + (n,)),
-                 requires_grad=any(p.requires_grad for p in parents), parents=parents)
 
-    def backward():
-        g2 = out.grad.reshape(-1, n)
+    def backward(g):
+        g2 = g.reshape(-1, n)
         if x.requires_grad:
             _accumulate(x, (g2 @ w_all.T).reshape(x.data.shape))
         g_w = x2.T @ g2 if any(w.requires_grad for w in weights) else None
@@ -383,8 +351,7 @@ def concat_linear(x: Tensor, weights: list[Tensor], biases: list[Tensor]) -> Ten
             if b.requires_grad:
                 _accumulate(b, g_b[lo:hi])
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(y.reshape(x.data.shape[:-1] + (n,)), parents=(x, *weights, *biases), backward=backward)
 
 
 def add_projections(h: Tensor, values: np.ndarray, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
@@ -411,11 +378,8 @@ def add_projections(h: Tensor, values: np.ndarray, weights: list[Tensor], biases
         np.multiply(v[..., c : c + 1], w.data, out=term)
         term += b.data
         y += term
-    parents = (h, *weights, *biases)
-    out = Tensor(y, requires_grad=any(p.requires_grad for p in parents), parents=parents)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         lead = tuple(range(g.ndim - 1))
         _accumulate(h, g)
         g_b = g.sum(axis=lead) if any(b.requires_grad for b in biases) else None
@@ -425,30 +389,24 @@ def add_projections(h: Tensor, values: np.ndarray, weights: list[Tensor], biases
             if b.requires_grad:
                 _accumulate(b, g_b)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(y, parents=(h, *weights, *biases), backward=backward)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor(x.data.reshape(shape), requires_grad=x.requires_grad, parents=(x,))
+    def backward(g):
+        _accumulate(x, g.reshape(x.data.shape))
 
-    def backward():
-        _accumulate(x, out.grad.reshape(x.data.shape))
-
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(x.data.reshape(shape), parents=(x,), backward=backward)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    out = Tensor(np.transpose(x.data, axes), requires_grad=x.requires_grad, parents=(x,))
 
-    def backward():
-        _accumulate(x, np.transpose(out.grad, inverse))
+    def backward(g):
+        _accumulate(x, np.transpose(g, inverse))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(np.transpose(x.data, axes), parents=(x,), backward=backward)
 
 
 # -- convolution ---------------------------------------------------------
@@ -512,14 +470,8 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, padding: str = "zero") -> Tensor:
     acc = np.einsum("tfc,tfn->cn", w.data, summed)[:, :n_out]
     acc += bias.data[:, None]
 
-    out = Tensor(
-        acc.T.reshape(batch, t_len, f_c),
-        requires_grad=x.requires_grad or w.requires_grad or bias.requires_grad,
-        parents=(x, w, bias),
-    )
-
-    def backward():
-        g2 = out.grad.reshape(-1, f_c)
+    def backward(g):
+        g2 = g.reshape(-1, f_c)
         _accumulate(bias, g2.sum(axis=0))
         if w.requires_grad:
             _accumulate(w, np.stack([cols[tap] @ g2 for tap in range(k)]))
@@ -538,8 +490,7 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor, padding: str = "zero") -> Tensor:
                     gx += np.roll(per_tap[:, :, tap], tap - half, axis=1)
             _accumulate(x, gx)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(acc.T.reshape(batch, t_len, f_c), parents=(x, w, bias), backward=backward)
 
 
 # -- normalization & attention pieces -------------------------------------
@@ -549,15 +500,12 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, requires_grad=x.requires_grad, parents=(x,))
 
-    def backward():
-        g = out.grad
+    def backward(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
         _accumulate(x, y * (g - inner))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(y, parents=(x,), backward=backward)
 
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wmix: Tensor, heads: int) -> Tensor:
@@ -591,12 +539,9 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wmix: Tensor, heads
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)  # [B, H, T, T]
     merged = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(-1, width)  # [B*T, A]
-    parents = (x, wq, wk, wv, wmix)
-    out = Tensor((merged @ wmix.data).reshape(batch, t_len, width),
-                 requires_grad=any(p.requires_grad for p in parents), parents=parents)
 
-    def backward():
-        g2 = out.grad.reshape(-1, width)
+    def backward(g):
+        g2 = g.reshape(-1, width)
         if wmix.requires_grad:
             _accumulate(wmix, merged.T @ g2)
         g_ctx = (g2 @ wmix.data.T).reshape(batch, t_len, heads, dk).transpose(0, 2, 1, 3)
@@ -616,8 +561,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wmix: Tensor, heads
             if w.requires_grad:
                 _accumulate(w, g_wqkv[:, i * width : (i + 1) * width])
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor((merged @ wmix.data).reshape(batch, t_len, width),
+                  parents=(x, wq, wk, wv, wmix), backward=backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -633,14 +578,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = Tensor(
-        xhat * gamma.data + beta.data,
-        requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad,
-        parents=(x, gamma, beta),
-    )
 
-    def backward():
-        g = out.grad
+    def backward(g):
         lead = tuple(range(g.ndim - 1))
         _accumulate(beta, g.sum(axis=lead))
         _accumulate(gamma, (g * xhat).sum(axis=lead))
@@ -649,8 +588,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             term = gi - gi.mean(axis=-1, keepdims=True) - xhat * (gi * xhat).mean(axis=-1, keepdims=True)
             _accumulate(x, term * inv)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(xhat * gamma.data + beta.data, parents=(x, gamma, beta), backward=backward)
 
 
 # -- lookups and gathers ---------------------------------------------------
@@ -676,16 +614,13 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup into `table` [V, d]; `ids` is an integer ndarray."""
     ids = np.asarray(ids)
     _check_ids("embedding", ids[..., None], [table.data.shape[0]])
-    out = Tensor(table.data[ids], requires_grad=table.requires_grad, parents=(table,))
 
-    def backward():
-        g = out.grad.reshape(-1, table.data.shape[1])
+    def backward(g):
         acc = np.zeros_like(table.data)
-        np.add.at(acc, ids.ravel(), g)
+        np.add.at(acc, ids.ravel(), g.reshape(-1, table.data.shape[1]))
         _accumulate(table, acc)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(table.data[ids], parents=(table,), backward=backward)
 
 
 def embedding_sum(tables: list[Tensor], ids: np.ndarray) -> Tensor:
@@ -707,11 +642,9 @@ def embedding_sum(tables: list[Tensor], ids: np.ndarray) -> Tensor:
     summed = np.zeros((len(flat), width))
     for k, t in enumerate(tables):
         summed += t.data[flat[:, k]]
-    out = Tensor(summed.astype(tables[0].data.dtype).reshape(ids.shape[:-1] + (width,)),
-                 requires_grad=any(t.requires_grad for t in tables), parents=tuple(tables))
 
-    def backward():
-        g = out.grad.reshape(-1, width)
+    def backward(g):
+        g = g.reshape(-1, width)
         ends = np.cumsum(sizes)
         rows = flat + (ends - sizes)  # row of each id in the row-stacked tables
         onehot = np.zeros((int(ends[-1]), len(rows)), dtype=g.dtype)
@@ -720,21 +653,18 @@ def embedding_sum(tables: list[Tensor], ids: np.ndarray) -> Tensor:
         for t, end, size in zip(tables, ends, sizes):
             _accumulate(t, grad[end - size : end])
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(summed.astype(tables[0].data.dtype).reshape(ids.shape[:-1] + (width,)),
+                  parents=tables, backward=backward)
 
 
 def gather_bt(x: Tensor, b_idx: np.ndarray, t_idx: np.ndarray) -> Tensor:
     """Select rows x[b_idx[i], t_idx[i], :] from a [B, T, D] tensor."""
-    out = Tensor(x.data[b_idx, t_idx], requires_grad=x.requires_grad, parents=(x,))
-
-    def backward():
+    def backward(g):
         acc = np.zeros_like(x.data)
-        np.add.at(acc, (b_idx, t_idx), out.grad)
+        np.add.at(acc, (b_idx, t_idx), g)
         _accumulate(x, acc)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(x.data[b_idx, t_idx], parents=(x,), backward=backward)
 
 
 # -- fused losses ----------------------------------------------------------
@@ -760,13 +690,11 @@ def cross_entropy_sum(logits: Tensor, targets: np.ndarray) -> Tensor:
     if targets.shape != (m,):
         raise ShapeError(f"cross_entropy_sum: targets {targets.shape} do not match logits {logits.data.shape}")
     loss, dz = _cross_entropy_rows(logits.data, targets)
-    out = Tensor(loss, requires_grad=logits.requires_grad, parents=(logits,))
 
-    def backward():
-        _accumulate(logits, dz * float(out.grad))
+    def backward(g):
+        _accumulate(logits, dz * float(g))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(loss, parents=(logits,), backward=backward)
 
 
 def _check_cell_grid(op: str, z: np.ndarray, targets: np.ndarray, mask: np.ndarray, n_fields: int) -> None:
@@ -798,15 +726,13 @@ def masked_cross_entropy_sum(logits: Tensor, spans: list[tuple[int, int]], targe
             loss, d = _cross_entropy_rows(z[at], targets[idx + (k,)])
             total = total + loss
             cells.append((at, d))
-    out = Tensor(total, requires_grad=logits.requires_grad, parents=(logits,))
 
-    def backward():
-        g = float(out.grad)
+    def backward(g):
+        g = float(g)
         for at, d in cells:
             _accumulate_at(logits, at, d * g)
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(total, parents=(logits,), backward=backward)
 
 
 def masked_squared_error_sum(preds: Tensor, start: int, targets: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -825,13 +751,11 @@ def masked_squared_error_sum(preds: Tensor, start: int, targets: np.ndarray, mas
                          f"do not fit width {z.shape[-1]}")
     cols = (..., slice(start, start + n_fields))
     diff = np.where(mask, z[cols] - targets.astype(z.dtype), z.dtype.type(0))
-    out = Tensor((diff * diff).sum(), requires_grad=preds.requires_grad, parents=(preds,))
 
-    def backward():
-        _accumulate_at(preds, cols, 2.0 * diff * float(out.grad))
+    def backward(g):
+        _accumulate_at(preds, cols, 2.0 * diff * float(g))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor((diff * diff).sum(), parents=(preds,), backward=backward)
 
 
 def bce_with_logits_sum(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -841,13 +765,11 @@ def bce_with_logits_sum(logits: Tensor, labels: np.ndarray) -> Tensor:
     if z.shape != y.shape:
         raise ShapeError(f"bce_with_logits_sum: labels {y.shape} do not match logits {z.shape}")
     loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    out = Tensor(loss.sum(), requires_grad=logits.requires_grad, parents=(logits,))
 
-    def backward():
-        _accumulate(logits, (sigmoid(z) - y) * float(out.grad))
+    def backward(g):
+        _accumulate(logits, (sigmoid(z) - y) * float(g))
 
-    out._backward = backward if out.requires_grad else None
-    return out
+    return Tensor(loss.sum(), parents=(logits,), backward=backward)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -633,6 +633,20 @@ class TestEncodeErrors:
         with pytest.raises(ValueError, match="unsupported year"):
             sc.group_rows_by_user(BASIC_HEADER, rows, make_schema(1000, 1500))
 
+    # a z-score beyond float32 in the cast (std 8) or beyond float64 in the division (std 1e-10)
+    @pytest.mark.parametrize("std", [8.0, 1e-10])
+    def test_z_score_beyond_the_float_dtype_is_refused_without_a_numpy_warning(self, std):
+        rows_by_user = self.rows_by_user()
+        rows_by_user["u1"][4][3] = "1e300"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SchemaError) as exc:
+                windows_of(make_schema(1000, 1500, std=std), BASIC_HEADER, flat(rows_by_user), 3, 3,
+                           "downstream")
+        assert str(exc.value) == ("user 'u1': non-finite value in continuous column 'amount' at row 4 "
+                                  "of the user's time-ordered rows")
+        assert [str(w.message) for w in caught] == []
+
     def test_non_numeric_continuous_cell_is_value_error(self):
         rows_by_user = self.rows_by_user()
         rows_by_user["u1"][2][3] = "12abc"

@@ -1,6 +1,7 @@
 """Tests for the autodiff tensor engine."""
 
 import gc
+import inspect
 import math
 import weakref
 
@@ -649,10 +650,10 @@ def test_backward_releases_intermediates_as_it_sweeps():
     y = Tensor(np.array([0.5, 0.5, 2.0]), requires_grad=True)
     seen = {}
 
-    def probe_backward():
+    def probe_backward(g):
         # runs last: every node between the loss and the probe has been swept by now
         seen["dead"] = (inner() is None, outer() is None)
-        tt._accumulate(x, probe.grad)
+        tt._accumulate(x, g)
 
     probe = Tensor(x.data, requires_grad=True, parents=(x,), backward=probe_backward)
     scaled = tt.scale(probe, 2.0)
@@ -670,6 +671,77 @@ def test_backward_releases_intermediates_as_it_sweeps():
     assert kept.grad is None and loss.grad is None and probe.grad is None
     np.testing.assert_array_equal(x.grad, [1.0, 0.0, 4.0])
     np.testing.assert_array_equal(y.grad, [2.0, 0.0, 6.0])
+
+
+def _leaves(rng, *shapes):
+    return [_random_tensor(rng, shape) for shape in shapes]
+
+
+# one case per graph-building op: the op applied to leaves that require grad
+NODE_CASES = [
+    ("add", lambda r: tt.add(*_leaves(r, (4, 8), (8,)))),
+    ("mul", lambda r: tt.mul(*_leaves(r, (4, 8), (4, 8)))),
+    ("scale", lambda r: tt.scale(*_leaves(r, (4, 8)), 2.0)),
+    ("shift", lambda r: tt.shift(*_leaves(r, (4, 8)), 1.5)),
+    ("relu", lambda r: tt.relu(*_leaves(r, (4, 8)))),
+    ("concat_lastdim", lambda r: tt.concat_lastdim(_leaves(r, (4, 3), (4, 5)))),
+    ("mean_axis", lambda r: tt.mean_axis(*_leaves(r, (4, 8, 6)), 1)),
+    ("sum_all", lambda r: tt.sum_all(*_leaves(r, (4, 8)))),
+    ("matmul", lambda r: tt.matmul(*_leaves(r, (2, 4, 8), (2, 8, 3)))),
+    ("linear", lambda r: tt.linear(*_leaves(r, (2, 4, 8), (8, 5), (5,)))),
+    ("concat_linear", lambda r: tt.concat_linear(*_leaves(r, (2, 4, 8)), _leaves(r, (8, 5), (8, 1)),
+                                                 _leaves(r, (5,), (1,)))),
+    ("add_projections", lambda r: tt.add_projections(*_leaves(r, (2, 3, 6)), _VALUES, _leaves(r, *[(6,)] * 3),
+                                                     _leaves(r, *[(6,)] * 3))),
+    ("reshape", lambda r: tt.reshape(*_leaves(r, (4, 8)), (8, 4))),
+    ("transpose", lambda r: tt.transpose(*_leaves(r, (2, 4, 8)), (0, 2, 1))),
+    ("conv1d", lambda r: tt.conv1d(*_leaves(r, (2, 8, 3), (3, 3, 4), (4,)))),
+    ("softmax_lastdim", lambda r: tt.softmax_lastdim(*_leaves(r, (4, 8)))),
+    ("attention", lambda r: tt.attention(*_leaves(r, (2, 5, 8), (8, 6), (8, 6), (8, 6), (6, 6)), heads=2)),
+    ("layer_norm", lambda r: tt.layer_norm(*_leaves(r, (4, 8), (8,), (8,)))),
+    ("embedding", lambda r: tt.embedding(*_leaves(r, (7, 4)), np.array([[0, 3], [3, 6]]))),
+    ("embedding_sum", lambda r: tt.embedding_sum(_leaves(r, (3, 6), (5, 6), (4, 6)), _IDS)),
+    ("gather_bt", lambda r: tt.gather_bt(*_leaves(r, (2, 4, 8)), np.array([0, 1, 1]), np.array([3, 0, 3]))),
+    ("cross_entropy_sum", lambda r: tt.cross_entropy_sum(*_leaves(r, (5, 4)), np.array([0, 3, 1, 1, 2]))),
+    ("masked_cross_entropy_sum", lambda r: tt.masked_cross_entropy_sum(*_leaves(r, (2, 3, _HEAD_WIDTH)), _SPANS,
+                                                                       _CAT_TARGETS, _MASK)),
+    ("masked_squared_error_sum", lambda r: tt.masked_squared_error_sum(*_leaves(r, (2, 3, _HEAD_WIDTH)), _CONT_START,
+                                                                       _CONT_TARGETS, _MASK)),
+    ("bce_with_logits_sum", lambda r: tt.bce_with_logits_sum(*_leaves(r, (6,)), np.array([1.0, 0, 1, 0, 0, 1]))),
+]
+
+
+def test_node_cases_cover_every_op_that_builds_a_node():
+    builders = {name for name, fn in vars(tt).items()
+                if inspect.isfunction(fn) and fn.__module__ == tt.__name__
+                and "backward=backward" in inspect.getsource(fn)}
+    assert builders == {op for op, _ in NODE_CASES}
+
+
+@pytest.mark.parametrize("op,build", NODE_CASES, ids=[c[0] for c in NODE_CASES])
+def test_a_graph_dropped_unswept_is_freed_without_the_cycle_collector(op, build):
+    gc.disable()
+    try:
+        node = build(np.random.default_rng(0))
+        assert node.requires_grad and node._backward is not None
+        alive = weakref.ref(node.data)
+        del node
+        assert alive() is None, f"{op}: its node outlived its last reference"
+    finally:
+        gc.enable()
+
+
+def test_a_node_requires_grad_iff_a_parent_does():
+    frozen, live = Tensor(np.ones(3)), Tensor(np.ones(3), requires_grad=True)
+    for a, b in [(frozen, frozen), (frozen, live), (live, frozen), (live, live)]:
+        node = tt.mul(a, b)
+        assert node.requires_grad is (a is live or b is live)
+        assert node._parents == ((a, b) if node.requires_grad else ())
+        assert (node._backward is not None) is node.requires_grad
+    # the constructor applies the rule itself: `requires_grad` is only for leaves
+    node = Tensor(np.ones(3), requires_grad=True, parents=(frozen,), backward=lambda g: None)
+    assert not node.requires_grad and node._parents == () and node._backward is None
+    assert Tensor(np.ones(3), parents=(frozen, live), backward=lambda g: None).requires_grad
 
 
 def mha_composition(x, wq, wk, wv, wmix, heads):
@@ -786,13 +858,10 @@ class TestGradCheck:
             x = Tensor(np.random.default_rng(2).normal(size=6), requires_grad=True)
 
             def bad_square(t):
-                out = Tensor(t.data * t.data, requires_grad=True, parents=(t,))
+                def backward(g):  # wrong rule on purpose: 3x instead of 2x
+                    tt._accumulate(t, g * 3.0 * t.data)
 
-                def backward():  # wrong rule on purpose: 3x instead of 2x
-                    tt._accumulate(t, out.grad * 3.0 * t.data)
-
-                out._backward = backward
-                return out
+                return Tensor(t.data * t.data, parents=(t,), backward=backward)
 
             report = grad_check(lambda p: tt.sum_all(bad_square(p["x"])), {"x": x})
         assert not report.passed
