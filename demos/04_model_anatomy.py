@@ -18,14 +18,15 @@ from tabaconv.model import (
     init_params,
     pretrain_heads,
 )
-from tabaconv.schema import group_rows_by_user, infer_schema, make_windows, read_csv
+from tabaconv.schema import group_rows_by_user, infer_schema, make_windows, read_columns
 from tabaconv.training import masked_batch
 
 with tempfile.TemporaryDirectory() as tmp:
     csv_path, _ = synth.generate(synth.SynthConfig(n_users=3, rows_per_user=20, seed=2), tmp)
-    schema = infer_schema(csv_path, synth.default_roles())
-    header, rows = read_csv(csv_path)
-    samples = make_windows(schema, header, group_rows_by_user(header, rows, schema),
+    roles = synth.default_roles()
+    log = read_columns(csv_path, roles=roles)  # one streamed read, kept as per-column arrays
+    schema = infer_schema(csv_path, roles, parsed=log)
+    samples = make_windows(schema, log.header, group_rows_by_user(log.header, log, schema),
                            window=10, stride=5, mode="pretrain")
 
 cfg = ModelConfig()  # d_model 64, 4 heads, kernel 3, one block, 32/32 channel split

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 check failure, 2 configuration or input error,
 3 runtime numeric failure. Every command takes --config (JSON file whose
 keys mirror the flag names, each checked against the command's flags and
-their types); explicit flags win over the file, the file wins over
-built-in defaults. The fully resolved configuration is echoed
+their types); explicit flags win over the file, the file wins over the
+defaults declared with each flag. The fully resolved configuration is echoed
 into the run directory as config.json.
 
 Datasets are split 80/10/10 into train/val/test by user (first-appearance
@@ -48,6 +48,7 @@ from .schema import (
 )
 # re-exported for callers that look it up here: the benchmark tracer wraps cli.read_csv
 from .schema import read_csv  # noqa: F401
+from .synth import SynthConfig
 from .tensor import use_dtype, grad_check
 from .training import (
     Checkpoint,
@@ -71,21 +72,16 @@ _M_ARENA_MAX = -8
 _CONFIG_ERRORS = (ConfigError, SchemaError, ContractError, IntegrityError,
                   UnsupportedVersionError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"{path}: config file is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config file must hold a JSON object")
-    return cfg
+# The user splits --split names: split_users' three in its order, then every user
+_SPLITS = ("train", "val", "test", "all")
 
 
-def _check_config_entry(path: str, key: str, value, defaults: dict, actions: dict) -> None:
+def _options(command: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The flags of a command that a config file may set and config.json echoes, by key."""
+    return {a.dest: a for a in command._actions if a.option_strings and a.dest not in ("help", "config")}
+
+
+def _check_config_entry(path: str, key: str, value, actions: dict) -> None:
     """ConfigError naming `path` and `key` unless the command has that flag and `value` fits it.
 
     A flag of type int takes a JSON integer, one of type float any JSON
@@ -93,11 +89,11 @@ def _check_config_entry(path: str, key: str, value, defaults: dict, actions: dic
     true and false are not numbers. null is taken only where the flag's
     default is null.
     """
-    if key not in defaults or key not in actions:
+    if key not in actions:
         raise ConfigError(f"{path}: unknown key {key!r} for this command")
-    if value is None and defaults[key] is None:
-        return
     action = actions[key]
+    if value is None and action.default is None:
+        return
     if action.type is int:
         ok, wanted = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif action.type is float:
@@ -110,26 +106,26 @@ def _check_config_entry(path: str, key: str, value, defaults: dict, actions: dic
         raise ConfigError(f"{path}: {key!r} must be {wanted}, got {json.dumps(value)}")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags; every config file entry is checked first."""
-    resolved = dict(defaults)
-    path = getattr(args, "config", None)
-    from_file = _load_config_file(path)
-    for key, value in from_file.items():
-        _check_config_entry(path, key, value, defaults, args.option_actions)
-    resolved.update(from_file)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+def _config_entries(path: str, command: argparse.ArgumentParser) -> dict:
+    """The entries of the JSON config file `path`, each checked against the flags of `command`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"{path}: config file is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: config file must hold a JSON object")
+    actions = _options(command)
+    for key, value in cfg.items():
+        _check_config_entry(path, key, value, actions)
+    return cfg
 
 
-def _echo_config(out_dir: Path, command: str, resolved: dict) -> None:
+def _echo_config(out_dir: Path, args: argparse.Namespace) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump({"command": command, **{k: str(v) if isinstance(v, Path) else v
-                                          for k, v in resolved.items()}}, fh, indent=2)
+        json.dump({"command": args.command,
+                   **{key: getattr(args, key) for key in _options(args.command_parser)}}, fh, indent=2)
 
 
 def _out_dir(path: str) -> Path:
@@ -149,9 +145,19 @@ def _write_metrics(out_dir: Path, records: list[dict]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _write_run(out: Path, args: argparse.Namespace, schema: FeatureSchema, ckpt: Checkpoint,
+               records: list[dict]) -> None:
+    """The run directory of a training command: schema, checkpoint, metrics and config echo."""
+    out.mkdir(parents=True, exist_ok=True)
+    schema.save(out / "schema.json")
+    save_checkpoint(ckpt, out / "ckpt.bin")
+    _write_metrics(out, records)
+    _echo_config(out, args)
+
+
 def _split_user_sets(log: CsvColumns, splits: list[str]) -> list[set[str]]:
-    """The users of each named split ("train", "val", "test" or "all")."""
-    named = dict(zip(("train", "val", "test"), split_users(log.users)), all=log.users)
+    """The users of each named split (one of _SPLITS)."""
+    named = dict(zip(_SPLITS, (*split_users(log.users), log.users)))
     return [set(named[split]) for split in splits]
 
 
@@ -169,6 +175,15 @@ def _read_windows(path: Path, schema: FeatureSchema, splits: list[str], window: 
     """Windows of each named user split from one streamed read of `path`."""
     log = read_columns(path, schema=schema)
     return _windows_for_users(log, schema, _split_user_sets(log, splits), window, stride, mode)
+
+
+def _check_input_flags(args: argparse.Namespace) -> None:
+    """Refuse a missing --data, and a --window or --stride below 1, before any input is read."""
+    if args.data is None:
+        raise ConfigError("--data is required")
+    for name in ("window", "stride"):
+        if getattr(args, name) < 1:
+            raise ConfigError(f"{name} (--{name}) must be >= 1, got {getattr(args, name)}")
 
 
 def _require_windows(samples: Windows, split: str, window: int) -> None:
@@ -191,81 +206,55 @@ def _pretrain_windows(path: Path, roles: dict, split: str, window: int,
 # commands
 # ---------------------------------------------------------------------------
 
-_GEN_DEFAULTS = dict(users=20, rows=100, fraud_rate=0.03, noise=0.05, seed=0,
-                     merchants=12, categories=8, cities=10,
-                     amount_mu=3.0, amount_sigma=1.0, out="data")
-
 
 def cmd_gen(args) -> int:
-    cfg = _resolve(args, _GEN_DEFAULTS)
-    scfg = synth.SynthConfig(
-        n_users=cfg["users"], rows_per_user=cfg["rows"], fraud_rate=cfg["fraud_rate"],
-        label_noise=cfg["noise"], seed=cfg["seed"], n_merchants=cfg["merchants"],
-        n_categories=cfg["categories"], n_cities=cfg["cities"],
-        amount_mu=cfg["amount_mu"], amount_sigma=cfg["amount_sigma"],
+    scfg = SynthConfig(
+        n_users=args.users, rows_per_user=args.rows, fraud_rate=args.fraud_rate,
+        label_noise=args.noise, seed=args.seed, n_merchants=args.merchants,
+        n_categories=args.categories, n_cities=args.cities,
+        amount_mu=args.amount_mu, amount_sigma=args.amount_sigma,
     )
-    out = Path(cfg["out"])
+    out = Path(args.out)
     csv_path, manifest_path = synth.generate(scfg, out)
-    _echo_config(out, "gen", cfg)
+    _echo_config(out, args)
     print(f"wrote {csv_path} and {manifest_path}")
     return 0
 
 
-_MODEL_DEFAULTS = dict(d_model=64, heads=4, kernel=3, blocks=1, ffn_mult=4, dropout=0.1)
-
-_PRETRAIN_DEFAULTS = dict(
-    data=None, roles=None, out="runs/pretrain", split="train",
-    window=10, stride=5, p_field=0.30, p_row=0.15, mask_seed=None,
-    epochs=5, batch_size=32, lr=1e-3, seed=0, **_MODEL_DEFAULTS,
-)
-
-
-def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(d_model=cfg["d_model"], n_heads=cfg["heads"], kernel_size=cfg["kernel"],
-                       n_blocks=cfg["blocks"], ffn_mult=cfg["ffn_mult"], dropout=cfg["dropout"])
+def _model_config(args) -> ModelConfig:
+    return ModelConfig(d_model=args.d_model, n_heads=args.heads, kernel_size=args.kernel,
+                       n_blocks=args.blocks, ffn_mult=args.ffn_mult, dropout=args.dropout)
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _resolve(args, _PRETRAIN_DEFAULTS)
-    if cfg["data"] is None:
-        raise ConfigError("--data is required")
-    if cfg["p_field"] == 0 and cfg["p_row"] == 0:
+    _check_input_flags(args)
+    if args.p_field == 0 and args.p_row == 0:
         raise ConfigError("--p-field 0 and --p-row 0 leave the reconstruction loss without targets")
-    if cfg["mask_seed"] is None:
-        cfg["mask_seed"] = cfg["seed"]
-    mcfg = _model_config(cfg)
-    tcfg = TrainConfig(batch_size=cfg["batch_size"], epochs=cfg["epochs"],
-                       learning_rate=cfg["lr"], seed=cfg["seed"], mode="pretrain")
-    mask_cfg = MaskConfig(p_field=cfg["p_field"], p_row=cfg["p_row"], seed=cfg["mask_seed"])
-    out = _out_dir(cfg["out"])
-    data = Path(cfg["data"])
-    roles_path = Path(cfg["roles"]) if cfg["roles"] else data.parent / "roles.json"
-    schema, samples = _pretrain_windows(data, load_roles(roles_path), cfg["split"], cfg["window"],
-                                        cfg["stride"])
-    _require_windows(samples, cfg["split"], cfg["window"])
+    if args.mask_seed is None:
+        args.mask_seed = args.seed
+    mcfg = _model_config(args)
+    tcfg = TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
+                       learning_rate=args.lr, seed=args.seed, mode="pretrain")
+    mask_cfg = MaskConfig(p_field=args.p_field, p_row=args.p_row, seed=args.mask_seed)
+    out = _out_dir(args.out)
+    data = Path(args.data)
+    roles_path = Path(args.roles) if args.roles else data.parent / "roles.json"
+    schema, samples = _pretrain_windows(data, load_roles(roles_path), args.split, args.window,
+                                        args.stride)
+    _require_windows(samples, args.split, args.window)
     ckpt, records = pretrain(samples, schema, mcfg, tcfg, mask_cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    schema.save(out / "schema.json")
-    save_checkpoint(ckpt, out / "ckpt.bin")
-    _write_metrics(out, records)
-    _echo_config(out, "pretrain", cfg)
+    _write_run(out, args, schema, ckpt, records)
     last = records[-1] if records else {"loss": float("nan")}
     print(f"pretrained on {len(samples)} windows; final epoch: {json.dumps(last)}")
     return 0
 
 
-_FINETUNE_DEFAULTS = dict(
-    ckpt=None, data=None, schema=None, out="runs/finetune", split="train", mode="finetune",
-    window=10, stride=10, epochs=5, batch_size=32, lr=1e-3, seed=0,
-)
-
-
-def _load_ckpt_and_schema(cfg: dict) -> tuple[Checkpoint, FeatureSchema]:
-    if cfg["ckpt"] is None:
+def _load_ckpt_and_schema(args) -> tuple[Checkpoint, FeatureSchema]:
+    if args.ckpt is None:
         raise ConfigError("--ckpt is required")
-    ckpt_path = Path(cfg["ckpt"])
+    ckpt_path = Path(args.ckpt)
     ckpt = load_checkpoint(ckpt_path)
-    schema_path = Path(cfg["schema"]) if cfg["schema"] else ckpt_path.parent / "schema.json"
+    schema_path = Path(args.schema) if args.schema else ckpt_path.parent / "schema.json"
     schema = FeatureSchema.load(schema_path)
     if ckpt.schema_digest != schema.digest():
         raise ConfigError(
@@ -282,45 +271,33 @@ def _load_ckpt_and_schema(cfg: dict) -> tuple[Checkpoint, FeatureSchema]:
 
 
 def cmd_finetune(args) -> int:
-    cfg = _resolve(args, _FINETUNE_DEFAULTS)
-    if cfg["data"] is None:
-        raise ConfigError("--data is required")
-    tcfg = TrainConfig(batch_size=cfg["batch_size"], epochs=cfg["epochs"],
-                       learning_rate=cfg["lr"], seed=cfg["seed"], mode=cfg["mode"])
-    out = _out_dir(cfg["out"])
-    ckpt, schema = _load_ckpt_and_schema(cfg)
+    _check_input_flags(args)
+    tcfg = TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
+                       learning_rate=args.lr, seed=args.seed, mode=args.mode)
+    out = _out_dir(args.out)
+    ckpt, schema = _load_ckpt_and_schema(args)
     # on the train split, the val split's windows are scored after each epoch
-    splits = [cfg["split"], "val"] if cfg["split"] == "train" else [cfg["split"]]
-    samples, *val = _read_windows(Path(cfg["data"]), schema, splits, cfg["window"],
-                                  cfg["stride"], "downstream")
-    _require_windows(samples, cfg["split"], cfg["window"])
+    splits = [args.split, "val"] if args.split == "train" else [args.split]
+    samples, *val = _read_windows(Path(args.data), schema, splits, args.window,
+                                  args.stride, "downstream")
+    _require_windows(samples, args.split, args.window)
     val_samples = val[0] if val else None
     tuned, records = finetune(ckpt, samples, schema, tcfg, val_samples=val_samples)
-    out.mkdir(parents=True, exist_ok=True)
-    schema.save(out / "schema.json")
-    save_checkpoint(tuned, out / "ckpt.bin")
-    _write_metrics(out, records)
-    _echo_config(out, "finetune", cfg)
+    _write_run(out, args, schema, tuned, records)
     last = records[-1] if records else {}
     validated = f", validating on {len(val_samples)}" if val_samples else ""
-    print(f"finetuned ({cfg['mode']}) on {len(samples)} windows{validated}; "
+    print(f"finetuned ({args.mode}) on {len(samples)} windows{validated}; "
           f"final epoch: {json.dumps(last)}")
     return 0
 
 
-_EVALUATE_DEFAULTS = dict(ckpt=None, data=None, schema=None, out=None, split="test",
-                          window=10, stride=10)
-
-
 def cmd_evaluate(args) -> int:
-    cfg = _resolve(args, _EVALUATE_DEFAULTS)
-    if cfg["data"] is None:
-        raise ConfigError("--data is required")
-    out = _out_dir(cfg["out"]) if cfg["out"] else None
-    ckpt, schema = _load_ckpt_and_schema(cfg)
-    (samples,) = _read_windows(Path(cfg["data"]), schema, [cfg["split"]], cfg["window"],
-                               cfg["stride"], "downstream")
-    _require_windows(samples, cfg["split"], cfg["window"])
+    _check_input_flags(args)
+    out = _out_dir(args.out) if args.out else None
+    ckpt, schema = _load_ckpt_and_schema(args)
+    (samples,) = _read_windows(Path(args.data), schema, [args.split], args.window,
+                               args.stride, "downstream")
+    _require_windows(samples, args.split, args.window)
     result = evaluate(ckpt, samples, schema)
     print(f"F1 {result['f1']:.4f} precision {result['precision']:.4f} "
           f"recall {result['recall']:.4f} AUROC {result['auroc']:.4f} "
@@ -328,11 +305,8 @@ def cmd_evaluate(args) -> int:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         _write_metrics(out, [result])
-        _echo_config(out, "evaluate", cfg)
+        _echo_config(out, args)
     return 0
-
-
-_GRADCHECK_DEFAULTS = dict(tol=1e-4, h=1e-5, seed=0, max_coords=64)
 
 
 def build_gradcheck_problem(seed: int):
@@ -342,9 +316,9 @@ def build_gradcheck_problem(seed: int):
     with tempfile.TemporaryDirectory() as tmp:
         # labels are irrelevant to the reconstruction loss; rate 0 keeps tiny
         # datasets from tripping the reachability check
-        scfg = synth.SynthConfig(n_users=3, rows_per_user=12, fraud_rate=0.0,
-                                 label_noise=0.0, seed=seed, n_merchants=6,
-                                 n_categories=4, n_cities=4)
+        scfg = SynthConfig(n_users=3, rows_per_user=12, fraud_rate=0.0,
+                           label_noise=0.0, seed=seed, n_merchants=6,
+                           n_categories=4, n_cities=4)
         csv_path, _ = synth.generate(scfg, tmp)
         roles = synth.default_roles()
         log = read_columns(csv_path, roles=roles)
@@ -366,11 +340,10 @@ def build_gradcheck_problem(seed: int):
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _resolve(args, _GRADCHECK_DEFAULTS)
     with use_dtype("float64"):
-        build_loss, params = build_gradcheck_problem(cfg["seed"])
-        report = grad_check(build_loss, params, h=cfg["h"], tol=cfg["tol"],
-                            max_coords=cfg["max_coords"], seed=cfg["seed"])
+        build_loss, params = build_gradcheck_problem(args.seed)
+        report = grad_check(build_loss, params, h=args.h, tol=args.tol,
+                            max_coords=args.max_coords, seed=args.seed)
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -381,6 +354,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag with its default: the dataclass field's where the flag feeds a library config."""
     parser = argparse.ArgumentParser(
         prog="tabaconv",
         description="Tabular time-series pretraining and fraud classification pipeline.",
@@ -389,40 +363,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic labeled transaction CSV")
     gen.add_argument("--config", help="JSON config file (flags override it)")
-    gen.add_argument("--users", type=int, help="number of users")
-    gen.add_argument("--rows", type=int, help="rows per user")
-    gen.add_argument("--fraud-rate", dest="fraud_rate", type=float, help="target rule rate (pre-noise)")
-    gen.add_argument("--noise", type=float, help="label flip probability")
-    gen.add_argument("--seed", type=int, help="generator seed")
-    gen.add_argument("--merchants", type=int, help="merchant vocabulary size")
-    gen.add_argument("--categories", type=int, help="category vocabulary size")
-    gen.add_argument("--cities", type=int, help="city vocabulary size")
-    gen.add_argument("--amount-mu", dest="amount_mu", type=float, help="log-amount mean")
-    gen.add_argument("--amount-sigma", dest="amount_sigma", type=float, help="log-amount std")
-    gen.add_argument("--out", help="output directory")
+    gen.add_argument("--users", type=int, default=SynthConfig.n_users, help="number of users")
+    gen.add_argument("--rows", type=int, default=SynthConfig.rows_per_user, help="rows per user")
+    gen.add_argument("--fraud-rate", type=float, default=SynthConfig.fraud_rate,
+                     help="target rule rate (pre-noise)")
+    gen.add_argument("--noise", type=float, default=SynthConfig.label_noise,
+                     help="label flip probability")
+    gen.add_argument("--seed", type=int, default=SynthConfig.seed, help="generator seed")
+    gen.add_argument("--merchants", type=int, default=SynthConfig.n_merchants,
+                     help="merchant vocabulary size")
+    gen.add_argument("--categories", type=int, default=SynthConfig.n_categories,
+                     help="category vocabulary size")
+    gen.add_argument("--cities", type=int, default=SynthConfig.n_cities, help="city vocabulary size")
+    gen.add_argument("--amount-mu", type=float, default=SynthConfig.amount_mu,
+                     help="log-amount mean")
+    gen.add_argument("--amount-sigma", type=float, default=SynthConfig.amount_sigma,
+                     help="log-amount std")
+    gen.add_argument("--out", default="data", help="output directory")
     gen.set_defaults(func=cmd_gen)
 
     pre = sub.add_parser("pretrain", help="infer schema, window the data, run reconstruction pretraining")
     pre.add_argument("--config")
     pre.add_argument("--data", help="input CSV")
     pre.add_argument("--roles", help="role config JSON (default: roles.json next to the data)")
-    pre.add_argument("--out", help="run directory")
-    pre.add_argument("--split", choices=["train", "val", "test", "all"], help="user split to train on")
-    pre.add_argument("--window", type=int, help="window length")
-    pre.add_argument("--stride", type=int, help="window stride")
-    pre.add_argument("--p-field", dest="p_field", type=float, help="field mask probability")
-    pre.add_argument("--p-row", dest="p_row", type=float, help="row mask probability")
-    pre.add_argument("--mask-seed", dest="mask_seed", type=int, help="masking seed")
-    pre.add_argument("--epochs", type=int)
-    pre.add_argument("--batch-size", dest="batch_size", type=int)
-    pre.add_argument("--lr", type=float, help="learning rate")
-    pre.add_argument("--seed", type=int, help="training/init seed")
-    pre.add_argument("--d-model", dest="d_model", type=int)
-    pre.add_argument("--heads", type=int)
-    pre.add_argument("--kernel", type=int, help="conv kernel size (odd)")
-    pre.add_argument("--blocks", type=int, help="encoder blocks")
-    pre.add_argument("--ffn-mult", dest="ffn_mult", type=int)
-    pre.add_argument("--dropout", type=float)
+    pre.add_argument("--out", default="runs/pretrain", help="run directory")
+    pre.add_argument("--split", choices=_SPLITS, default="train", help="user split to train on")
+    pre.add_argument("--window", type=int, default=10, help="window length")
+    pre.add_argument("--stride", type=int, default=5, help="window stride")
+    pre.add_argument("--p-field", type=float, default=MaskConfig.p_field, help="field mask probability")
+    pre.add_argument("--p-row", type=float, default=MaskConfig.p_row, help="row mask probability")
+    pre.add_argument("--mask-seed", type=int, help="masking seed")  # default: --seed
+    pre.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    pre.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    pre.add_argument("--lr", type=float, default=TrainConfig.learning_rate, help="learning rate")
+    pre.add_argument("--seed", type=int, default=TrainConfig.seed, help="training/init seed")
+    pre.add_argument("--d-model", type=int, default=ModelConfig.d_model)
+    pre.add_argument("--heads", type=int, default=ModelConfig.n_heads)
+    pre.add_argument("--kernel", type=int, default=ModelConfig.kernel_size,
+                     help="conv kernel size (odd)")
+    pre.add_argument("--blocks", type=int, default=ModelConfig.n_blocks, help="encoder blocks")
+    pre.add_argument("--ffn-mult", type=int, default=ModelConfig.ffn_mult)
+    pre.add_argument("--dropout", type=float, default=ModelConfig.dropout)
     pre.set_defaults(func=cmd_pretrain)
 
     fin = sub.add_parser("finetune", help="train the binary classifier from a checkpoint (or scratch)")
@@ -430,15 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     fin.add_argument("--ckpt", help="pretraining checkpoint")
     fin.add_argument("--data", help="labeled CSV")
     fin.add_argument("--schema", help="schema JSON (default: schema.json next to the checkpoint)")
-    fin.add_argument("--out", help="run directory")
-    fin.add_argument("--split", choices=["train", "val", "test", "all"])
-    fin.add_argument("--mode", choices=["finetune", "scratch"])
-    fin.add_argument("--window", type=int)
-    fin.add_argument("--stride", type=int)
-    fin.add_argument("--epochs", type=int)
-    fin.add_argument("--batch-size", dest="batch_size", type=int)
-    fin.add_argument("--lr", type=float)
-    fin.add_argument("--seed", type=int)
+    fin.add_argument("--out", default="runs/finetune", help="run directory")
+    fin.add_argument("--split", choices=_SPLITS, default="train")
+    fin.add_argument("--mode", choices=["finetune", "scratch"], default="finetune")
+    fin.add_argument("--window", type=int, default=10)
+    fin.add_argument("--stride", type=int, default=10)
+    fin.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    fin.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    fin.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    fin.add_argument("--seed", type=int, default=TrainConfig.seed)
     fin.set_defaults(func=cmd_finetune)
 
     ev = sub.add_parser("evaluate", help="report F1/precision/recall on a user split")
@@ -447,21 +428,21 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", help="labeled CSV")
     ev.add_argument("--schema", help="schema JSON (default: schema.json next to the checkpoint)")
     ev.add_argument("--out", help="optional directory for a metrics record")
-    ev.add_argument("--split", choices=["train", "val", "test", "all"])
-    ev.add_argument("--window", type=int)
-    ev.add_argument("--stride", type=int)
+    ev.add_argument("--split", choices=_SPLITS, default="test")
+    ev.add_argument("--window", type=int, default=10)
+    ev.add_argument("--stride", type=int, default=10)
     ev.set_defaults(func=cmd_evaluate)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of the whole model (float64)")
     gc.add_argument("--config")
-    gc.add_argument("--tol", type=float, help="max relative error")
-    gc.add_argument("--h", type=float, help="finite difference step")
-    gc.add_argument("--seed", type=int)
-    gc.add_argument("--max-coords", dest="max_coords", type=int, help="coordinates checked per parameter")
+    gc.add_argument("--tol", type=float, default=1e-4, help="max relative error")
+    gc.add_argument("--h", type=float, default=1e-5, help="finite difference step")
+    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--max-coords", type=int, default=64, help="coordinates checked per parameter")
     gc.set_defaults(func=cmd_gradcheck)
 
-    for command in sub.choices.values():  # what each config file key is checked against
-        command.set_defaults(option_actions={a.dest: a for a in command._actions if a.option_strings})
+    for command in sub.choices.values():  # the parser whose defaults a config file replaces
+        command.set_defaults(command_parser=command)
     return parser
 
 
@@ -494,6 +475,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _pad_heap_top()
     try:
+        if args.config is not None:
+            # the file's entries replace the declared defaults; parsing again lets explicit flags win
+            args.command_parser.set_defaults(**_config_entries(args.config, args.command_parser))
+            args = parser.parse_args(argv)
         return args.func(args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -155,12 +155,17 @@ _EPOCH_RE = re.compile(r"^-?\d+$")
 
 
 def parse_iso8601(value: str) -> int:
-    """UTC ISO-8601 (seconds precision) to epoch seconds."""
+    """UTC ISO-8601 (seconds precision) to epoch seconds; a date or time that does not exist is refused."""
     m = _ISO_RE.match(value.strip())
     if m is None:
         raise SchemaError(f"not an ISO-8601 UTC timestamp: {value!r}")
     year, month, day, hour, minute, second = (int(g) for g in m.groups())
-    return _days_from_civil(year, month, day) * 86400 + hour * 3600 + minute * 60 + second
+    days = _days_from_civil(year, month, day)
+    # an out-of-range day would roll over into the next month (Feb 29 of 2021 into Mar 1)
+    if not (1 <= month <= 12 and _civil_from_days(days)[2] == day and hour < 24 and minute < 60
+            and second < 60):
+        raise SchemaError(f"not an ISO-8601 UTC timestamp: {value!r}")
+    return days * 86400 + hour * 3600 + minute * 60 + second
 
 
 def detect_timestamp_format(value: str) -> str:

@@ -191,10 +191,26 @@ class TestPretrain:
         assert err.startswith("error: ") and str(roles) in err and "Traceback" not in err
 
     def test_paper_defaults(self):
-        from tabaconv.cli import _PRETRAIN_DEFAULTS
+        from tabaconv.cli import build_parser
 
-        assert _PRETRAIN_DEFAULTS["window"] == 10 and _PRETRAIN_DEFAULTS["stride"] == 5
-        assert _PRETRAIN_DEFAULTS["p_field"] == 0.30 and _PRETRAIN_DEFAULTS["p_row"] == 0.15
+        args = build_parser().parse_args(["pretrain"])
+        assert args.window == 10 and args.stride == 5
+        assert args.p_field == 0.30 and args.p_row == 0.15
+
+
+@pytest.mark.parametrize("command,library,keys", [
+    ("pretrain", "make_windows", ["window", "stride"]),
+    ("gradcheck", "grad_check", ["tol", "h", "max_coords", "seed"]),
+])
+def test_literal_defaults_are_the_library_defaults(command, library, keys):
+    """A flag whose default the parser writes out defaults as the library function it feeds does."""
+    import inspect
+
+    from tabaconv import cli
+
+    args = vars(cli.build_parser().parse_args([command]))
+    params = inspect.signature(getattr(cli, library)).parameters
+    assert {key: args[key] for key in keys} == {key: params[key].default for key in keys}
 
 
 class TestFinetuneEvaluate:
@@ -536,6 +552,44 @@ def test_out_that_cannot_be_a_directory_exits_two_before_any_input_is_read(
     assert err.startswith("error: ") and str(tmp_path / "file") in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "evaluate"])
+@pytest.mark.parametrize("flag,value", [("--window", "0"), ("--stride", "0"), ("--stride", "-2")])
+def test_window_or_stride_below_one_exits_two_before_any_input_is_read(
+        pipeline, tmp_path, monkeypatch, capsys, command, flag, value):
+    from tabaconv import cli
+
+    reads = []
+    for reader in ("read_columns", "load_checkpoint"):
+        monkeypatch.setattr(cli, reader, lambda *args, **kwargs: reads.append(args))
+    argv = [command, "--data", str(pipeline["data"] / "transactions.csv"), "--out", str(tmp_path / "o"),
+            f"{flag}={value}"]  # "=" lets argparse take "-2"
+    if command != "pretrain":
+        argv += ["--ckpt", str(pipeline["pre"] / "ckpt.bin")]
+    assert main(argv) == 2
+    assert reads == [] and not (tmp_path / "o").exists()
+    assert capsys.readouterr().err == f"error: {flag[2:]} ({flag}) must be >= 1, got {value}\n"
+
+
+def test_impossible_iso_date_in_a_training_row_exits_two(pipeline, tmp_path, capsys):
+    import csv as _csv
+    import datetime as dt
+
+    with open(pipeline["data"] / "transactions.csv", newline="") as fh:
+        rows = list(_csv.reader(fh))
+    ts = rows[0].index("ts")
+    for row in rows[1:]:
+        row[ts] = dt.datetime.fromtimestamp(int(row[ts]), dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    rows[5][ts] = "2021-02-29T00:00:00Z"  # a row of the first user, who is in the train split
+    path = tmp_path / "iso.csv"
+    with open(path, "w", newline="") as fh:
+        _csv.writer(fh).writerows(rows)
+    assert main(["pretrain", "--data", str(path), "--roles", str(pipeline["data"] / "roles.json"),
+                 "--out", str(tmp_path / "p"), "--epochs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 1 unparseable timestamp(s) in column 'ts', rows: 4\n"
+    assert not (tmp_path / "p").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["pretrain", "--roles", "{dir}"],
     ["pretrain", "--config", "{dir}"],
@@ -587,12 +641,13 @@ def test_csv_not_utf8_exits_two_naming_it(pipeline, tmp_path, capsys):
 
 def test_config_file_overridden_by_flags(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"users": 3, "rows": 7, "seed": 5}))
+    cfg_file.write_text(json.dumps({"users": 3, "rows": 7, "seed": 5, "cities": 4}))
     out = tmp_path / "out"
-    assert main(["gen", "--config", str(cfg_file), "--rows", "9", "--out", str(out)]) == 0
+    assert main(["gen", "--config", str(cfg_file), "--rows", "9", "--cities", "10", "--out", str(out)]) == 0
     echoed = json.loads((out / "config.json").read_text())
     assert echoed["users"] == 3     # from file
     assert echoed["rows"] == 9      # flag wins
+    assert echoed["cities"] == 10   # even when it gives the default value
     assert echoed["seed"] == 5
     import csv as _csv
 
@@ -606,6 +661,9 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("entry,message", [
         ({"learning_rat": 0.5}, "unknown key 'learning_rat'"),
+        ({"config": "other.json"}, "unknown key 'config'"),  # not the file itself,
+        ({"func": "evaluate"}, "unknown key 'func'"),         # nor the parser's dispatch
+        ({"command": "evaluate"}, "unknown key 'command'"),
         ({"epochs": "1"}, "'epochs' must be an integer, got \"1\""),
         ({"epochs": True}, "'epochs' must be an integer, got true"),
         ({"batch_size": 2.5}, "'batch_size' must be an integer, got 2.5"),
@@ -614,8 +672,9 @@ class TestConfigFile:
         ({"epochs": None}, "'epochs' must be an integer, got null"),
         ({"out": 5}, "'out' must be a string"),
         ({"split": "everyone"}, "'split' must be one of"),
-    ], ids=["unknown_key", "string_for_int", "bool_for_int", "float_for_int", "string_for_number",
-            "bool_for_number", "null_for_int", "number_for_string", "not_a_choice"])
+    ], ids=["unknown_key", "config_key", "func_key", "command_key", "string_for_int", "bool_for_int",
+            "float_for_int", "string_for_number", "bool_for_number", "null_for_int", "number_for_string",
+            "not_a_choice"])
     def test_bad_entry_exits_two_before_any_input_is_read(self, pipeline, tmp_path, monkeypatch,
                                                           capsys, entry, message):
         from tabaconv import cli

@@ -413,6 +413,32 @@ def test_iso_parse_rejects_offsets():
         parse_iso8601("2020-03-15T14:30:45+02:00")
 
 
+@pytest.mark.parametrize("stamp", [
+    "2020-00-15T00:00:00Z", "2020-13-15T00:00:00Z",                          # month
+    "2020-01-00T00:00:00Z", "2020-01-32T00:00:00Z", "2020-04-31T00:00:00Z",  # day
+    "2021-02-29T00:00:00Z", "1900-02-29T00:00:00Z",                          # day of a common year
+    "2020-01-01T24:00:00Z", "2020-01-01T00:60:00Z", "2020-01-01T00:00:60Z",  # hour, minute, second
+    "2020-13-45T25:61:61Z",
+])
+def test_iso_parse_rejects_impossible_dates_and_times(stamp):
+    with pytest.raises(SchemaError, match="not an ISO-8601 UTC timestamp"):
+        parse_iso8601(stamp)
+
+
+@pytest.mark.parametrize("stamp", ["2020-02-29T23:59:59Z", "2000-02-29T00:00:00Z",
+                                   "2021-12-31T23:59:59Z", "0001-01-01T00:00:00Z"])
+def test_iso_parse_takes_the_last_valid_values(stamp):
+    assert parse_iso8601(stamp) == reference_stamp(stamp)
+
+
+def test_impossible_iso_date_is_a_stamp_error(tmp_path):
+    rows = [["u1", "2020-03-15T14:30:45Z", "a", "1", "0"], ["u1", "2021-02-29T00:00:00Z", "a", "2", "0"]]
+    path = tmp_path / "iso.csv"
+    write_csv(path, BASIC_HEADER, rows)
+    log = sc.read_columns(path, roles=BASIC_ROLES)
+    assert log.stamp_errors == {1: "not an ISO-8601 UTC timestamp: '2021-02-29T00:00:00Z'"}
+
+
 # ---------------------------------------------------------------------------
 # the column-wise encoder against per-value references
 # ---------------------------------------------------------------------------

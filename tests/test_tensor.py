@@ -865,6 +865,7 @@ class TestGradCheck:
 
             report = grad_check(lambda p: tt.sum_all(bad_square(p["x"])), {"x": x})
         assert not report.passed
+        assert report.max_rel_error["x"] == pytest.approx(1 / 3)  # |3x - 2x| / |3x|: the closure ran
 
     def test_coordinate_subsampling_is_deterministic(self):
         with use_dtype("float64"):
