@@ -2,6 +2,7 @@
 """Inside the encoder: summed input embeddings, the attention-augmented
 convolution block, and the two output heads."""
 
+import math
 import tempfile
 
 import numpy as np
@@ -14,8 +15,8 @@ from tabaconv.model import (
     classify_logits,
     embed_inputs,
     encoder_forward,
-    expected_param_count,
     init_params,
+    param_specs,
     pretrain_heads,
 )
 from tabaconv.schema import group_rows_by_user, infer_schema, make_windows, read_columns
@@ -30,9 +31,9 @@ with tempfile.TemporaryDirectory() as tmp:
                            window=10, stride=5, mode="pretrain")
 
 cfg = ModelConfig()  # d_model 64, 4 heads, kernel 3, one block, 32/32 channel split
+specs = param_specs(schema, cfg, head="pretrain")  # name -> (shape, init), in draw order
+print(f"parameters: {sum(math.prod(shape) for shape, _ in specs.values()):,}")
 params = init_params(schema, cfg, seed=0, head="pretrain")
-print(f"parameters: {sum(p.size for p in params.values()):,} "
-      f"(closed form: {expected_param_count(schema, cfg, 'pretrain'):,})")
 print("first few names:", list(params)[:6], "...")
 
 batch = masked_batch(samples[:4], schema, MaskConfig(seed=0), epoch=0, sample_indices=[0, 1, 2, 3])
@@ -46,12 +47,13 @@ print(f"encoder output: {encoded.shape} "
       f"residual + layer norm, FFN x{cfg.ffn_mult})")
 
 preds = pretrain_heads(encoded, params, schema)
-print(f"\nreconstruction heads: one node of shape {preds.fused.shape}, "
+print(f"\nreconstruction heads: one node of shape {preds.shape}, "
       "every field's columns side by side; per field:")
-for f in schema.categorical_fields[:2]:
-    print(f"  {f.name}: logits {preds[f.name].shape} over {f.vocab_size()} token ids")
-for f in schema.continuous_fields[:2]:
-    print(f"  {f.name}: value prediction {preds[f.name].shape}")
+hi = 0
+for f in schema.categorical_fields + schema.continuous_fields:
+    lo, hi = hi, hi + (f.vocab_size() if f.kind == "categorical" else 1)
+    what = f"logits over {f.vocab_size()} token ids" if f.kind == "categorical" else "value prediction"
+    print(f"  {f.name}: columns {lo}:{hi}, {what} {preds.data[..., lo:hi].shape}")
 
 clf_params = init_params(schema, cfg, seed=0, head="classify")
 probs = tt.sigmoid(classify_logits(encoder_forward(h, clf_params, cfg), clf_params).data)

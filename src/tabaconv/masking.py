@@ -9,8 +9,9 @@ are inputs only and are never masked.
 
 `sample_mask_plan` on `rng_for_sample(seed, epoch, index)` is the
 specification of a window's masks. `field_masks` draws the same masks, bit
-for bit, for many windows at once, by running numpy's SeedSequence and PCG64
-arithmetic as array operations across the windows.
+for bit, for many windows at once: numpy's SeedSequence hash runs as array
+operations across the windows, and its output seeds one numpy PCG64 per
+window in turn, as `rng_for_sample` would.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ class MaskConfig:
         if self.seed < 0:
             raise ConfigError(f"mask seed (--mask-seed) must be non-negative, got {self.seed}")
         if not 0.0 <= self.p_field <= 1.0:
-            raise ConfigError(f"p_field must be in [0,1], got {self.p_field}")
+            raise ConfigError(f"p_field (--p-field) must be in [0,1], got {self.p_field}")
         if not 0.0 <= self.p_row <= 1.0:
-            raise ConfigError(f"p_row must be in [0,1], got {self.p_row}")
+            raise ConfigError(f"p_row (--p-row) must be in [0,1], got {self.p_row}")
 
 
 @dataclass
@@ -101,13 +102,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFF_FFFF
-_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# PCG64 states formed per array operation when drawing; fewer leaves numpy's per-call
-# overhead dominant, more only grows the temporaries
-_DRAW_BLOCK = 4096
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -157,74 +154,35 @@ def _seed_sequence_state(entropy: list[np.ndarray], n_words: int) -> list[np.nda
     return [hashmix(pool[i % _POOL_SIZE]) for i in range(n_words)]
 
 
-def _mul128(a: tuple, b: tuple) -> tuple:
-    """(hi, lo) uint64 pairs multiplied modulo 2**128."""
-    a_hi, a_lo = a
-    b_hi, b_lo = b
-    a0, a1 = a_lo & _MASK32, a_lo >> 32
-    b0, b1 = b_lo & _MASK32, b_lo >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a_lo * b_hi + a_hi * b_lo
-    return hi, a_lo * b_lo
-
-
-def _add128(a: tuple, b: tuple) -> tuple:
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < a[1]), lo
-
-
-def _split128(values: list[int]) -> tuple:
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & _MASK64 for v in values], dtype=np.uint64))
-
-
 def _draws_below(seed: int, epoch: int, sample_indices, thresholds: np.ndarray) -> np.ndarray:
     """[W, len(thresholds)] bool: draw j of window w's stream is below thresholds[j].
 
-    Window w's stream is `rng_for_sample(seed, epoch, sample_indices[w]).random()`:
-    a SeedSequence's first four 64-bit words seed PCG64 (state and increment),
-    each draw steps the 128-bit LCG and takes the XSL-RR output, and a double
-    is its top 53 bits times 2**-53.
+    Window w's stream is `rng_for_sample(seed, epoch, sample_indices[w]).random()`.
+    The SeedSequence hash runs across all windows at once; each window's first
+    four 64-bit words then seed numpy's own PCG64, which draws its doubles.
     """
     idx = np.asarray(sample_indices, dtype=np.int64).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() > _MASK32):
         raise ContractError(f"sample indices must be in [0, 2**32), got {idx.min()}..{idx.max()}")
     n_win, n_draws = idx.size, len(thresholds)
-    below = np.empty((n_win, n_draws), dtype=bool)
     if n_win == 0 or n_draws == 0:
-        return below
+        return np.empty((n_win, n_draws), dtype=bool)
     fixed = _uint32_words(int(seed)) + _uint32_words(int(epoch))
     entropy = [np.full(n_win, w, dtype=np.uint32) for w in fixed] + [idx.astype(np.uint32)]
     words = [w.astype(np.uint64) for w in _seed_sequence_state(entropy, 8)]
-    init_state, init_seq = [(words[i + 1] << 32 | words[i], words[i + 3] << 32 | words[i + 2])
-                            for i in (0, 4)]
-    # pcg64_srandom_r: inc = 2 * initseq + 1; state = ((0 * M + inc) + initstate) * M + inc
-    inc = (init_seq[0] << 1 | init_seq[1] >> 63, init_seq[1] << 1 | 1)
-    mult = _split128([_PCG64_MULT])
-    state = _add128(_mul128(_add128(inc, init_state), mult), inc)
-    # draw j reads M**j * state + (M**(j-1) + ... + M + 1) * inc; a block of `step` draws of
-    # every window is formed at once from the state before it, laid out [draw, window]
-    step = max(1, min(n_draws, _DRAW_BLOCK // n_win))
-    powers, sums = [], []
-    power, total = 1, 0
-    for _ in range(step):
-        total = (total + power) & _MASK128
-        power = power * _PCG64_MULT & _MASK128
-        powers.append(power)
-        sums.append(total)
-    powers, sums = [tuple(h[:, None] for h in _split128(v)) for v in (powers, sums)]
-    inc_sums = _mul128(inc, sums)
-    for j0 in range(0, n_draws, step):
-        hi, lo = _add128(_mul128(state, powers), inc_sums)
-        x = hi ^ lo
-        rot = hi >> 58
-        out = x >> rot | x << (-rot & 63)
-        j1 = min(j0 + step, n_draws)
-        doubles = (out[: j1 - j0] >> 11).astype(np.float64) * (1.0 / (1 << 53))
-        np.less(doubles, thresholds[j0:j1, None], out=below[:, j0:j1].T)
-        state = hi[-1], lo[-1]
-    return below
+    # generate_state(4, np.uint64): 64-bit word i is 32-bit word 2i + 1 above word 2i
+    seeds = [(words[2 * i + 1] << 32 | words[2 * i]).tolist() for i in range(4)]
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    doubles = np.empty((n_win, n_draws))
+    for w, (state_hi, state_lo, seq_hi, seq_lo) in enumerate(zip(*seeds)):
+        # pcg64_srandom_r: inc = 2 * initseq + 1; state = ((0 * M + inc) + initstate) * M + inc
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        generator.random(out=doubles[w])
+    return doubles < thresholds
 
 
 def apply_mask(sample: WindowSample, plan: MaskPlan, schema: FeatureSchema) -> WindowSample:

@@ -48,6 +48,14 @@ class ModelConfig:
                                   ("ffn_mult", "--ffn-mult", 1), ("kernel_size", "--kernel", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} ({flag}) must be >= {least}, got {getattr(self, name)}")
+        if self.kernel_size % 2 == 0:
+            raise ConfigError(f"kernel_size (--kernel) must be odd, got {self.kernel_size}")
+        if self.d_model % 2 != 0:
+            raise ConfigError(f"d_model (--d-model) must be even for sinusoidal encoding, got {self.d_model}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout (--dropout) must be in [0,1), got {self.dropout}")
+        if self.n_blocks < 0:
+            raise ConfigError(f"n_blocks (--blocks) must be >= 0, got {self.n_blocks}")
         if self.attn_channels is None:
             self.attn_channels = self.d_model // 2
         if self.conv_channels is None:
@@ -59,16 +67,8 @@ class ModelConfig:
             )
         if self.attn_channels % self.n_heads != 0:
             raise ConfigError(
-                f"attn_channels {self.attn_channels} not divisible by n_heads {self.n_heads}"
+                f"attn_channels {self.attn_channels} not divisible by n_heads (--heads) {self.n_heads}"
             )
-        if self.kernel_size % 2 == 0:
-            raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
-        if self.d_model % 2 != 0:
-            raise ConfigError(f"d_model must be even for sinusoidal encoding, got {self.d_model}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0,1), got {self.dropout}")
-        if self.n_blocks < 0:
-            raise ConfigError(f"n_blocks must be >= 0, got {self.n_blocks}")
 
     @property
     def d_head(self) -> int:
@@ -191,31 +191,6 @@ def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int = 0,
     return params
 
 
-def expected_param_count(schema: FeatureSchema, cfg: ModelConfig, head: str = "pretrain") -> int:
-    """Closed-form parameter count; must match sum(p.size) of init_params."""
-    d = cfg.d_model
-    total = sum(f.vocab_size() * d for f in schema.categorical_fields)
-    total += len(schema.continuous_fields) * 2 * d
-    total += sum(schema.component_sizes()[n] for n in TS_COMPONENT_NAMES) * d
-    total += 4 * d + d + d * d + d  # shallow time net
-    per_block = (
-        cfg.kernel_size * d * cfg.conv_channels + cfg.conv_channels  # conv
-        + 3 * d * cfg.attn_channels + cfg.attn_channels ** 2          # q,k,v,mix
-        + d * d + d                                                   # pointwise mix
-        + 2 * d                                                       # ln1
-        + d * (cfg.ffn_mult * d) + cfg.ffn_mult * d
-        + (cfg.ffn_mult * d) * d + d                                  # ffn
-        + 2 * d                                                       # ln2
-    )
-    total += cfg.n_blocks * per_block
-    if head == "pretrain":
-        total += sum(d * f.vocab_size() + f.vocab_size() for f in schema.categorical_fields)
-        total += len(schema.continuous_fields) * (d + 1)
-    elif head == "classify":
-        total += d + 1
-    return total
-
-
 def trainable_names(params: dict[str, Tensor], mode: str) -> list[str]:
     """Which parameters the optimizer updates; finetune freezes embeddings."""
     if mode == "finetune":
@@ -306,33 +281,16 @@ def encoder_forward(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
     return h
 
 
-class HeadOutputs(dict):
-    """Each field's reconstruction prediction [B, T, V_f] by field name, from one heads node.
+def pretrain_heads(h: Tensor, params: dict[str, Tensor], schema: FeatureSchema) -> Tensor:
+    """Every field's reconstruction prediction at every position, as one [B, T, W] `linear` node.
 
-    `fused` is the [B, T, W] graph node: every field's columns side by side,
-    categorical fields first, then the continuous fields' single columns, in
-    schema order. The per-field values are detached Tensors over views of its
-    columns, for reading; the losses take `fused`.
+    The columns are each field's head side by side: the categorical fields'
+    vocab_size() columns first, then one column per continuous field, in
+    schema order.
     """
-
-    __slots__ = ("fused",)
-
-    def __init__(self, fused: Tensor, widths: dict[str, int]):
-        super().__init__()
-        hi = 0
-        for name, width in widths.items():
-            lo, hi = hi, hi + width
-            self[name] = Tensor(fused.data[..., lo:hi])
-        self.fused = fused
-
-
-def pretrain_heads(h: Tensor, params: dict[str, Tensor], schema: FeatureSchema) -> HeadOutputs:
-    """Per-field reconstruction predictions at every position, as one `concat_linear` node."""
-    names = ([(f.name, f"head.cat.{f.name}") for f in schema.categorical_fields]
-             + [(f.name, f"head.cont.{f.name}") for f in schema.continuous_fields])
-    weights = [params[f"{p}.w"] for _, p in names]
-    fused = tt.concat_linear(h, weights, [params[f"{p}.b"] for _, p in names])
-    return HeadOutputs(fused, {name: w.shape[1] for (name, _), w in zip(names, weights)})
+    names = ([f"head.cat.{f.name}" for f in schema.categorical_fields]
+             + [f"head.cont.{f.name}" for f in schema.continuous_fields])
+    return tt.linear(h, [params[f"{p}.w"] for p in names], [params[f"{p}.b"] for p in names])
 
 
 def classify_logits(h: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -348,7 +306,7 @@ def classify_logits(h: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 
 def forward_mdm(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig,
-                schema: FeatureSchema, dropout_rng=None) -> tuple[dict[str, Tensor], Tensor]:
+                schema: FeatureSchema, dropout_rng=None) -> tuple[Tensor, Tensor]:
     h, reg = embed_inputs(batch, params, cfg, schema)
     h = encoder_forward(h, params, cfg, dropout_rng)
     return pretrain_heads(h, params, schema), reg

@@ -360,6 +360,14 @@ def _check_schema_payload(payload, source: str) -> None:
                 isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
                 and isinstance(e[1], int) and not isinstance(e[1], bool) for e in f["vocab"]):
             raise SchemaError(f"{where}: key 'vocab' must hold [value, token id] pairs")
+        if f["vocab"] is not None:
+            rows = len(f["vocab"]) + 2  # the field's embedding table: PAD and MASK, then the values
+            ids = [token for _, token in f["vocab"]]
+            outside = [token for token in ids if not UNK_ID <= token < rows]
+            if outside:
+                raise SchemaError(f"{where}: key 'vocab' has token id {outside[0]} outside [{UNK_ID}, {rows})")
+            if len(set(ids)) < len(ids) or len({value for value, _ in f["vocab"]}) < len(ids):
+                raise SchemaError(f"{where}: key 'vocab' lists a value or a token id twice")
         if f["kind"] == "categorical" and f["vocab"] is None:
             raise SchemaError(f"{where}: key 'vocab' is null for a categorical field")
         if f["kind"] == "continuous" and (f["mean"] is None or f["std"] is None):

@@ -56,11 +56,13 @@ class SynthConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.fraud_rate <= 1.0:
-            raise ConfigError(f"fraud_rate must be in [0,1], got {self.fraud_rate}")
+            raise ConfigError(f"fraud_rate (--fraud-rate) must be in [0,1], got {self.fraud_rate}")
         if not 0.0 <= self.label_noise <= 1.0:
-            raise ConfigError(f"label_noise must be in [0,1], got {self.label_noise}")
-        if self.n_users < 1 or self.rows_per_user < 1:
-            raise ConfigError("n_users and rows_per_user must be positive")
+            raise ConfigError(f"label_noise (--noise) must be in [0,1], got {self.label_noise}")
+        if self.n_users < 1:
+            raise ConfigError(f"n_users (--users) must be >= 1, got {self.n_users}")
+        if self.rows_per_user < 1:
+            raise ConfigError(f"rows_per_user (--rows) must be >= 1, got {self.rows_per_user}")
         if self.seed < 0:
             raise ConfigError(f"seed (--seed) must be non-negative, got {self.seed}")
         for name, flag in (("n_merchants", "--merchants"), ("n_categories", "--categories"),

@@ -284,72 +284,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(np.matmul(a.data, b.data), parents=(a, b), backward=backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w + b for a 2-D weight w [k, n] and an optional bias b [n], as one node.
+def linear(x: Tensor, weights, biases=None) -> Tensor:
+    """x @ [w_1 | ... | w_K] + [b_1 | ... | b_K] as one node: K affine maps side by side.
 
-    The leading axes of x fold into rows, so the forward pass and each
-    gradient are one GEMM; the bias is added to the product in place, and
-    its gradient is the column sum of the folded output gradient.
+    `weights` is one weight w [k, n] or a list of column blocks w_i [k, n_i];
+    `biases` is None, or one bias b [n] or a list of b_i [n_i] to match.
+    Columns n_1 + ... + n_(i-1) up to n_1 + ... + n_i of the output are
+    x @ w_i + b_i. The leading axes of x fold into rows, so the forward pass
+    and each gradient are one GEMM over the blocks placed side by side (as
+    `attention` places [wq | wk | wv]; a lone block is used as it is, not
+    copied). The bias is added to the product in place, and its gradient is
+    the column sum of the folded output gradient; both weight and bias
+    gradients are split back into the blocks' spans.
     """
-    if x.data.ndim < 1 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
-        raise ShapeError(f"linear: need x[..., k] and w[k, n]; got {x.data.shape} and {w.data.shape}")
-    k, n = w.data.shape
-    if b is not None and b.data.shape != (n,):
-        raise ShapeError(f"linear: bias shape {b.data.shape} does not match output width {n}")
+    if isinstance(weights, Tensor):
+        weights = [weights]
+        biases = None if biases is None else [biases]
+    k = x.data.shape[-1] if x.data.ndim else -1
+    if not weights or any(w.data.ndim != 2 or w.data.shape[0] != k for w in weights):
+        raise ShapeError(f"linear: need x[..., k] and w_i[k, n_i]; got {x.data.shape} and "
+                         f"{[w.data.shape for w in weights]}")
+    if biases is not None and (len(biases) != len(weights) or any(
+            b.data.shape != w.data.shape[1:] for w, b in zip(weights, biases))):
+        raise ShapeError(f"linear: bias shapes {[b.data.shape for b in biases]} do not match "
+                         f"the weights' widths {[w.data.shape[1] for w in weights]}")
+    w_all = weights[0].data if len(weights) == 1 else np.concatenate([w.data for w in weights], axis=1)
+    n = w_all.shape[1]
     x2 = x.data.reshape(-1, k)
-    y = x2 @ w.data
-    if b is not None:
-        y += b.data
-    parents = (x, w) if b is None else (x, w, b)
+    y = x2 @ w_all
+    if biases is not None:
+        y += biases[0].data if len(biases) == 1 else np.concatenate([b.data for b in biases])
+    biases = biases or []
 
     def backward(g):
         g2 = g.reshape(-1, n)
         if x.requires_grad:
             # with n == 1 the GEMM is one product per element; the broadcast is bitwise equal
-            gx = g2 * w.data[:, 0] if n == 1 else g2 @ w.data.T
+            gx = g2 * w_all[:, 0] if n == 1 else g2 @ w_all.T
             _accumulate(x, gx.reshape(x.data.shape))
-        if w.requires_grad:
-            _accumulate(w, x2.T @ g2)
-        if b is not None and b.requires_grad:
-            _accumulate(b, g2.sum(axis=0))
-
-    return Tensor(y.reshape(x.data.shape[:-1] + (n,)), parents=parents, backward=backward)
-
-
-def concat_linear(x: Tensor, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
-    """x @ [w_1 | ... | w_K] + [b_1 | ... | b_K] as one node: K linear maps side by side.
-
-    Each w_i is [k, n_i] and each b_i [n_i]; columns n_1 + ... + n_(i-1) up to
-    n_1 + ... + n_i of the output are x @ w_i + b_i. The forward pass and
-    each gradient are one GEMM over the weights placed side by side (as
-    `attention` places [wq | wk | wv]), split back into spans for the
-    parameters' gradients.
-    """
-    k = x.data.shape[-1] if x.data.ndim else 0
-    if not weights or len(biases) != len(weights) or any(
-            w.data.ndim != 2 or w.data.shape[0] != k or b.data.shape != w.data.shape[1:]
-            for w, b in zip(weights, biases)):
-        raise ShapeError(f"concat_linear: need x[..., k], w_i[k, n_i] and b_i[n_i]; got {x.data.shape}, "
-                         f"{[w.data.shape for w in weights]} and {[b.data.shape for b in biases]}")
-    w_all = np.concatenate([w.data for w in weights], axis=1)
-    n = w_all.shape[1]
-    x2 = x.data.reshape(-1, k)
-    y = x2 @ w_all
-    y += np.concatenate([b.data for b in biases])
-
-    def backward(g):
-        g2 = g.reshape(-1, n)
-        if x.requires_grad:
-            _accumulate(x, (g2 @ w_all.T).reshape(x.data.shape))
         g_w = x2.T @ g2 if any(w.requires_grad for w in weights) else None
         g_b = g2.sum(axis=0) if any(b.requires_grad for b in biases) else None
         hi = 0
-        for w, b in zip(weights, biases):
+        for i, w in enumerate(weights):
             lo, hi = hi, hi + w.data.shape[1]
             if w.requires_grad:
                 _accumulate(w, g_w[:, lo:hi])
-            if b.requires_grad:
-                _accumulate(b, g_b[lo:hi])
+            if biases and biases[i].requires_grad:
+                _accumulate(biases[i], g_b[lo:hi])
 
     return Tensor(y.reshape(x.data.shape[:-1] + (n,)), parents=(x, *weights, *biases), backward=backward)
 

@@ -36,7 +36,6 @@ from .masking import MaskConfig, apply_mask, field_masks, sample_mask_plan  # no
 from .metrics import auroc, f1_binary, precision_recall_f1  # noqa: F401
 from .model import (
     Batch,
-    HeadOutputs,
     ModelConfig,
     forward_classify,
     forward_mdm,
@@ -65,8 +64,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed (--seed) must be non-negative, got {self.seed}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError(f"batch_size/epochs must be positive, got {self.batch_size}/{self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size (--batch-size) must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs (--epochs) must be >= 0, got {self.epochs}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning rate (--lr) must be finite and positive, got {self.learning_rate}")
         if self.mode not in ("pretrain", "finetune", "scratch"):
@@ -125,27 +126,33 @@ def _apply_field_masks(batch: Batch, field_mask: np.ndarray, schema: FeatureSche
 # ---------------------------------------------------------------------------
 
 
-def _head_columns(preds: dict[str, Tensor], schema: FeatureSchema) -> tuple[Tensor, list[tuple[int, int]], int]:
+def _head_columns(preds: Tensor | dict[str, Tensor],
+                  schema: FeatureSchema) -> tuple[Tensor, list[tuple[int, int]], int]:
     """The [B, T, W] heads output, the categorical fields' column spans and the first continuous column.
 
-    Predictions from `pretrain_heads` carry their fused node; a plain dict of
-    per-field Tensors is joined into one with `concat_lastdim`, in the same
-    column order, so both run the same loss code.
+    The spans follow the schema's vocab sizes, as `pretrain_heads` lays out
+    its columns. A plain dict of per-field Tensors is joined into one with
+    `concat_lastdim`, in the same column order, so both run the same loss code.
     """
     cat, cont = schema.categorical_fields, schema.continuous_fields
-    if any(preds[f.name].shape[-1] != 1 for f in cont):
-        raise ShapeError(f"continuous predictions must be one column wide, got "
-                         f"{[preds[f.name].shape for f in cont]}")
-    fused = (preds.fused if isinstance(preds, HeadOutputs)
-             else tt.concat_lastdim([preds[f.name] for f in cat + cont]))
+    widths = [f.vocab_size() for f in cat] + [1] * len(cont)
+    if isinstance(preds, dict):
+        got = [preds[f.name].shape[-1] for f in cat + cont]
+        if got != widths:
+            raise ShapeError(f"field predictions must be vocab_size() columns wide when categorical and "
+                             f"one column wide when continuous: want {widths}, got {got}")
+        preds = tt.concat_lastdim([preds[f.name] for f in cat + cont])
+    elif preds.shape[-1] != sum(widths):
+        raise ShapeError(f"heads output must be {sum(widths)} columns wide for this schema, "
+                         f"got {preds.shape}")
     spans, hi = [], 0
-    for f in cat:
-        lo, hi = hi, hi + preds[f.name].shape[-1]
+    for width in widths[: len(cat)]:
+        lo, hi = hi, hi + width
         spans.append((lo, hi))
-    return fused, spans, hi
+    return preds, spans, hi
 
 
-def mdm_loss(preds: dict[str, Tensor], batch: Batch, reg: Tensor, schema: FeatureSchema) -> Tensor:
+def mdm_loss(preds: Tensor | dict[str, Tensor], batch: Batch, reg: Tensor, schema: FeatureSchema) -> Tensor:
     """Masked-cell reconstruction loss; a kind with zero masked cells contributes 0."""
     total = reg
     n_cat = int(batch.cat_mask.sum()) if batch.cat_mask is not None else 0
@@ -162,7 +169,7 @@ def mdm_loss(preds: dict[str, Tensor], batch: Batch, reg: Tensor, schema: Featur
     return total
 
 
-def mdm_batch_stats(preds: dict[str, Tensor], batch: Batch, schema: FeatureSchema) -> dict:
+def mdm_batch_stats(preds: Tensor | dict[str, Tensor], batch: Batch, schema: FeatureSchema) -> dict:
     """Reconstruction accuracy/error counters at masked cells (no gradients).
 
     A categorical cell is right when the argmax of its field's span equals
@@ -400,6 +407,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: unusable model_config: {exc}") from exc
     params: dict[str, np.ndarray] = {}
     for name, dtype, shape in meta["params"]:
+        if name in params:
+            raise IntegrityError(f"{path}: parameter {name!r} listed twice")
         if dtype not in CKPT_DTYPES:
             raise IntegrityError(f"{path}: parameter {name!r} has unsupported dtype {dtype!r}")
         if not (isinstance(shape, list) and all(isinstance(d, int) and d >= 0 for d in shape)):

@@ -388,9 +388,11 @@ class TestMalformedJson:
         (lambda s: {**s, "fields": [{"name": "m", "kind": "continuous", "vocab": None,
                                      "mean": None, "std": 1.0}]}, "fields[0]: keys 'mean' and 'std'"),
         (lambda s: {**s, "timestamp_format": "unix"}, "key 'timestamp_format'"),
+        (lambda s: {**s, "fields": [{**f, "vocab": [[f["vocab"][0][0], 99]] + f["vocab"][1:]} if f["vocab"]
+                                    else f for f in s["fields"]]}, "key 'vocab' has token id 99 outside"),
     ], ids=["list", "fields_number", "version_string", "version_bool", "no_fields", "field_number",
             "unknown_kind", "field_without_std", "vocab_string_id", "continuous_without_mean",
-            "unknown_timestamp_format"])
+            "unknown_timestamp_format", "vocab_id_beyond_table"])
     def test_bad_schema_exits_two(self, classifier, tmp_path, capsys, edit, message):
         schema = json.loads((classifier["fin"] / "schema.json").read_text())
         bad = tmp_path / "bad.json"
@@ -568,6 +570,31 @@ def test_window_or_stride_below_one_exits_two_before_any_input_is_read(
     assert main(argv) == 2
     assert reads == [] and not (tmp_path / "o").exists()
     assert capsys.readouterr().err == f"error: {flag[2:]} ({flag}) must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("gen", "--users", "0"), ("gen", "--rows", "0"), ("gen", "--fraud-rate", "1.5"), ("gen", "--noise", "-0.1"),
+    ("pretrain", "--p-field", "1.5"), ("pretrain", "--p-row", "-0.5"), ("pretrain", "--dropout", "1.0"),
+    ("pretrain", "--heads", "3"), ("pretrain", "--kernel", "4"), ("pretrain", "--d-model", "7"),
+    ("pretrain", "--blocks", "-1"), ("pretrain", "--batch-size", "0"),
+    ("pretrain", "--epochs", "-1"), ("finetune", "--batch-size", "0"), ("finetune", "--epochs", "-1"),
+])
+def test_bad_config_value_exits_two_naming_its_flag_before_any_input_is_read(
+        pipeline, tmp_path, monkeypatch, capsys, command, flag, value):
+    from tabaconv import cli
+
+    reads = []
+    for reader in ("read_columns", "load_checkpoint"):
+        monkeypatch.setattr(cli, reader, lambda *args, **kwargs: reads.append(args))
+    argv = [command, f"{flag}={value}", "--out", str(tmp_path / "o")]  # "=" lets argparse take "-1"
+    if command != "gen":
+        argv += ["--data", str(pipeline["data"] / "transactions.csv")]
+    if command == "finetune":
+        argv += ["--ckpt", str(pipeline["pre"] / "ckpt.bin")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"({flag})" in err and f"{value}\n" in err
+    assert reads == [] and not (tmp_path / "o").exists()
 
 
 def test_impossible_iso_date_in_a_training_row_exits_two(pipeline, tmp_path, capsys):

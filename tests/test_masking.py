@@ -212,6 +212,18 @@ class TestApply:
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("epoch", [0, 1, 2])
+    def test_field_masks_of_an_epoch_chunk_equal_the_row_path(self, epoch):
+        # 256 windows (one pretraining mask chunk) of a shuffled 6240-window epoch, T = 10, C = 9
+        schema = toy_schema(n_cat=5, n_cont=4)
+        cfg = MaskConfig(seed=7)
+        indices = np.random.default_rng(epoch).permutation(6240)[:256]
+        got = field_masks(10, schema, cfg, epoch, indices)
+        ref = np.stack([sample_mask_plan(10, schema, cfg, rng_for_sample(7, epoch, int(i))).field_mask
+                        for i in indices])
+        assert got.shape == ref.shape == (256, 10, 9)
+        assert got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("indices", [[0, -1], [2**32]])
     def test_field_masks_reject_indices_outside_32_bits(self, indices):
         with pytest.raises(ContractError, match="sample indices"):

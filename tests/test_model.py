@@ -16,19 +16,53 @@ from tabaconv.model import (
     classify_logits,
     embed_inputs,
     encoder_forward,
-    expected_param_count,
     forward_mdm,
     init_params,
     mha,
+    param_specs,
     positional_encoding,
     pretrain_heads,
     trainable_names,
 )
 from tabaconv.tensor import Tensor, grad_check, use_dtype
-from tabaconv.schema import group_rows_by_user, infer_schema, make_windows
+from tabaconv.schema import TS_COMPONENT_NAMES, group_rows_by_user, infer_schema, make_windows
 from tabaconv.training import masked_batch, mdm_batch_stats, mdm_loss
 
 TINY = ModelConfig(d_model=16, n_heads=2, kernel_size=3, n_blocks=1, ffn_mult=2, dropout=0.0)
+
+
+def expected_param_count(schema, cfg: ModelConfig, head: str = "pretrain") -> int:
+    """Closed-form parameter count, the reference that `param_specs` is checked against."""
+    d = cfg.d_model
+    total = sum(f.vocab_size() * d for f in schema.categorical_fields)
+    total += len(schema.continuous_fields) * 2 * d
+    total += sum(schema.component_sizes()[n] for n in TS_COMPONENT_NAMES) * d
+    total += 4 * d + d + d * d + d  # shallow time net
+    per_block = (
+        cfg.kernel_size * d * cfg.conv_channels + cfg.conv_channels  # conv
+        + 3 * d * cfg.attn_channels + cfg.attn_channels ** 2          # q,k,v,mix
+        + d * d + d                                                   # pointwise mix
+        + 2 * d                                                       # ln1
+        + d * (cfg.ffn_mult * d) + cfg.ffn_mult * d
+        + (cfg.ffn_mult * d) * d + d                                  # ffn
+        + 2 * d                                                       # ln2
+    )
+    total += cfg.n_blocks * per_block
+    if head == "pretrain":
+        total += sum(d * f.vocab_size() + f.vocab_size() for f in schema.categorical_fields)
+        total += len(schema.continuous_fields) * (d + 1)
+    elif head == "classify":
+        total += d + 1
+    return total
+
+
+def head_spans(schema) -> dict[str, tuple[int, int]]:
+    """Each field's columns in the heads output: categorical fields first, then continuous ones."""
+    spans, hi = {}, 0
+    for f in schema.categorical_fields + schema.continuous_fields:
+        lo, hi = hi, hi + (f.vocab_size() if f.kind == "categorical" else 1)
+        spans[f.name] = (lo, hi)
+    return spans
 
 
 def mha_oracle(x, wq, wk, wv, wmix, n_heads):
@@ -344,13 +378,13 @@ class TestEncoder:
         schema = env["schema"]
         params = init_params(schema, TINY, seed=0, head=head)
         assert sum(p.size for p in params.values()) == expected_param_count(schema, TINY, head)
+        specs = param_specs(schema, TINY, head)
+        assert sum(math.prod(shape) for shape, _ in specs.values()) == expected_param_count(schema, TINY, head)
 
     def test_forward_deterministic_without_dropout(self, env):
-        h1, _ = forward_mdm(env["batch"], env["params"], TINY, env["schema"]), None
-        preds1, _ = h1[0], h1[1]
+        preds1, _ = forward_mdm(env["batch"], env["params"], TINY, env["schema"])
         preds2, _ = forward_mdm(env["batch"], env["params"], TINY, env["schema"])
-        name = env["schema"].categorical_fields[0].name
-        np.testing.assert_array_equal(preds1[name].data, preds2[name].data)
+        np.testing.assert_array_equal(preds1.data, preds2.data)
 
     def test_dropout_reproducible_with_fixed_seed(self, env):
         cfg = ModelConfig(d_model=16, n_heads=2, n_blocks=1, ffn_mult=2, dropout=0.5)
@@ -365,11 +399,11 @@ class TestEncoder:
 
 class TestHeads:
     def test_pretrain_head_shapes(self, env):
-        preds, _ = forward_mdm(env["batch"], env["params"], TINY, env["schema"])
-        for f in env["schema"].categorical_fields:
-            assert preds[f.name].shape == (3, 8, f.vocab_size())
-        for f in env["schema"].continuous_fields:
-            assert preds[f.name].shape == (3, 8, 1)
+        schema = env["schema"]
+        preds, _ = forward_mdm(env["batch"], env["params"], TINY, schema)
+        width = sum(f.vocab_size() for f in schema.categorical_fields) + len(schema.continuous_fields)
+        assert isinstance(preds, Tensor) and preds.shape == (3, 8, width)
+        assert max(hi for _, hi in head_spans(schema).values()) == width
 
     def test_fused_heads_equal_per_field_linear(self, env):
         schema = env["schema"]
@@ -377,13 +411,13 @@ class TestHeads:
             params = init_params(schema, TINY, seed=4, head="pretrain")
             h = Tensor(np.random.default_rng(5).normal(size=(2, 8, 16)))
             preds = pretrain_heads(h, params, schema)
+            spans = head_spans(schema)
             for kind, fields in (("cat", schema.categorical_fields), ("cont", schema.continuous_fields)):
                 for f in fields:
+                    lo, hi = spans[f.name]
                     ref = tt.linear(h, params[f"head.{kind}.{f.name}.w"], params[f"head.{kind}.{f.name}.b"])
-                    np.testing.assert_allclose(preds[f.name].data, ref.data, rtol=1e-12, atol=1e-12)
-                    assert np.shares_memory(preds[f.name].data, preds.fused.data)
-        assert list(preds) == [f.name for f in schema.categorical_fields + schema.continuous_fields]
-        assert preds.fused.shape[-1] == sum(p.shape[-1] for p in preds.values())
+                    np.testing.assert_allclose(preds.data[..., lo:hi], ref.data, rtol=1e-12, atol=1e-12)
+        assert preds.shape[-1] == max(hi for _, hi in spans.values())
 
     def test_zero_weight_head_outputs_bias(self, env):
         schema = env["schema"]
@@ -392,8 +426,9 @@ class TestHeads:
         params[f"head.cat.{f.name}.w"].data[:] = 0.0
         params[f"head.cat.{f.name}.b"].data[:] = np.arange(f.vocab_size())
         h = Tensor(np.random.default_rng(0).normal(size=(2, 8, 16)))
+        lo, hi = head_spans(schema)[f.name]
         preds = pretrain_heads(h, params, schema)
-        np.testing.assert_allclose(preds[f.name].data,
+        np.testing.assert_allclose(preds.data[..., lo:hi],
                                    np.broadcast_to(np.arange(f.vocab_size()), (2, 8, f.vocab_size())),
                                    rtol=1e-6)
 
@@ -459,7 +494,7 @@ def test_schema_without_continuous_fields(tiny_env):
     with use_dtype("float64"):
         params = init_params(schema, cfg, seed=0, head="pretrain")
         preds, reg = forward_mdm(batch, params, cfg, schema)
-        assert preds.fused.shape == (3, 8, sum(f.vocab_size() for f in schema.categorical_fields))
+        assert preds.shape == (3, 8, sum(f.vocab_size() for f in schema.categorical_fields))
         stats = mdm_batch_stats(preds, batch, schema)
         assert stats["cont_total"] == 0 and stats["cont_sse"] == 0.0 and stats["cat_total"] > 0
 

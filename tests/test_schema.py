@@ -372,6 +372,23 @@ class TestPersistence:
             FeatureSchema.from_json(json.dumps(payload), source="crafted.json")
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda v: [[v[0][0], 99]] + v[1:],
+        lambda v: [[v[0][0], sc.PAD_ID]] + v[1:],
+        lambda v: [[v[0][0], sc.MASK_ID]] + v[1:],
+        lambda v: [[v[0][0], len(v) + 2]] + v[1:],
+        lambda v: [[v[0][0], v[1][1]]] + v[1:],
+        lambda v: v + [[v[0][0], len(v) + 2]],
+    ], ids=["beyond_table", "pad", "mask", "one_past_table", "id_twice", "value_twice"])
+    def test_bad_vocab_rejected(self, basic_csv, edit):
+        payload = json.loads(infer_schema(basic_csv, BASIC_ROLES).to_json())
+        field = next(f for f in payload["fields"] if f["kind"] == "categorical")
+        assert len(field["vocab"]) >= 2
+        field["vocab"] = edit(field["vocab"])
+        with pytest.raises(SchemaError, match="crafted.json: fields\\[\\d+\\]: key 'vocab'"):
+            FeatureSchema.from_json(json.dumps(payload), source="crafted.json")
+
+
 @pytest.fixture(scope="module")
 def schema_file(tmp_path_factory):
     root = tmp_path_factory.mktemp("schema_file")

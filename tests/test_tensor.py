@@ -392,7 +392,7 @@ PRIMITIVE_CASES = [
     ("masked_cross_entropy_sum", lambda p: tt.masked_cross_entropy_sum(p["z"], _SPANS, _CAT_TARGETS, _MASK), lambda r: {"z": _random_tensor(r, (2, 3, _HEAD_WIDTH))}),
     ("masked_squared_error_sum", lambda p: tt.masked_squared_error_sum(p["z"], _CONT_START, _CONT_TARGETS, _MASK), lambda r: {"z": _random_tensor(r, (2, 3, _HEAD_WIDTH))}),
     ("masked_losses_one_grid", lambda p: tt.add(tt.masked_cross_entropy_sum(p["z"], _SPANS, _CAT_TARGETS, _MASK), tt.masked_squared_error_sum(p["z"], _CONT_START, _CONT_TARGETS, ~_MASK)), lambda r: {"z": _random_tensor(r, (2, 3, _HEAD_WIDTH))}),
-    ("concat_linear", lambda p: tt.concat_linear(p["x"], [p["w0"], p["w1"], p["w2"]], [p["b0"], p["b1"], p["b2"]]), lambda r: {"x": _random_tensor(r, (2, 4, 8)), "w0": _random_tensor(r, (8, 5)), "w1": _random_tensor(r, (8, 1)), "w2": _random_tensor(r, (8, 3)), "b0": _random_tensor(r, (5,)), "b1": _random_tensor(r, (1,)), "b2": _random_tensor(r, (3,))}),
+    ("linear_blocks", lambda p: tt.linear(p["x"], [p["w0"], p["w1"], p["w2"]], [p["b0"], p["b1"], p["b2"]]), lambda r: {"x": _random_tensor(r, (2, 4, 8)), "w0": _random_tensor(r, (8, 5)), "w1": _random_tensor(r, (8, 1)), "w2": _random_tensor(r, (8, 3)), "b0": _random_tensor(r, (5,)), "b1": _random_tensor(r, (1,)), "b2": _random_tensor(r, (3,))}),
     ("add_projections", lambda p: tt.add_projections(p["h"], _VALUES, [p["w0"], p["w1"], p["w2"]], [p["b0"], p["b1"], p["b2"]]), lambda r: {"h": _random_tensor(r, (2, 3, 6)), **{f"{k}{c}": _random_tensor(r, (6,)) for k in "wb" for c in range(3)}}),
     ("layernormed_softmax", lambda p: tt.softmax_lastdim(tt.layer_norm(p["x"], p["g"], p["b"])), lambda r: {"x": _random_tensor(r, (3, 6)), "g": _random_tensor(r, (6,)), "b": _random_tensor(r, (6,))}),
 ]
@@ -604,22 +604,28 @@ class TestAddProjections:
             tt.add_projections(h, np.zeros((2, 3, 1)), [Tensor(np.zeros(5))], [Tensor(np.zeros(4))])
 
 
-class TestConcatLinear:
+class TestLinearBlocks:
     def test_equals_per_field_linear(self):
         with use_dtype("float64"):
             rng = np.random.default_rng(50)
             x = _random_tensor(rng, (3, 5, 8))
             weights = [_random_tensor(rng, (8, n)) for n in (6, 1, 4, 1)]
             biases = [_random_tensor(rng, (w.shape[1],)) for w in weights]
-            fused = tt.concat_linear(x, weights, biases)
+            fused = tt.linear(x, weights, biases)
             ref = tt.concat_lastdim([tt.linear(x, w, b) for w, b in zip(weights, biases)])
             np.testing.assert_allclose(fused.data, ref.data, rtol=1e-12, atol=1e-12)
             upstream = Tensor(rng.normal(size=fused.shape))
             params = [x, *weights, *biases]
             got = _grads(params, tt.sum_all(tt.mul(fused, upstream)))
             want = _grads(params, tt.sum_all(tt.mul(ref, upstream)))
-        for g, w in zip(got, want):
+        # the per-field maps run the same op, so the gradients are also checked against numpy
+        u, x2 = upstream.data.reshape(-1, 12), x.data.reshape(-1, 8)
+        w_all = np.concatenate([w.data for w in weights], axis=1)
+        cuts = np.cumsum([w.shape[1] for w in weights])[:-1]
+        numpy_ref = [(u @ w_all.T).reshape(x.shape), *np.split(x2.T @ u, cuts, axis=1), *np.split(u.sum(0), cuts)]
+        for g, w, r in zip(got, want, numpy_ref):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12)
 
     def test_bad_shapes_rejected(self):
         x = Tensor(np.zeros((2, 3, 4)))
@@ -627,7 +633,22 @@ class TestConcatLinear:
                                 ([Tensor(np.zeros((4, 2)))], [Tensor(np.zeros(3))]),
                                 ([Tensor(np.zeros((4, 2)))], [])]:
             with pytest.raises(ShapeError):
-                tt.concat_linear(x, weights, biases)
+                tt.linear(x, weights, biases)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("x_shape,n", [((2, 4, 8), 5), ((2, 4, 8), 1), ((1, 8), 1), ((3, 8), 7),
+                                           ((8,), 3), ((2, 3, 5, 8), 2), ((1, 8), 4)])
+    def test_one_block_is_the_lone_weight_bitwise(self, dtype, x_shape, n):
+        """A list of one weight and one bias gives the bytes of the lone weight and bias."""
+        runs = []
+        with use_dtype(dtype):
+            for blocks in (False, True):
+                rng = np.random.default_rng(51)
+                x, w, b = (_random_tensor(rng, s) for s in (x_shape, (8, n), (n,)))
+                y = tt.linear(x, [w], [b]) if blocks else tt.linear(x, w, b)
+                tt.sum_all(tt.mul(y, Tensor(rng.normal(size=y.shape)))).backward()
+                runs.append([y.data.tobytes()] + [t.grad.tobytes() for t in (x, w, b)])
+        assert runs[0] == runs[1]
 
 
 def test_backward_frees_the_graph_without_the_cycle_collector():
@@ -689,8 +710,8 @@ NODE_CASES = [
     ("sum_all", lambda r: tt.sum_all(*_leaves(r, (4, 8)))),
     ("matmul", lambda r: tt.matmul(*_leaves(r, (2, 4, 8), (2, 8, 3)))),
     ("linear", lambda r: tt.linear(*_leaves(r, (2, 4, 8), (8, 5), (5,)))),
-    ("concat_linear", lambda r: tt.concat_linear(*_leaves(r, (2, 4, 8)), _leaves(r, (8, 5), (8, 1)),
-                                                 _leaves(r, (5,), (1,)))),
+    ("linear", lambda r: tt.linear(*_leaves(r, (2, 4, 8)), _leaves(r, (8, 5), (8, 1), (8, 3)),
+                                   _leaves(r, (5,), (1,), (3,)))),
     ("add_projections", lambda r: tt.add_projections(*_leaves(r, (2, 3, 6)), _VALUES, _leaves(r, *[(6,)] * 3),
                                                      _leaves(r, *[(6,)] * 3))),
     ("reshape", lambda r: tt.reshape(*_leaves(r, (4, 8)), (8, 4))),

@@ -134,6 +134,15 @@ class TestMdmLoss:
         assert loss1.data.tobytes() == loss2.data.tobytes()
 
 
+def per_field(preds, schema):
+    """The heads output split into each field's columns, by field name."""
+    out, hi = {}, 0
+    for f in schema.categorical_fields + schema.continuous_fields:
+        lo, hi = hi, hi + (f.vocab_size() if f.kind == "categorical" else 1)
+        out[f.name] = Tensor(preds.data[..., lo:hi])
+    return out
+
+
 def _per_field_stats(preds, batch, schema):
     """Reference: the masked-cell counters gathered field by field."""
     stats = {"cat_total": 0, "cat_correct": 0, "cont_total": 0, "cont_sse": 0.0}
@@ -162,17 +171,23 @@ class TestHeadColumns:
     def test_plain_dict_runs_the_same_loss(self, forward):
         schema, batch, preds, reg = forward
         fused = mdm_loss(preds, batch, reg, schema)
-        adapted = mdm_loss(dict(preds), batch, reg, schema)  # per-field views, joined again
+        adapted = mdm_loss(per_field(preds, schema), batch, reg, schema)  # column spans, joined again
         assert fused.data.tobytes() == adapted.data.tobytes()
 
     def test_batch_stats_match_per_field_reference(self, forward):
         schema, batch, preds, _ = forward
-        got, want = mdm_batch_stats(preds, batch, schema), _per_field_stats(preds, batch, schema)
+        fields = per_field(preds, schema)
+        got, want = mdm_batch_stats(preds, batch, schema), _per_field_stats(fields, batch, schema)
         assert {k: got[k] for k in ("cat_total", "cat_correct", "cont_total")} == \
             {k: want[k] for k in ("cat_total", "cat_correct", "cont_total")}
         assert got["cat_total"] > 0 and got["cont_total"] > 0
         assert got["cont_sse"] == pytest.approx(want["cont_sse"], rel=1e-5)
-        assert mdm_batch_stats(dict(preds), batch, schema) == got
+        assert mdm_batch_stats(fields, batch, schema) == got
+
+    def test_heads_output_of_another_width_rejected(self, forward):
+        schema, batch, preds, reg = forward
+        with pytest.raises(ShapeError, match="columns wide for this schema"):
+            mdm_loss(Tensor(preds.data[..., 1:]), batch, reg, schema)
 
     def test_wide_continuous_prediction_rejected(self, tiny_env):
         schema = tiny_env["schema"]
@@ -628,6 +643,8 @@ def crafted_checkpoint(blob: bytes, case: str) -> bytes:
         meta["model_config"]["bogus"] = 1
     elif case == "model_config_zero_heads":
         meta["model_config"]["n_heads"] = 0
+    elif case == "param_listed_twice":  # the second entry renamed to the first's name
+        meta["params"][1][0] = first_name
     raw = json.dumps(meta).encode("utf-8")
     declared = {"metadata_past_body": len(raw) + len(arrays) + 1,
                 "metadata_cut_short": len(raw) - 1}.get(case, len(raw))
@@ -694,6 +711,7 @@ class TestCheckpoint:
         ("params_entry_wrong_arity", IntegrityError),
         ("model_config_unknown_key", IntegrityError),
         ("model_config_zero_heads", IntegrityError),
+        ("param_listed_twice", IntegrityError),
     ])
     def test_crafted_file_with_valid_trailer_rejected(self, trained, tmp_path, case, error):
         path = tmp_path / "ckpt.bin"
