@@ -17,6 +17,7 @@ followed by residual + layer norm and a position-wise feed-forward sublayer
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, asdict
 
@@ -56,7 +57,8 @@ class ModelConfig:
             raise ConfigError(f"dropout (--dropout) must be in [0,1), got {self.dropout}")
         if self.n_blocks < 0:
             raise ConfigError(f"n_blocks (--blocks) must be >= 0, got {self.n_blocks}")
-        if self.attn_channels is None:
+        halved = self.attn_channels is None
+        if halved:
             self.attn_channels = self.d_model // 2
         if self.conv_channels is None:
             self.conv_channels = self.d_model - self.attn_channels
@@ -66,8 +68,10 @@ class ModelConfig:
                 f"must equal d_model {self.d_model}"
             )
         if self.attn_channels % self.n_heads != 0:
+            # each value ends a line: either flag may be the one to change
             raise ConfigError(
                 f"attn_channels {self.attn_channels} not divisible by n_heads (--heads) {self.n_heads}"
+                + (f"\nattn_channels is half of d_model (--d-model) {self.d_model}" if halved else "")
             )
 
     @property
@@ -204,7 +208,13 @@ def trainable_names(params: dict[str, Tensor], mode: str) -> list[str]:
 
 
 def positional_encoding(t_len: int, d_model: int) -> Tensor:
-    """Fixed sinusoidal encoding [T, d_model]; not learned."""
+    """Fixed sinusoidal encoding [T, d_model]; not learned. Its array is shared and read-only."""
+    return Tensor(_sinusoid_table(t_len, d_model, tt.default_dtype()))
+
+
+@functools.lru_cache(maxsize=16)
+def _sinusoid_table(t_len: int, d_model: int, dtype: np.dtype) -> np.ndarray:
+    """The encoding in `dtype`, built on first use; read-only, since every caller gets the same array."""
     if d_model % 2 != 0:
         raise ConfigError(f"positional encoding needs even d_model, got {d_model}")
     pos = np.arange(t_len, dtype=np.float64)[:, None]
@@ -213,7 +223,9 @@ def positional_encoding(t_len: int, d_model: int) -> Tensor:
     pe = np.zeros((t_len, d_model))
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles)
-    return Tensor(pe)
+    pe = pe.astype(dtype)
+    pe.flags.writeable = False
+    return pe
 
 
 def _time_net(floats: np.ndarray, params: dict[str, Tensor]) -> Tensor:
@@ -228,17 +240,19 @@ def embed_inputs(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig,
     activity penalty lambda * mean(out**2), or None without `penalty`.
 
     The calendar and categorical lookups are one `embedding_sum` node, and
-    the continuous projections value * w + b are one `add_projections` node.
+    the continuous projections value * w + b and the positional encoding
+    are one `add_projections` node.
     """
     tables = ([params[f"time.comp.{name}"] for name in TS_COMPONENT_NAMES]
               + [params[f"embed.cat.{f.name}"] for f in schema.categorical_fields])
     ids = np.concatenate([batch.ts_components, batch.cat], axis=-1)
     t_out = _time_net(batch.ts_floats, params)
-    reg = tt.scale(tt.mean_all(tt.mul(t_out, t_out)), cfg.activity_reg_lambda) if penalty else None
+    reg = tt.scaled_mean_square(t_out, cfg.activity_reg_lambda) if penalty else None
     h = tt.add(tt.embedding_sum(tables, ids), t_out)
     cont = [f"embed.cont.{f.name}" for f in schema.continuous_fields]
-    h = tt.add_projections(h, batch.cont, [params[f"{p}.w"] for p in cont], [params[f"{p}.b"] for p in cont])
-    return tt.add(h, positional_encoding(batch.window, cfg.d_model)), reg
+    pe = positional_encoding(batch.window, cfg.d_model).data
+    return tt.add_projections(h, batch.cont, [params[f"{p}.w"] for p in cont],
+                              [params[f"{p}.b"] for p in cont], pe), reg
 
 
 def mha(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str = "block0") -> Tensor:
@@ -270,14 +284,14 @@ def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
 
 def encoder_forward(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
                     dropout_rng: np.random.Generator | None = None) -> Tensor:
-    """n_blocks repetitions of {aaconv sublayer, FFN sublayer}, post-norm residuals."""
+    """n_blocks repetitions of {aaconv sublayer, FFN sublayer}, each a post-norm residual node."""
     h = x
     for i in range(cfg.n_blocks):
         p = f"block{i}"
-        y = tt.dropout(aaconv_layer(h, params, cfg, p), cfg.dropout, dropout_rng)
-        h = tt.layer_norm(tt.add(h, y), params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        y = tt.dropout(_ffn(h, params, p), cfg.dropout, dropout_rng)
-        h = tt.layer_norm(tt.add(h, y), params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
+        h = tt.residual_norm(h, aaconv_layer(h, params, cfg, p), params[f"{p}.ln1.g"], params[f"{p}.ln1.b"],
+                             cfg.dropout, dropout_rng)
+        h = tt.residual_norm(h, _ffn(h, params, p), params[f"{p}.ln2.g"], params[f"{p}.ln2.b"],
+                             cfg.dropout, dropout_rng)
     return h
 
 

@@ -9,6 +9,11 @@ Conventions:
     reads, defines `def backward(g)` (g is the gradient of its output), and
     returns `Tensor(value, parents=..., backward=backward)`; the node
     requires grad iff a parent does, and no closure refers to its own node,
+  * a backward closure owns g and hands `_accumulate` only arrays it owns:
+    g itself or a view of it, or an array it made, writable and of the
+    receiving tensor's dtype, never one that another tensor's gradient or
+    any value shares memory with; `_accumulate` keeps the first array a
+    tensor receives as its gradient, without a copy,
   * only trailing-dimension broadcasting is supported for add/mul,
   * integer index arrays (token ids, gather positions) are passed as raw
     numpy arrays, never as Tensors,
@@ -116,7 +121,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                if parent._backward is not None and id(parent) not in seen:  # a leaf has nothing to run
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         while topo:
@@ -129,12 +134,17 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+    """Add `grad` to t's gradient; the first array of t's shape and dtype becomes the gradient itself.
+
+    The caller hands over an array it owns (see the module conventions), so
+    a later write into t's gradient changes nothing else. A first array of
+    another dtype is kept as a cast copy.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
         if grad.shape == t.data.shape:
-            # the first write owns a copy: ops such as `add` hand one array to both parents
-            t.grad = np.array(grad, dtype=t.data.dtype)
+            t.grad = grad if grad.dtype == t.data.dtype else grad.astype(t.data.dtype)
             return
         t.grad = np.zeros_like(t.data)
     t.grad += grad
@@ -174,10 +184,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check(a, b, "add")
 
     def backward(g):
+        ga = None
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
+            ga = _unbroadcast(g, a.data.shape)
+            _accumulate(a, ga)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+            gb = _unbroadcast(g, b.data.shape)
+            if gb is ga and b.grad is None:  # a keeps g itself, and b would keep it too
+                gb = gb.copy()
+            _accumulate(b, gb)
 
     return Tensor(a.data + b.data, parents=(a, b), backward=backward)
 
@@ -211,7 +226,8 @@ def shift(x: Tensor, c: float) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); a NaN input stays NaN, so it reaches the loss instead of reading as 0."""
     def backward(g):
-        _accumulate(x, g * (x.data > 0))
+        g *= x.data > 0
+        _accumulate(x, g)
 
     return Tensor(np.maximum(x.data, 0), parents=(x,), backward=backward)
 
@@ -255,6 +271,25 @@ def sum_all(x: Tensor) -> Tensor:
 
 def mean_all(x: Tensor) -> Tensor:
     return scale(sum_all(x), 1.0 / x.data.size)
+
+
+def scaled_mean_square(x: Tensor, s: float) -> Tensor:
+    """s * mean(x * x) as one node.
+
+    The value is bitwise that of the chain scale(mean_all(mul(x, x)), s).
+    So is x's gradient 2·(c·x) when it is the first to reach x: the chain
+    hands x its two equal `mul` terms c·x one after the other, and
+    c·x + c·x is exact.
+    """
+    n = x.data.size
+
+    def backward(g):
+        c = float((g * s) * (1.0 / n))  # the chain's scale, scale and sum_all backward
+        gx = x.data * c
+        gx += gx
+        _accumulate(x, gx)
+
+    return Tensor((x.data * x.data).sum() * (1.0 / n) * s, parents=(x,), backward=backward)
 
 
 # -- linear algebra ------------------------------------------------------
@@ -335,17 +370,20 @@ def linear(x: Tensor, weights, biases=None) -> Tensor:
     return Tensor(y.reshape(x.data.shape[:-1] + (n,)), parents=(x, *weights, *biases), backward=backward)
 
 
-def add_projections(h: Tensor, values: np.ndarray, weights: list[Tensor], biases: list[Tensor]) -> Tensor:
-    """h + sum_c (values[..., c] * weights[c] + biases[c]) as one node; h itself without weights.
+def add_projections(h: Tensor, values: np.ndarray, weights: list[Tensor], biases: list[Tensor],
+                    constant: np.ndarray | None = None) -> Tensor:
+    """h + sum_c (values[..., c] * weights[c] + biases[c]) + constant as one node.
 
-    h is [..., d], values [..., C] and each weight and bias [d]. The values
+    h is [..., d], values [..., C] and each weight and bias [d]; `constant`
+    (no gradient) broadcasts against h from the trailing axes. The values
     are cast to the default dtype, as `Tensor(values)` casts them. Each term
     is formed and added to h in field order, one rounded product, bias sum
-    and running sum at a time, and each gradient is the same reduction, so
-    the output and every gradient are bitwise equal to the per-field chain
-    h = add(h, add(mul(Tensor(values[..., c:c+1]), w_c), b_c)).
+    and running sum at a time, and the constant is added last, so the output
+    and every gradient are bitwise equal to the per-field chain
+    h = add(h, add(mul(Tensor(values[..., c:c+1]), w_c), b_c)) followed by
+    add(h, Tensor(constant)). With neither weights nor a constant, h itself.
     """
-    if not weights:
+    if not weights and constant is None:
         return h
     d = h.data.shape[-1]
     v = np.asarray(values).astype(_DEFAULT_DTYPE, copy=False)
@@ -359,16 +397,18 @@ def add_projections(h: Tensor, values: np.ndarray, weights: list[Tensor], biases
         np.multiply(v[..., c : c + 1], w.data, out=term)
         term += b.data
         y += term
+    if constant is not None:
+        y += constant
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        _accumulate(h, g)
         g_b = g.sum(axis=lead) if any(b.requires_grad for b in biases) else None
         for c, (w, b) in enumerate(zip(weights, biases)):
             if w.requires_grad:
                 _accumulate(w, np.multiply(g, v[..., c : c + 1], out=term).sum(axis=lead))
             if b.requires_grad:
-                _accumulate(b, g_b)
+                _accumulate(b, g_b.copy())
+        _accumulate(h, g)
 
     return Tensor(y, parents=(h, *weights, *biases), backward=backward)
 
@@ -546,30 +586,92 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wmix: Tensor, heads
                   parents=(x, wq, wk, wv, wmix), backward=backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    if eps <= 0:
-        raise ConfigError(f"layer_norm: eps must be positive, got {eps}")
-    d = x.data.shape[-1]
-    if gamma.data.shape != (d,) or beta.data.shape != (d,):
-        raise ShapeError(
-            f"layer_norm: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} "
-            f"do not match feature width {d}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+LAYER_NORM_EPS = 1e-5
+
+
+class _Normalized:
+    """The layer normalisation of s [..., d] over its last axis, and its backward rule.
+
+    `out` is xhat * gamma + beta with xhat = (s - mean) / sqrt(var + eps);
+    `layer_norm` and `residual_norm` both run this arithmetic.
+    """
+
+    def __init__(self, op: str, s: np.ndarray, gamma: Tensor, beta: Tensor, eps: float):
+        if eps <= 0:
+            raise ConfigError(f"{op}: eps must be positive, got {eps}")
+        d = s.shape[-1]
+        if gamma.data.shape != (d,) or beta.data.shape != (d,):
+            raise ShapeError(
+                f"{op}: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} "
+                f"do not match feature width {d}"
+            )
+        self.gamma, self.beta = gamma, beta
+        xc = s - s.mean(axis=-1, keepdims=True)
+        var = np.square(xc).mean(axis=-1, keepdims=True)
+        self.inv = 1.0 / np.sqrt(var + eps)
+        xc *= self.inv
+        self.xhat = xc
+        self.out = xc * gamma.data
+        self.out += beta.data
+
+    def backward(self, g: np.ndarray, need_input: bool) -> np.ndarray | None:
+        """Hand gamma and beta their gradients; return s's gradient (a new array) if `need_input`."""
+        lead = tuple(range(g.ndim - 1))
+        xhat = self.xhat
+        _accumulate(self.beta, g.sum(axis=lead))
+        gx = g * xhat
+        _accumulate(self.gamma, gx.sum(axis=lead))
+        if not need_input:
+            return None
+        gi = np.multiply(g, self.gamma.data, out=gx)
+        m1 = gi.mean(axis=-1, keepdims=True)
+        m2 = (gi * xhat).mean(axis=-1, keepdims=True)
+        gi -= m1
+        gi -= xhat * m2
+        gi *= self.inv
+        return gi
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+    norm = _Normalized("layer_norm", x.data, gamma, beta, eps)
 
     def backward(g):
-        lead = tuple(range(g.ndim - 1))
-        _accumulate(beta, g.sum(axis=lead))
-        _accumulate(gamma, (g * xhat).sum(axis=lead))
-        if x.requires_grad:
-            gi = g * gamma.data
-            term = gi - gi.mean(axis=-1, keepdims=True) - xhat * (gi * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, term * inv)
+        gx = norm.backward(g, x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx)
 
-    return Tensor(xhat * gamma.data + beta.data, parents=(x, gamma, beta), backward=backward)
+    return Tensor(norm.out, parents=(x, gamma, beta), backward=backward)
+
+
+def residual_norm(h: Tensor, y: Tensor, gamma: Tensor, beta: Tensor, p: float,
+                  rng: np.random.Generator | None) -> Tensor:
+    """layer_norm(h + dropout(y, p, rng), gamma, beta) as one node: a post-norm residual sublayer.
+
+    The keep mask is drawn from `rng` as `dropout` draws it, and the sum and
+    its normalisation are those of `add` and `layer_norm`, so the output,
+    every gradient and the stream's state after the call are bitwise those
+    of layer_norm(add(h, dropout(y, p, rng)), gamma, beta).
+    """
+    if h.data.shape != y.data.shape:
+        raise ShapeError(f"residual_norm: h {h.data.shape} and y {y.data.shape} differ in shape")
+    keep = _keep_mask(y.data, p, rng)
+    if keep is None:
+        s = h.data + y.data
+    else:
+        s = y.data * keep
+        s += h.data
+    norm = _Normalized("residual_norm", s, gamma, beta, LAYER_NORM_EPS)
+
+    def backward(g):
+        gs = norm.backward(g, h.requires_grad or y.requires_grad)
+        if gs is None:
+            return
+        if y.requires_grad:
+            gy = gs if keep is None else gs * keep
+            _accumulate(y, gy.copy() if gy is gs and h.requires_grad else gy)  # h keeps gs itself
+        _accumulate(h, gs)
+
+    return Tensor(norm.out, parents=(h, y, gamma, beta), backward=backward)
 
 
 # -- lookups and gathers ---------------------------------------------------
@@ -685,14 +787,16 @@ def _check_cell_grid(op: str, z: np.ndarray, targets: np.ndarray, mask: np.ndarr
 
 
 def masked_cross_entropy_sum(logits: Tensor, spans: list[tuple[int, int]], targets: np.ndarray,
-                             mask: np.ndarray) -> Tensor:
-    """Cross entropy summed over the masked cells of every field, as one node.
+                             mask: np.ndarray) -> tuple[Tensor, int]:
+    """Cross entropy summed over the masked cells of every field, as one node, and its hit count.
 
     Field k's logits are the columns spans[k] = (lo, hi) of logits [B, T, W];
     targets and mask are [B, T, K]. Only masked cells are read. Fields are
     summed in order, each field's cells in (b, t) order, so the value equals
     a per-field `cross_entropy_sum` chain over the masked cells. The backward
     pass writes each field's gradient into its span of the logits' gradient.
+    The count is of masked cells whose span's argmax (the first maximum) is
+    the target, read from the same gathered rows.
     """
     z = logits.data
     _check_cell_grid("masked_cross_entropy_sum", z, targets, mask, len(spans))
@@ -700,11 +804,17 @@ def masked_cross_entropy_sum(logits: Tensor, spans: list[tuple[int, int]], targe
         raise ShapeError(f"masked_cross_entropy_sum: spans {spans} do not fit width {z.shape[-1]}")
     total = np.zeros((), dtype=_DEFAULT_DTYPE)
     cells = []
+    hits = 0
+    # every masked cell at once: field-major, and in (b, t) order within a field
+    field, *where = np.nonzero(np.moveaxis(mask, -1, 0))
+    bounds = np.searchsorted(field, np.arange(len(spans) + 1))
     for k, (lo, hi) in enumerate(spans):
-        idx = np.nonzero(mask[..., k])
+        idx = tuple(a[bounds[k] : bounds[k + 1]] for a in where)
         if len(idx[0]):
             at = idx + (slice(lo, hi),)
-            loss, d = _cross_entropy_rows(z[at], targets[idx + (k,)])
+            rows, want = z[at], targets[idx + (k,)]
+            hits += int(np.count_nonzero(rows.argmax(axis=-1) == want))
+            loss, d = _cross_entropy_rows(rows, want)
             total = total + loss
             cells.append((at, d))
 
@@ -713,7 +823,7 @@ def masked_cross_entropy_sum(logits: Tensor, spans: list[tuple[int, int]], targe
         for at, d in cells:
             _accumulate_at(logits, at, d * g)
 
-    return Tensor(total, parents=(logits,), backward=backward)
+    return Tensor(total, parents=(logits,), backward=backward), hits
 
 
 def masked_squared_error_sum(preds: Tensor, start: int, targets: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -731,7 +841,7 @@ def masked_squared_error_sum(preds: Tensor, start: int, targets: np.ndarray, mas
         raise ShapeError(f"masked_squared_error_sum: {n_fields} columns from {start} "
                          f"do not fit width {z.shape[-1]}")
     cols = (..., slice(start, start + n_fields))
-    diff = np.where(mask, z[cols] - targets.astype(z.dtype), z.dtype.type(0))
+    diff = np.where(mask, z[cols] - targets.astype(z.dtype, copy=False), z.dtype.type(0))
 
     def backward(g):
         _accumulate_at(preds, cols, 2.0 * diff * float(g))
@@ -760,14 +870,20 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when rng is None or p == 0."""
+def _keep_mask(x: np.ndarray, p: float, rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout multipliers for x (0 or 1 / (1 - p)) drawn from rng; None when rng is None or p <= 0."""
     if rng is None or p <= 0.0:
-        return x
+        return None
     if p >= 1.0:
         raise ConfigError(f"dropout: rate must be < 1, got {p}")
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return mul(x, Tensor(keep))
+    multiplier = x.dtype.type(1.0) / x.dtype.type(1.0 - p)  # as `mask / (1 - p)` rounds it
+    return np.multiply(rng.random(x.shape) >= p, multiplier, dtype=x.dtype)
+
+
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout; identity when rng is None or p == 0."""
+    keep = _keep_mask(x.data, p, rng)
+    return x if keep is None else mul(x, Tensor(keep))
 
 
 # -- gradient checking -------------------------------------------------------

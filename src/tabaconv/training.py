@@ -152,39 +152,40 @@ def _head_columns(preds: Tensor | dict[str, Tensor],
     return preds, spans, hi
 
 
-def mdm_loss(preds: Tensor | dict[str, Tensor], batch: Batch, reg: Tensor, schema: FeatureSchema) -> Tensor:
-    """Masked-cell reconstruction loss; a kind with zero masked cells contributes 0."""
+def mdm_loss_and_stats(preds: Tensor | dict[str, Tensor], batch: Batch, reg: Tensor,
+                       schema: FeatureSchema) -> tuple[Tensor, dict]:
+    """Masked-cell reconstruction loss and its accuracy/error counters, from one pass over the masked cells.
+
+    A kind with zero masked cells adds 0 to the loss. A categorical cell is
+    right when the argmax of its field's span equals its target; `cont_sse`
+    is the summed squared error the loss divides by the continuous count.
+    """
     total = reg
-    n_cat = int(batch.cat_mask.sum()) if batch.cat_mask is not None else 0
-    n_cont = int(batch.cont_mask.sum()) if batch.cont_mask is not None else 0
+    n_cat = int(np.count_nonzero(batch.cat_mask)) if batch.cat_mask is not None else 0
+    n_cont = int(np.count_nonzero(batch.cont_mask)) if batch.cont_mask is not None else 0
+    stats = {"cat_total": n_cat, "cat_correct": 0, "cont_total": n_cont, "cont_sse": 0.0}
     if not (n_cat or n_cont):
-        return total
+        return total, stats
     fused, spans, cont_start = _head_columns(preds, schema)
     if n_cat:
-        ce_sum = tt.masked_cross_entropy_sum(fused, spans, batch.cat_targets, batch.cat_mask)
+        ce_sum, stats["cat_correct"] = tt.masked_cross_entropy_sum(fused, spans, batch.cat_targets,
+                                                                   batch.cat_mask)
         total = tt.add(total, tt.scale(ce_sum, 1.0 / n_cat))
     if n_cont:
         se_sum = tt.masked_squared_error_sum(fused, cont_start, batch.cont_targets, batch.cont_mask)
+        stats["cont_sse"] = float(se_sum.data)
         total = tt.add(total, tt.scale(se_sum, 1.0 / n_cont))
-    return total
+    return total, stats
+
+
+def mdm_loss(preds: Tensor | dict[str, Tensor], batch: Batch, reg: Tensor, schema: FeatureSchema) -> Tensor:
+    """Masked-cell reconstruction loss; a kind with zero masked cells contributes 0."""
+    return mdm_loss_and_stats(preds, batch, reg, schema)[0]
 
 
 def mdm_batch_stats(preds: Tensor | dict[str, Tensor], batch: Batch, schema: FeatureSchema) -> dict:
-    """Reconstruction accuracy/error counters at masked cells (no gradients).
-
-    A categorical cell is right when the argmax of its field's span equals
-    its target; the continuous squared error is one sum over the block.
-    """
-    fused, spans, cont_start = _head_columns(preds, schema)
-    z = fused.data
-    cat_correct = 0
-    if spans:
-        guesses = np.stack([z[..., lo:hi].argmax(axis=-1) for lo, hi in spans], axis=-1)
-        cat_correct = int(np.count_nonzero((guesses == batch.cat_targets) & batch.cat_mask))
-    n_cont = batch.cont_mask.shape[-1]
-    diff = np.where(batch.cont_mask, z[..., cont_start : cont_start + n_cont] - batch.cont_targets, 0.0)
-    return {"cat_total": int(np.count_nonzero(batch.cat_mask)), "cat_correct": cat_correct,
-            "cont_total": int(np.count_nonzero(batch.cont_mask)), "cont_sse": float((diff * diff).sum())}
+    """Reconstruction accuracy/error counters at masked cells; the loss they come with is dropped."""
+    return mdm_loss_and_stats(preds, batch, Tensor(np.zeros(())), schema)[1]
 
 
 def bce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -501,8 +502,8 @@ def pretrain(samples: Windows, schema: FeatureSchema, mcfg: ModelConfig,
             batch = _apply_field_masks(stack_batch(samples[idx]),
                                        masks[at : at + len(idx)], schema)
             preds, reg = forward_mdm(batch, params, mcfg, schema, dropout_rng=drop_rng)
-            loss_sum += _step(state, mdm_loss(preds, batch, reg, schema), tcfg, norms)
-            bs = mdm_batch_stats(preds, batch, schema)
+            loss, bs = mdm_loss_and_stats(preds, batch, reg, schema)
+            loss_sum += _step(state, loss, tcfg, norms)
             for k in stats:
                 stats[k] += bs[k]
         records.append({

@@ -576,6 +576,7 @@ def test_window_or_stride_below_one_exits_two_before_any_input_is_read(
     ("gen", "--users", "0"), ("gen", "--rows", "0"), ("gen", "--fraud-rate", "1.5"), ("gen", "--noise", "-0.1"),
     ("pretrain", "--p-field", "1.5"), ("pretrain", "--p-row", "-0.5"), ("pretrain", "--dropout", "1.0"),
     ("pretrain", "--heads", "3"), ("pretrain", "--kernel", "4"), ("pretrain", "--d-model", "7"),
+    ("pretrain", "--d-model", "10"),
     ("pretrain", "--blocks", "-1"), ("pretrain", "--batch-size", "0"),
     ("pretrain", "--epochs", "-1"), ("finetune", "--batch-size", "0"), ("finetune", "--epochs", "-1"),
 ])

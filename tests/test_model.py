@@ -113,6 +113,13 @@ class TestPositionalEncoding:
         with pytest.raises(ConfigError):
             positional_encoding(4, 7)
 
+    def test_built_once_per_shape_and_dtype_and_read_only(self):
+        pe = positional_encoding(6, 8).data
+        assert positional_encoding(6, 8).data is pe and not pe.flags.writeable
+        with use_dtype("float64"):
+            wide = positional_encoding(6, 8).data
+        assert wide.dtype == np.float64 and wide.astype(np.float32).tobytes() == pe.tobytes()
+
 
 class TestModelConfig:
     def test_defaults_split_channels_evenly(self):
@@ -511,8 +518,9 @@ def test_default_pretraining_loss_graph_size(tiny_env):
 
     Pinned so that a change which adds nodes per step shows here; the count
     falls when ops are fused (each linear layer with its bias, the whole
-    self-attention, all reconstruction heads and all continuous input
-    projections are one node each).
+    self-attention, all reconstruction heads, all continuous input
+    projections with the positional encoding, each residual sublayer's
+    dropout + add + layer norm, and the activity penalty are one node each).
     """
     schema = tiny_env["schema"]
     samples = tiny_env["pretrain_samples"][:32]
@@ -529,5 +537,5 @@ def test_default_pretraining_loss_graph_size(tiny_env):
             seen.add(id(node))
             ops += node._backward is not None
             stack.extend(node._parents)
-    assert ops == 32
+    assert ops == 24
 

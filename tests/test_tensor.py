@@ -268,6 +268,62 @@ class TestLayerNorm:
             tt.layer_norm(Tensor(np.ones((2, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
 
 
+class TestResidualNorm:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("p,seed", [(0.1, 6), (0.0, 6), (0.3, None)], ids=["dropout", "rate_0", "no_rng"])
+    def test_bitwise_equal_to_the_dropout_add_layer_norm_chain(self, dtype, p, seed):
+        """Same output, same four gradients and the same stream state after it as the three-node chain."""
+        runs = []
+        with use_dtype(dtype):
+            for fused in (True, False):
+                rng = np.random.default_rng(53)
+                h, y, gamma, beta = (_random_tensor(rng, s) for s in ((4, 7, 16), (4, 7, 16), (16,), (16,)))
+                upstream = Tensor(rng.normal(size=(4, 7, 16)))
+                drop = None if seed is None else np.random.default_rng(seed)
+                if fused:
+                    out = tt.residual_norm(h, y, gamma, beta, p, drop)
+                else:
+                    out = tt.layer_norm(tt.add(h, tt.dropout(y, p, drop)), gamma, beta)
+                grads = _grads([h, y, gamma, beta], tt.sum_all(tt.mul(out, upstream)))
+                after = None if drop is None else drop.random(3).tobytes()
+                runs.append((out.dtype, out.data.tobytes(), [g.tobytes() for g in grads], after))
+        assert runs[0][0] == np.dtype(dtype)
+        assert runs[0] == runs[1]
+
+    def test_dropout_zeroes_the_sublayer_gradient_where_it_dropped(self):
+        rng = np.random.default_rng(54)
+        h, y, gamma, beta = (_random_tensor(rng, s) for s in ((8, 5, 6), (8, 5, 6), (6,), (6,)))
+        tt.sum_all(tt.mul(tt.residual_norm(h, y, gamma, beta, 0.5, np.random.default_rng(2)),
+                          Tensor(rng.normal(size=(8, 5, 6))))).backward()
+        dropped = y.grad == 0
+        assert dropped.any() and not dropped.all() and not (h.grad[dropped] == 0).all()
+
+    def test_mismatched_shapes_and_rates_rejected(self):
+        h, gamma, beta = Tensor(np.zeros((2, 3, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4))
+        with pytest.raises(ShapeError):
+            tt.residual_norm(h, Tensor(np.zeros((2, 3, 5))), gamma, beta, 0.0, None)
+        with pytest.raises(ShapeError):
+            tt.residual_norm(h, h, Tensor(np.ones(3)), beta, 0.0, None)
+        with pytest.raises(ConfigError):
+            tt.residual_norm(h, h, gamma, beta, 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_scaled_mean_square_is_bitwise_the_mul_mean_scale_chain(dtype):
+    runs = []
+    with use_dtype(dtype):
+        for fused in (True, False):
+            rng = np.random.default_rng(55)
+            x, other = _random_tensor(rng, (4, 7, 16)), _random_tensor(rng, (4, 7, 16))
+            reg = tt.scaled_mean_square(x, 1e-4) if fused else tt.scale(tt.mean_all(tt.mul(x, x)), 1e-4)
+            # x also feeds another node, whose gradient reaches x after the penalty's, as in `mdm_loss`
+            loss = tt.add(reg, tt.sum_all(tt.mul(tt.add(other, x), Tensor(rng.normal(size=(4, 7, 16))))))
+            grads = _grads([x, other], loss)
+            runs.append((reg.dtype, reg.data.tobytes(), [g.tobytes() for g in grads]))
+    assert runs[0][0] == np.dtype(dtype)
+    assert runs[0] == runs[1]
+
+
 class TestElementwise:
     def test_relu(self):
         out = tt.relu(Tensor([-1.0, 0.0, 2.0]))
@@ -389,12 +445,16 @@ PRIMITIVE_CASES = [
     ("transpose", lambda p: tt.transpose(p["a"], (0, 2, 1)), lambda r: {"a": _random_tensor(r, (2, 4, 8))}),
     ("reshape", lambda p: tt.reshape(p["a"], (8, 4)), lambda r: {"a": _random_tensor(r, (4, 8))}),
     ("embedding_sum", lambda p: tt.embedding_sum([p["t0"], p["t1"], p["t2"]], _IDS), lambda r: {"t0": _random_tensor(r, (3, 6)), "t1": _random_tensor(r, (5, 6)), "t2": _random_tensor(r, (4, 6))}),
-    ("masked_cross_entropy_sum", lambda p: tt.masked_cross_entropy_sum(p["z"], _SPANS, _CAT_TARGETS, _MASK), lambda r: {"z": _random_tensor(r, (2, 3, _HEAD_WIDTH))}),
+    ("masked_cross_entropy_sum", lambda p: tt.masked_cross_entropy_sum(p["z"], _SPANS, _CAT_TARGETS, _MASK)[0], lambda r: {"z": _random_tensor(r, (2, 3, _HEAD_WIDTH))}),
     ("masked_squared_error_sum", lambda p: tt.masked_squared_error_sum(p["z"], _CONT_START, _CONT_TARGETS, _MASK), lambda r: {"z": _random_tensor(r, (2, 3, _HEAD_WIDTH))}),
-    ("masked_losses_one_grid", lambda p: tt.add(tt.masked_cross_entropy_sum(p["z"], _SPANS, _CAT_TARGETS, _MASK), tt.masked_squared_error_sum(p["z"], _CONT_START, _CONT_TARGETS, ~_MASK)), lambda r: {"z": _random_tensor(r, (2, 3, _HEAD_WIDTH))}),
+    ("masked_losses_one_grid", lambda p: tt.add(tt.masked_cross_entropy_sum(p["z"], _SPANS, _CAT_TARGETS, _MASK)[0], tt.masked_squared_error_sum(p["z"], _CONT_START, _CONT_TARGETS, ~_MASK)), lambda r: {"z": _random_tensor(r, (2, 3, _HEAD_WIDTH))}),
     ("linear_blocks", lambda p: tt.linear(p["x"], [p["w0"], p["w1"], p["w2"]], [p["b0"], p["b1"], p["b2"]]), lambda r: {"x": _random_tensor(r, (2, 4, 8)), "w0": _random_tensor(r, (8, 5)), "w1": _random_tensor(r, (8, 1)), "w2": _random_tensor(r, (8, 3)), "b0": _random_tensor(r, (5,)), "b1": _random_tensor(r, (1,)), "b2": _random_tensor(r, (3,))}),
     ("add_projections", lambda p: tt.add_projections(p["h"], _VALUES, [p["w0"], p["w1"], p["w2"]], [p["b0"], p["b1"], p["b2"]]), lambda r: {"h": _random_tensor(r, (2, 3, 6)), **{f"{k}{c}": _random_tensor(r, (6,)) for k in "wb" for c in range(3)}}),
     ("layernormed_softmax", lambda p: tt.softmax_lastdim(tt.layer_norm(p["x"], p["g"], p["b"])), lambda r: {"x": _random_tensor(r, (3, 6)), "g": _random_tensor(r, (6,)), "b": _random_tensor(r, (6,))}),
+    ("residual_norm", lambda p: tt.residual_norm(p["h"], p["y"], p["g"], p["b"], 0.3, None), lambda r: {"h": _random_tensor(r, (2, 3, 6)), "y": _random_tensor(r, (2, 3, 6)), "g": _random_tensor(r, (6,)), "b": _random_tensor(r, (6,))}),
+    # a fresh stream per call draws the same keep mask at every perturbed point
+    ("residual_norm_dropout", lambda p: tt.residual_norm(p["h"], p["y"], p["g"], p["b"], 0.3, np.random.default_rng(5)), lambda r: {"h": _random_tensor(r, (2, 3, 6)), "y": _random_tensor(r, (2, 3, 6)), "g": _random_tensor(r, (6,)), "b": _random_tensor(r, (6,))}),
+    ("scaled_mean_square", lambda p: tt.scaled_mean_square(p["a"], 0.7), lambda r: {"a": _random_tensor(r, (4, 8))}),
 ]
 
 
@@ -506,7 +566,7 @@ def test_masked_loss_equals_per_field_reference(kind, mask):
         if kind == "cross_entropy":
             preds = [_random_tensor(rng, (2, 3, v)) for v in (4, 5, 6)]
             grid = tt.concat_lastdim([*preds, _random_tensor(rng, (2, 3, 3))])
-            fused = tt.masked_cross_entropy_sum(grid, _SPANS, _CAT_TARGETS, mask)
+            fused = tt.masked_cross_entropy_sum(grid, _SPANS, _CAT_TARGETS, mask)[0]
             ref = _per_field_cross_entropy(preds, _CAT_TARGETS, mask)
         else:
             preds = [_random_tensor(rng, (2, 3, 1)) for _ in range(3)]
@@ -527,7 +587,7 @@ class TestMaskedLossColumns:
         """CE and SE on one grid: each fills its own columns, and unmasked cells get exactly 0."""
         rng = np.random.default_rng(47)
         z = _random_tensor(rng, (2, 3, _HEAD_WIDTH))
-        loss = tt.add(tt.masked_cross_entropy_sum(z, _SPANS, _CAT_TARGETS, _MASK),
+        loss = tt.add(tt.masked_cross_entropy_sum(z, _SPANS, _CAT_TARGETS, _MASK)[0],
                       tt.masked_squared_error_sum(z, _CONT_START, _CONT_TARGETS, _MASK))
         loss.backward()
         cont = [(c, c + 1) for c in range(_CONT_START, _HEAD_WIDTH)]
@@ -542,7 +602,7 @@ class TestMaskedLossColumns:
         for k, (lo, hi) in enumerate(_SPANS):
             moved[..., lo:hi][~_MASK[..., k]] = np.inf
         moved[..., _CONT_START:][~_MASK] = np.nan
-        ce = [tt.masked_cross_entropy_sum(Tensor(x), _SPANS, _CAT_TARGETS, _MASK) for x in (z, moved)]
+        ce = [tt.masked_cross_entropy_sum(Tensor(x), _SPANS, _CAT_TARGETS, _MASK)[0] for x in (z, moved)]
         se = [tt.masked_squared_error_sum(Tensor(x), _CONT_START, _CONT_TARGETS, _MASK) for x in (z, moved)]
         assert ce[0].data.tobytes() == ce[1].data.tobytes()
         assert se[0].data.tobytes() == se[1].data.tobytes()
@@ -584,6 +644,25 @@ class TestAddProjections:
             want = _grads(params, tt.sum_all(tt.mul(ref, upstream)))
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n_fields", [3, 0])
+    def test_constant_is_bitwise_a_last_add(self, dtype, n_fields):
+        with use_dtype(dtype):
+            rng = np.random.default_rng(50)
+            h = _random_tensor(rng, (4, 7, 16))
+            weights = [_random_tensor(rng, (16,)) for _ in range(n_fields)]
+            biases = [_random_tensor(rng, (16,)) for _ in range(n_fields)]
+            values = rng.normal(size=(4, 7, n_fields))
+            constant = Tensor(rng.normal(size=(7, 16))).data
+            upstream = Tensor(rng.normal(size=(4, 7, 16)))
+            params = [h, *weights, *biases]
+            fused = tt.add_projections(h, values, weights, biases, constant)
+            ref = tt.add(_projection_chain(h, values, weights, biases), Tensor(constant))
+            assert fused.data.tobytes() == ref.data.tobytes()
+            got = _grads(params, tt.sum_all(tt.mul(fused, upstream)))
+            want = _grads(params, tt.sum_all(tt.mul(ref, upstream)))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_no_fields_returns_h(self):
         h = Tensor(np.ones((2, 3, 4)), requires_grad=True)
@@ -714,18 +793,24 @@ NODE_CASES = [
                                    _leaves(r, (5,), (1,), (3,)))),
     ("add_projections", lambda r: tt.add_projections(*_leaves(r, (2, 3, 6)), _VALUES, _leaves(r, *[(6,)] * 3),
                                                      _leaves(r, *[(6,)] * 3))),
+    ("add_projections", lambda r: tt.add_projections(*_leaves(r, (2, 3, 6)), _VALUES[..., :0], [], [],
+                                                     np.ones((3, 6)))),
     ("reshape", lambda r: tt.reshape(*_leaves(r, (4, 8)), (8, 4))),
     ("transpose", lambda r: tt.transpose(*_leaves(r, (2, 4, 8)), (0, 2, 1))),
     ("conv1d", lambda r: tt.conv1d(*_leaves(r, (2, 8, 3), (3, 3, 4), (4,)))),
     ("softmax_lastdim", lambda r: tt.softmax_lastdim(*_leaves(r, (4, 8)))),
     ("attention", lambda r: tt.attention(*_leaves(r, (2, 5, 8), (8, 6), (8, 6), (8, 6), (6, 6)), heads=2)),
     ("layer_norm", lambda r: tt.layer_norm(*_leaves(r, (4, 8), (8,), (8,)))),
+    ("residual_norm", lambda r: tt.residual_norm(*_leaves(r, (2, 4, 8), (2, 4, 8), (8,), (8,)), 0.0, None)),
+    ("residual_norm", lambda r: tt.residual_norm(*_leaves(r, (2, 4, 8), (2, 4, 8), (8,), (8,)), 0.5,
+                                                 np.random.default_rng(1))),
+    ("scaled_mean_square", lambda r: tt.scaled_mean_square(*_leaves(r, (4, 8)), 0.25)),
     ("embedding", lambda r: tt.embedding(*_leaves(r, (7, 4)), np.array([[0, 3], [3, 6]]))),
     ("embedding_sum", lambda r: tt.embedding_sum(_leaves(r, (3, 6), (5, 6), (4, 6)), _IDS)),
     ("gather_bt", lambda r: tt.gather_bt(*_leaves(r, (2, 4, 8)), np.array([0, 1, 1]), np.array([3, 0, 3]))),
     ("cross_entropy_sum", lambda r: tt.cross_entropy_sum(*_leaves(r, (5, 4)), np.array([0, 3, 1, 1, 2]))),
     ("masked_cross_entropy_sum", lambda r: tt.masked_cross_entropy_sum(*_leaves(r, (2, 3, _HEAD_WIDTH)), _SPANS,
-                                                                       _CAT_TARGETS, _MASK)),
+                                                                       _CAT_TARGETS, _MASK)[0]),
     ("masked_squared_error_sum", lambda r: tt.masked_squared_error_sum(*_leaves(r, (2, 3, _HEAD_WIDTH)), _CONT_START,
                                                                        _CONT_TARGETS, _MASK)),
     ("bce_with_logits_sum", lambda r: tt.bce_with_logits_sum(*_leaves(r, (6,)), np.array([1.0, 0, 1, 0, 0, 1]))),
@@ -750,6 +835,35 @@ def test_a_graph_dropped_unswept_is_freed_without_the_cycle_collector(op, build)
         assert alive() is None, f"{op}: its node outlived its last reference"
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("op,build", NODE_CASES, ids=[c[0] for c in NODE_CASES])
+def test_every_gradient_left_after_backward_owns_its_memory(op, build):
+    """Each closure hands `_accumulate` an array it owns, which the leaf then keeps without a copy."""
+    node = build(np.random.default_rng(0))
+    leaves, stack = {}, [node]
+    while stack:
+        t = stack.pop()
+        if t._backward is None:
+            leaves[id(t)] = t
+        stack.extend(t._parents)
+    tt.sum_all(node).backward()
+    grads = [t.grad for t in leaves.values() if t.grad is not None]
+    assert grads, f"{op}: no gradient reached a leaf"
+    for t in leaves.values():
+        if t.grad is not None:
+            assert t.grad.flags.writeable and t.grad.dtype == t.data.dtype and t.grad.shape == t.data.shape
+            assert not np.shares_memory(t.grad, t.data), f"{op}: a gradient is a view of a value"
+    for i, a in enumerate(grads):
+        for b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b), f"{op}: two gradients share memory"
+
+
+def test_a_tensor_added_to_itself_gets_twice_the_gradient():
+    x = _random_tensor(np.random.default_rng(3), (3, 4))
+    g = np.random.default_rng(4).normal(size=(3, 4)).astype(np.float32)
+    tt.sum_all(tt.mul(tt.add(x, x), Tensor(g))).backward()
+    np.testing.assert_array_equal(x.grad, 2 * g)
 
 
 def test_a_node_requires_grad_iff_a_parent_does():
