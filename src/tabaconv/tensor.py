@@ -709,9 +709,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 def embedding_sum(tables: list[Tensor], ids: np.ndarray) -> Tensor:
     """sum_k tables[k][ids[..., k]] as one node; tables [V_k, d], ids [..., K] integers.
 
-    The K looked-up rows are summed in float64 and rounded once to the table
-    dtype. Backward is a segment sum done as one one-hot GEMM over the
-    row-stacked tables, split back into per-table gradients.
+    The K looked-up rows are summed in float64, one table at a time, and
+    rounded once to the table dtype; they are read from the tables stacked
+    row-wise in float64, so no addition converts. Backward is a segment sum
+    done as one one-hot GEMM over the row-stacked tables, split back into
+    per-table gradients.
     """
     ids = np.asarray(ids)
     if ids.ndim < 1 or ids.shape[-1] != len(tables):
@@ -721,15 +723,15 @@ def embedding_sum(tables: list[Tensor], ids: np.ndarray) -> Tensor:
         raise ShapeError(f"embedding_sum: tables {[t.data.shape for t in tables]} differ in width")
     sizes = [t.data.shape[0] for t in tables]
     _check_ids("embedding_sum", ids, sizes)
-    flat = ids.reshape(-1, len(tables))
-    summed = np.zeros((len(flat), width))
-    for k, t in enumerate(tables):
-        summed += t.data[flat[:, k]]
+    ends = np.cumsum(sizes)
+    rows = ids.reshape(-1, len(tables)) + (ends - sizes)  # row of each id in the row-stacked tables
+    stacked = np.concatenate([t.data for t in tables], dtype=np.float64)
+    summed = np.zeros((len(rows), width))
+    for k in range(len(tables)):
+        summed += stacked[rows[:, k]]
 
     def backward(g):
         g = g.reshape(-1, width)
-        ends = np.cumsum(sizes)
-        rows = flat + (ends - sizes)  # row of each id in the row-stacked tables
         onehot = np.zeros((int(ends[-1]), len(rows)), dtype=g.dtype)
         onehot[rows, np.arange(len(rows))[:, None]] = 1.0  # a row's K ids hit K distinct tables
         grad = onehot @ g

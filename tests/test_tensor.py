@@ -793,8 +793,6 @@ NODE_CASES = [
                                    _leaves(r, (5,), (1,), (3,)))),
     ("add_projections", lambda r: tt.add_projections(*_leaves(r, (2, 3, 6)), _VALUES, _leaves(r, *[(6,)] * 3),
                                                      _leaves(r, *[(6,)] * 3))),
-    ("add_projections", lambda r: tt.add_projections(*_leaves(r, (2, 3, 6)), _VALUES[..., :0], [], [],
-                                                     np.ones((3, 6)))),
     ("reshape", lambda r: tt.reshape(*_leaves(r, (4, 8)), (8, 4))),
     ("transpose", lambda r: tt.transpose(*_leaves(r, (2, 4, 8)), (0, 2, 1))),
     ("conv1d", lambda r: tt.conv1d(*_leaves(r, (2, 8, 3), (3, 3, 4), (4,)))),
