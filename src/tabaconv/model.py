@@ -95,13 +95,13 @@ class Batch:
     classification, masks/targets are None and labels is a float (B,) array.
     """
 
-    cat: np.ndarray            # [B, T, C_cat] int32
+    cat: np.ndarray            # [B, T, C_cat] int16 (int32 if a vocabulary has > 32768 ids)
     cont: np.ndarray           # [B, T, C_cont] float
-    ts_components: np.ndarray  # [B, T, 8] int32
+    ts_components: np.ndarray  # [B, T, 8] int16
     ts_floats: np.ndarray      # [B, T, 4] float
     cat_mask: np.ndarray | None = None     # [B, T, C_cat] bool
     cont_mask: np.ndarray | None = None    # [B, T, C_cont] bool
-    cat_targets: np.ndarray | None = None  # [B, T, C_cat] int32 (originals)
+    cat_targets: np.ndarray | None = None  # [B, T, C_cat] originals, cat's dtype
     cont_targets: np.ndarray | None = None
     labels: np.ndarray | None = None       # [B] float
 

@@ -378,9 +378,9 @@ def _check_schema_payload(payload, source: str) -> None:
 class WindowSample:
     """One fixed-length training example (T rows of one user)."""
 
-    cat_tokens: np.ndarray   # [T, C_cat] int32
+    cat_tokens: np.ndarray   # [T, C_cat] int16 (int32 if a vocabulary has > 32768 ids)
     cont_values: np.ndarray  # [T, C_cont] float
-    ts_components: np.ndarray  # [T, 8] int32: year-offset, month, day, weekday, week, h, m, s
+    ts_components: np.ndarray  # [T, 8] int16: year-offset, month, day, weekday, week, h, m, s
     ts_floats: np.ndarray    # [T, 4]: frac-of-day, frac-of-week, frac-of-year, min-max epoch
     user_id: str
     label: int | None = None
@@ -396,7 +396,10 @@ class Windows:
 
     Window i is rows `starts[i] : starts[i] + window` of the read-only row
     arrays `cat` [N, C_cat], `cont` [N, C_cont], `comp` [N, 8] and `tfl`
-    [N, 4], which every subset of one `make_windows` result shares.
+    [N, 4], which every subset of one `make_windows` result shares. `cat`
+    is int16, or int32 when a vocabulary has more than 32768 ids; `comp` is
+    int16 (year offsets below 10000, other components at most 60); `cont`
+    and `tfl` have the float dtype `make_windows` was given.
     `labels[i]` is its label (None for the whole set in pretrain mode) and
     `user_names[user_codes[i]]` its user.
 
@@ -738,6 +741,11 @@ def _float_cell(cell: str) -> float:
     return float(cell) if cell != "" else np.nan
 
 
+def _code_dtype(n_codes: int) -> np.dtype:
+    """The narrowest unsigned dtype of codes 0 .. n_codes - 1: uint8, uint16 or uint32."""
+    return np.min_scalar_type(max(n_codes - 1, 0))
+
+
 class CsvColumns:
     """A CSV log as compact per-column arrays, one entry per data row in file order.
 
@@ -745,8 +753,9 @@ class CsvColumns:
     `read_columns` streams a file through it and drops each block's strings
     once they are encoded; the row functions feed it rows they hold.
 
-    * `codes[name]`: int32 first-appearance codes of a coded (user,
-      categorical or label) column, `values[name]` its distinct cells in
+    * `codes[name]`: first-appearance codes of a coded (user, categorical
+      or label) column, in the smallest unsigned dtype that holds their
+      count (uint8, uint16 or uint32); `values[name]` its distinct cells in
       that order; `users` is the user column's.
     * `floats[name]`: a continuous column as float64, NaN where `empty[name]`
       is set or where `errors[name]` holds the message of a cell that is not
@@ -832,10 +841,13 @@ class CsvColumns:
     def _finish(self) -> "CsvColumns":
         def joined(parts: dict[str, list[np.ndarray]], name: str | None, dtype) -> np.ndarray:
             blocks = parts.pop(name, [])  # one column's blocks at a time, freed once joined
-            return np.concatenate(blocks) if blocks else np.zeros(0, dtype=dtype)
+            if not blocks:
+                return np.zeros(0, dtype=dtype)
+            return np.concatenate(blocks, dtype=dtype, casting="unsafe")  # codes fit their dtype
 
         lay = self.layout
-        self.codes = {name: joined(self._parts, name, np.int32) for name in lay.coded}
+        self.codes = {name: joined(self._parts, name, _code_dtype(len(self._lookup[name])))
+                      for name in lay.coded}
         self.values = {name: list(self._lookup[name]) for name in lay.coded}
         self.floats = {name: joined(self._parts, name, np.float64) for name in lay.continuous}
         self.empty = {name: joined(self._empty_parts, name, bool) for name in lay.continuous}
@@ -1067,19 +1079,23 @@ def _encode(schema: FeatureSchema, grouped: GroupedColumns, float_dtype):
     if bad:  # the first bad cell in row order, then in column order
         raise SchemaError(min(bad)[2])
     n = len(order)
-    cat = np.empty((n, len(cat_fields)), dtype=np.int32)
+    cat_dtype = np.int16 if all(f.vocab_size() <= 1 << 15 for f in cat_fields) else np.int32
+    cat = np.empty((n, len(cat_fields)), dtype=cat_dtype)
     for c, f in enumerate(cat_fields):
-        token_ids = np.array(f.encode_categorical_column(log.values[f.name]), dtype=np.int32)
+        token_ids = np.array(f.encode_categorical_column(log.values[f.name]), dtype=cat_dtype)
         cat[:, c] = token_ids[log.codes[f.name][order]]
     cont = np.empty((n, len(cont_fields)), dtype=float_dtype)
     for c, f in enumerate(cont_fields):
         # a z-score beyond float_dtype encodes as inf, and _check_rows names its row
         with np.errstate(over="ignore"):
-            z = (log.floats[f.name][order] - f.mean) / f.std
+            z = log.floats[f.name][order]  # one float64 buffer: (x - mean) / std, rounded twice
+            z -= f.mean
+            z /= f.std
             z[log.empty[f.name][order]] = 0.0  # an empty cell is the training mean
             cont[:, c] = z
+            del z  # not alive while the calendar components are built
     ts = log.stamps[order]
-    comp = np.empty((n, 8), dtype=np.int32)
+    comp = np.empty((n, 8), dtype=np.int16)  # year offsets < 10000, other components <= 60
     tfl = np.empty((n, 4), dtype=float_dtype)
     for start in range(0, n, _ENCODE_BLOCK_ROWS):
         out = slice(start, start + _ENCODE_BLOCK_ROWS)
@@ -1093,7 +1109,7 @@ def _encode(schema: FeatureSchema, grouped: GroupedColumns, float_dtype):
     labels = None
     if schema.label_column:
         codes = np.array([_LABEL_CODES.get(v, -1) for v in log.values[schema.label_column]],
-                         dtype=np.int32)
+                         dtype=np.int8)
         labels = codes[log.codes[schema.label_column][order]]
     return cat, cont, comp, tfl, labels
 

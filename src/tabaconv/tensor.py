@@ -557,7 +557,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wmix: Tensor, heads
     q, k, v = qkv
     scores = np.matmul(q, k.swapaxes(-1, -2))
     scores *= scale_by
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    e = np.exp(scores - _last_axis_max(scores))
     weights = e / e.sum(axis=-1, keepdims=True)  # [B, H, T, T]
     merged = np.matmul(weights, v).transpose(0, 2, 1, 3).reshape(-1, width)  # [B*T, A]
 
@@ -586,6 +586,27 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wmix: Tensor, heads
                   parents=(x, wq, wk, wv, wmix), backward=backward)
 
 
+def _last_axis_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True) as a running np.maximum over the last axis's slices.
+
+    numpy reduces a short last axis one row at a time, which is several
+    times slower. A row's maximum may differ only in the sign of a zero,
+    which exp(x - max), and so the softmax, does not see.
+    """
+    out = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(out, a[..., j : j + 1], out=out)
+    return out
+
+
+def _last_axis_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True), bitwise: the same np.add.reduce and divide, without
+    the Python wrapper around them."""
+    out = np.add.reduce(a, axis=-1, keepdims=True)
+    out /= a.shape[-1]
+    return out
+
+
 LAYER_NORM_EPS = 1e-5
 
 
@@ -606,8 +627,8 @@ class _Normalized:
                 f"do not match feature width {d}"
             )
         self.gamma, self.beta = gamma, beta
-        xc = s - s.mean(axis=-1, keepdims=True)
-        var = np.square(xc).mean(axis=-1, keepdims=True)
+        xc = s - _last_axis_mean(s)
+        var = _last_axis_mean(np.square(xc))
         self.inv = 1.0 / np.sqrt(var + eps)
         xc *= self.inv
         self.xhat = xc
@@ -624,8 +645,8 @@ class _Normalized:
         if not need_input:
             return None
         gi = np.multiply(g, self.gamma.data, out=gx)
-        m1 = gi.mean(axis=-1, keepdims=True)
-        m2 = (gi * xhat).mean(axis=-1, keepdims=True)
+        m1 = _last_axis_mean(gi)
+        m2 = _last_axis_mean(gi * xhat)
         gi -= m1
         gi -= xhat * m2
         gi *= self.inv
@@ -755,10 +776,15 @@ def gather_bt(x: Tensor, b_idx: np.ndarray, t_idx: np.ndarray) -> Tensor:
 # -- fused losses ----------------------------------------------------------
 
 
-def _cross_entropy_rows(z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Summed cross entropy of logit rows z [M, V] against targets [M], and its gradient."""
+def _cross_entropy_rows(z: np.ndarray, targets: np.ndarray,
+                        first_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Summed cross entropy of logit rows z [M, V] against targets [M], and its gradient.
+
+    `first_max` is z.argmax(axis=-1); the row maximum is read there, which is
+    faster than z.max(axis=-1) and differs at most in the sign of a zero.
+    """
     rows = np.arange(z.shape[0])
-    zmax = z.max(axis=-1, keepdims=True)
+    zmax = z[rows, first_max][:, None]
     e = np.exp(z - zmax)
     sums = e.sum(axis=-1, keepdims=True)
     lse = zmax[:, 0] + np.log(sums[:, 0])
@@ -774,7 +800,7 @@ def cross_entropy_sum(logits: Tensor, targets: np.ndarray) -> Tensor:
     m, v = logits.data.shape
     if targets.shape != (m,):
         raise ShapeError(f"cross_entropy_sum: targets {targets.shape} do not match logits {logits.data.shape}")
-    loss, dz = _cross_entropy_rows(logits.data, targets)
+    loss, dz = _cross_entropy_rows(logits.data, targets, logits.data.argmax(axis=-1))
 
     def backward(g):
         _accumulate(logits, dz * float(g))
@@ -815,8 +841,9 @@ def masked_cross_entropy_sum(logits: Tensor, spans: list[tuple[int, int]], targe
         if len(idx[0]):
             at = idx + (slice(lo, hi),)
             rows, want = z[at], targets[idx + (k,)]
-            hits += int(np.count_nonzero(rows.argmax(axis=-1) == want))
-            loss, d = _cross_entropy_rows(rows, want)
+            first_max = rows.argmax(axis=-1)
+            hits += int(np.count_nonzero(first_max == want))
+            loss, d = _cross_entropy_rows(rows, want, first_max)
             total = total + loss
             cells.append((at, d))
 

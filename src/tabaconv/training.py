@@ -277,7 +277,7 @@ def clip_global_norm(state: AdamState) -> float:
     squares = np.square(state.grad, out=state.squares, dtype=np.float64)
     total = 0.0
     for lo, hi in state.bounds:
-        total += float(squares[lo:hi].sum())
+        total += float(np.add.reduce(squares[lo:hi]))  # ndarray.sum without its Python wrapper
     norm = math.sqrt(total)
     if norm > GRAD_CLIP:
         state.grad *= GRAD_CLIP / norm

@@ -494,12 +494,14 @@ def reference_windows(schema, header, rows_by_user, window, stride, mode, float_
     cat_fields, cont_fields = schema.categorical_fields, schema.continuous_fields
     lo, hi = reference_calendar(schema.t_min)[0][0], reference_calendar(schema.t_max)[0][0]
     span = schema.t_max - schema.t_min
+    # ids of vocabularies up to 2**15 fit int16; calendar components always do
+    cat_dtype = np.int16 if all(f.vocab_size() <= 2**15 for f in cat_fields) else np.int32
     out = []
     for user, rows in rows_by_user.items():
         n = len(rows)
-        cat = np.zeros((n, len(cat_fields)), dtype=np.int32)
+        cat = np.zeros((n, len(cat_fields)), dtype=cat_dtype)
         cont = np.zeros((n, len(cont_fields)), dtype=float_dtype)
-        comp = np.zeros((n, 8), dtype=np.int32)
+        comp = np.zeros((n, 8), dtype=np.int16)
         tfl = np.zeros((n, 4), dtype=float_dtype)
         labels = np.zeros(n, dtype=np.int32)
         for i, row in enumerate(rows):
@@ -1263,3 +1265,66 @@ def test_row_checks_name_the_first_bad_user_value_first(rows, bad):
     except SchemaError as exc:
         got = str(exc)
     assert got == reference_row_error(reference_groups(rows, users), schema)
+
+
+# ---------------------------------------------------------------------------
+# row arrays in the narrowest integer dtype their values need
+# ---------------------------------------------------------------------------
+
+
+class TestNarrowRows:
+    @pytest.mark.parametrize("n_codes,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                               (65536, np.uint16), (65537, np.uint32)])
+    def test_codes_take_the_smallest_unsigned_dtype_of_their_count(self, n_codes, dtype):
+        rows = [[f"u{i}"] for i in range(n_codes)] + [["u0"], [f"u{n_codes - 1}"]]
+        log = sc._columns_from_rows(["u"], rows, sc._Layout("u", None, ("u",)))
+        codes = log.codes["u"]
+        assert codes.dtype == dtype
+        assert codes.tolist() == [*range(n_codes), 0, n_codes - 1]
+
+    @pytest.mark.parametrize("n_ids,dtype", [(2**15, np.int16), (2**15 + 1, np.int32)])
+    def test_categorical_ids_are_int16_up_to_32768_ids(self, n_ids, dtype):
+        base = make_schema(1_500_000_000, 1_500_000_100)
+        fields = list(base.fields)
+        vocab = {f"v{i}": sc.UNK_ID + i for i in range(n_ids - 2)}  # ids 2 .. n_ids - 1
+        fields[2] = FieldSpec("shop", "categorical", vocab=vocab)
+        schema = replace(base, fields=fields)
+        rows = [["u0", str(1_500_000_000 + i), shop, "20", "0"]
+                for i, shop in enumerate(["v0", f"v{n_ids - 3}", "unseen", "", f"v{n_ids - 3}"])]
+        windows = windows_of(schema, BASIC_HEADER, rows, 5, 1, "downstream")
+        assert windows.cat.dtype == dtype and windows.comp.dtype == np.int16
+        assert windows.cat[:, 0].tolist() == [2, n_ids - 1, sc.UNK_ID, sc.UNK_ID, n_ids - 1]
+
+    def test_calendar_components_of_the_widest_year_span_fit_int16(self):
+        lo, hi = sc._TS_MIN, sc._TS_MAX
+        schema = replace(make_schema(lo, hi), timestamp_format="epoch")
+        rows = [["u0", str(t), "a", "20", "0"] for t in (lo, hi)]
+        windows = windows_of(schema, BASIC_HEADER, rows, 2, 1, "downstream")
+        expected = [reference_calendar(t)[0] for t in (lo, hi)]
+        assert windows.comp.dtype == np.int16
+        assert windows.comp.tolist() == [[y - expected[0][0], *rest] for y, *rest in expected]
+
+    def test_ingest_holds_under_150_bytes_per_row(self, tmp_path):
+        """tracemalloc's peak over read_columns and make_windows grows by under 150 bytes per
+        added row (about 182 with int32 codes, ids and components and three float64 z-score
+        temporaries); the difference of two log sizes drops the per-block and fixed costs."""
+        import tracemalloc
+
+        from tabaconv import synth
+
+        peaks = []
+        for users in (100, 200):
+            cfg = synth.SynthConfig(n_users=users, rows_per_user=100, seed=3)
+            path, _ = synth.generate(cfg, tmp_path / str(users))
+            schema = infer_schema(path, synth.default_roles())
+            tracemalloc.start()
+            try:
+                log = sc.read_columns(path, schema=schema)
+                windows = make_windows(schema, log.header, sc.group_rows_by_user(log.header, log, schema),
+                                       10, 10, "downstream")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(windows) == users * 10
+            del log, windows
+        assert (peaks[1] - peaks[0]) / 10_000 < 150

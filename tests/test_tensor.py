@@ -1016,3 +1016,57 @@ def test_default_dtype_switch_roundtrip():
     with use_dtype("float64"):
         assert Tensor([1.0]).dtype == np.float64
     assert Tensor([1.0]).dtype == np.float32
+
+
+# -- last-axis reductions against numpy's own -----------------------------
+
+
+def _awkward_rows(dtype, shape, seed=0):
+    """Random rows, with rounded rows (ties), rows of signed zeros, and rows holding NaN."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape).astype(dtype)
+    rows = a.reshape(-1, shape[-1])
+    rows[::5] = np.round(rows[::5] * 2)
+    rows[1::7] = 0.0
+    rows[1::7, ::2] = -0.0
+    rows[2::9] = -0.0
+    rows[3::11, shape[-1] // 2] = np.nan
+    rows[4::13] = np.nan
+    return a
+
+
+REDUCTION_SHAPES = [(32, 4, 10, 10), (7, 1), (9, 3), (40, 17), (16, 64)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", REDUCTION_SHAPES)
+class TestLastAxisReductions:
+    def test_mean_is_bitwise_numpys(self, dtype, shape):
+        for seed in range(3):
+            a = _awkward_rows(dtype, shape, seed)
+            assert tt._last_axis_mean(a).tobytes() == a.mean(axis=-1, keepdims=True).tobytes()
+
+    def test_running_max_is_numpys_up_to_the_sign_of_a_zero(self, dtype, shape):
+        """Equal as numbers, and `exp(a - max)`, the softmax's use of it, is bitwise numpy's."""
+        for seed in range(3):
+            a = _awkward_rows(dtype, shape, seed)
+            got, want = tt._last_axis_max(a), a.max(axis=-1, keepdims=True)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.exp(a - got).tobytes() == np.exp(a - want).tobytes()
+
+    def test_cross_entropy_rows_are_bitwise_those_of_the_row_max(self, dtype, shape):
+        """The maximum read at argmax gives the loss and gradient of z.max(axis=-1)."""
+        for seed in range(3):
+            z = _awkward_rows(dtype, shape, seed).reshape(-1, shape[-1])
+            targets = np.random.default_rng(seed).integers(0, shape[-1], len(z))
+            rows = np.arange(len(z))
+            zmax = z.max(axis=-1, keepdims=True)
+            e = np.exp(z - zmax)
+            sums = e.sum(axis=-1, keepdims=True)
+            with np.errstate(invalid="ignore"):
+                loss = (zmax[:, 0] + np.log(sums[:, 0]) - z[rows, targets]).sum()
+                dz = e / sums
+                dz[rows, targets] -= 1.0
+                got_loss, got_dz = tt._cross_entropy_rows(z, targets, z.argmax(axis=-1))
+            assert got_loss.tobytes() == loss.tobytes() and got_dz.tobytes() == dz.tobytes()
